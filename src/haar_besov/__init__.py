@@ -23,7 +23,6 @@ from .dyadic import (
     function_from_json,
     function_to_json,
     lp_quasinorm,
-    refine,
     value_histogram,
 )
 from .haar import (
@@ -55,7 +54,6 @@ from .norms import (
     b_norm_modulus,
     best_constant_error,
     modulus,
-    shift_difference_norm,
     square_function_norm,
 )
 from .sequences import CoefficientBlockView, linf_lp_norm, lqlp_norm, lqlp_norm_log2

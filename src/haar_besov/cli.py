@@ -2,7 +2,8 @@
 
 Subcommands: classify, generate, norm, transform, experiment.  Exit codes:
 0 on success/pass, 2 when an experiment fails its thresholds, 1 on usage
-errors (bad flags, unknown experiment, out-of-range parameters).
+errors (bad flags, unknown experiment, out-of-range parameters), on
+non-finite input values and on grids over the cell budget.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from . import __version__
 from .dyadic import (
-    DyadicStepFunction,
+    CapacityError,
     densify,
     function_from_json,
     function_to_json,
@@ -178,12 +179,12 @@ def _cmd_norm(args) -> int:
         elif route == "modulus":
             out["modulus"] = b_norm_modulus(f, prm)
         elif route == "lqlp":
-            fd = densify(f, f.level if isinstance(f, DyadicStepFunction) else f.max_level)
+            fd = densify(f)
             out["lqlp"] = lqlp_norm(analyze(fd), prm)
         elif route == "linflp":
             if args.s is None:
                 raise UsageError("route linflp needs --s")
-            fd = densify(f, f.level if isinstance(f, DyadicStepFunction) else f.max_level)
+            fd = densify(f)
             sup = linf_lp_norm(analyze(fd), BesovParams(args.p, INF, args.s, f.d))
             out["linflp"] = sup.value
             out["linflp_per_level"] = sup.per_level.tolist()
@@ -215,7 +216,7 @@ def _cmd_transform(args) -> int:
         _emit(function_to_json(f), args.out)
         return 0
     f = function_from_json(text)
-    fd = densify(f, f.level if isinstance(f, DyadicStepFunction) else f.max_level)
+    fd = densify(f)
     if args.system == "isotropic":
         _emit(analyze(fd).to_json(), args.out)
     else:
@@ -261,13 +262,7 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (UsageError, ValueError, OSError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

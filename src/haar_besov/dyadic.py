@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,9 +35,9 @@ __all__ = [
     "SparseStepFunction",
     "ValueHistogram",
     "average_project",
+    "cube_blocks",
     "densify",
     "lp_quasinorm",
-    "refine",
     "stable_sum",
     "logsumexp2",
     "signed_log2_sum",
@@ -150,10 +148,6 @@ class DyadicCube:
         return cls(d, 0, (0,) * d)
 
     @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
     def log2_measure(self) -> int:
         return -self.level * self.d
 
@@ -167,10 +161,6 @@ class DyadicCube:
             raise ValueError("child bits must be a 0/1 vector of length d")
         idx = tuple(2 * i + b for i, b in zip(self.index, bits))
         return DyadicCube(self.d, self.level + 1, idx)
-
-    def children(self) -> Iterable["DyadicCube"]:
-        for bits in product((0, 1), repeat=self.d):
-            yield self.child(bits)
 
     def ancestor(self, level: int) -> "DyadicCube":
         if level > self.level:
@@ -208,6 +198,8 @@ class DyadicStepFunction:
             raise ValueError(
                 f"expected {n**d} values for d={d}, level={level}, got {arr.size}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("cell values must be finite (no NaN or inf)")
         arr = arr.reshape((n,) * d)
         arr.setflags(write=False)
         self.d = d
@@ -256,20 +248,6 @@ class DyadicStepFunction:
     def from_json_dict(cls, obj: dict) -> "DyadicStepFunction":
         return cls(int(obj["d"]), int(obj["m"]), obj["values"])
 
-    _MAGIC = b"HBD1"
-
-    def to_binary(self) -> bytes:
-        head = struct.pack("<4sII", self._MAGIC, self.d, self.level)
-        return head + self.flat().astype("<f8").tobytes()
-
-    @classmethod
-    def from_binary(cls, blob: bytes) -> "DyadicStepFunction":
-        magic, d, m = struct.unpack_from("<4sII", blob)
-        if magic != cls._MAGIC:
-            raise ValueError("not a dense step-function blob")
-        vals = np.frombuffer(blob, dtype="<f8", offset=12)
-        return cls(d, m, vals)
-
     def __repr__(self):
         return f"DyadicStepFunction(d={self.d}, level={self.level})"
 
@@ -285,6 +263,8 @@ class SparseAtom:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        if self.sign != 0 and not math.isfinite(self.log2mag):
+            raise ValueError("a nonzero atom needs a finite log2 magnitude")
 
     @classmethod
     def from_value(cls, cube: DyadicCube, coefficient: float) -> "SparseAtom":
@@ -460,15 +440,33 @@ class ValueHistogram:
 # ---------------------------------------------------------------------------
 
 
-def refine(f: DyadicStepFunction, m: int, max_cells: int = DEFAULT_CELL_BUDGET):
-    return f.refine(m, max_cells)
+def cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
+    """Level-k cube view of a level-m grid (k <= m), without copying.
+
+    The view has shape (2^k,)*d + (2^(m-k),)*d: the leading d axes index the
+    level-k cube and the trailing d axes the level-m cells inside it, both
+    in row-major order.
+    """
+    d = values.ndim
+    n = 1 << k
+    r = values.shape[0] >> k
+    shape = sum(((n, r) for _ in range(d)), ())
+    coarse = tuple(range(0, 2 * d, 2))
+    fine = tuple(range(1, 2 * d, 2))
+    return values.reshape(shape).transpose(coarse + fine)
 
 
-def densify(f, m: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicStepFunction:
-    """Dense level-m view of either representation."""
+def densify(
+    f, m: int | None = None, max_cells: int = DEFAULT_CELL_BUDGET
+) -> DyadicStepFunction:
+    """Dense level-m view of either representation.
+
+    m defaults to the finest level of f itself (``f.level`` for a dense
+    input, ``f.max_level`` for a sparse one).
+    """
     if isinstance(f, DyadicStepFunction):
-        return f.refine(m, max_cells)
-    return f.densify(m, max_cells)
+        return f.refine(f.level if m is None else m, max_cells)
+    return f.densify(f.max_level if m is None else m, max_cells)
 
 
 def lp_quasinorm(f, p: float) -> float:
@@ -507,10 +505,8 @@ def average_project(f, k: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicSt
     if isinstance(f, DyadicStepFunction):
         if k >= f.level:
             return f.refine(k, max_cells)
-        n, r = 1 << k, 1 << (f.level - k)
-        shape = sum(((n, r) for _ in range(f.d)), ())
-        axes = tuple(range(1, 2 * f.d, 2))
-        return DyadicStepFunction(f.d, k, f.values.reshape(shape).mean(axis=axes))
+        fine = tuple(range(f.d, 2 * f.d))
+        return DyadicStepFunction(f.d, k, cube_blocks(f.values, k).mean(axis=fine))
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
     _check_budget(f.d, k, max_cells)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DEFAULT_CELL_BUDGET, DyadicStepFunction
+from .dyadic import DEFAULT_CELL_BUDGET, DyadicStepFunction, _check_budget
 from .families import (
     ALTERNATING,
     NestedSpec,
@@ -54,16 +54,6 @@ __all__ = [
 
 CSV_COLUMNS = ("experiment", "p", "q", "s", "d", "scale", "value", "log2_value")
 
-EXPERIMENTS = (
-    "equivalence",
-    "modulus-vs-approx",
-    "trivial-dual",
-    "uncond-fail",
-    "basis-fail",
-    "tensor-fail",
-    "classify-sweep",
-)
-
 
 def random_step(
     seed: int,
@@ -78,11 +68,8 @@ def random_step(
     normal); cell values are drawn in row-major order from the xoshiro
     stream of the seed.
     """
+    _check_budget(d, m, max_cells)
     cells = 1 << (m * d)
-    if cells > max_cells:
-        from .dyadic import CapacityError
-
-        raise CapacityError(cells, max_cells)
     stream = RandomStream(seed)
     if distribution == "uniform":
         vals = stream.uniform(cells, -1.0, 1.0)
@@ -181,6 +168,14 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for lo, hi in (("m_lo", "m_hi"), ("k_lo", "k_hi")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if b < a:
+                raise ValueError(f"{hi} = {b} must not be below {lo} = {a}")
+
     def params(self) -> BesovParams:
         return BesovParams(self.p, self.q, self.s, self.d)
 
@@ -194,6 +189,8 @@ _BASE_DEFAULTS = {
     "tensor-fail": dict(p=0.5, q=1.0, s=1.0, d=2, k_lo=2, k_hi=10),
     "classify-sweep": dict(p=1.0, q=1.0, s=0.0, d=1),
 }
+
+EXPERIMENTS = tuple(_BASE_DEFAULTS)
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
@@ -400,57 +397,59 @@ def _uncond_fail(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
+def _growth_experiment(
+    cfg: ExperimentConfig,
+    ratio_at: Callable[[int], float],
+    theo: float,
+    fit_key: str,
+    system: System = System.ISOTROPIC,
+    **extra,
+) -> ExperimentResult:
+    """Fit the log2 growth of ratio_at(k), k = k_lo..k_hi, against ``theo``."""
+    scales = list(range(cfg.k_lo, cfg.k_hi + 1))
+    ratios = [ratio_at(k) for k in scales]
+    rows = [_row(cfg, k, r) for k, r in zip(scales, ratios)]
+    growth = GrowthReport.from_measurements(scales, ratios, theo)
+    passed = growth.relative_deviation <= 0.2
+    summary = _base_summary(cfg, system)
+    summary.update(
+        {
+            "rows": len(rows),
+            **extra,
+            "fits": {fit_key: growth.to_json_dict()},
+            "thresholds": {"relative_deviation": 0.2},
+            "pass": passed,
+        }
+    )
+    return ExperimentResult(cfg, tuple(rows), summary, passed)
+
+
 def _basis_fail(cfg: ExperimentConfig) -> ExperimentResult:
     sc = critical_smoothness(cfg.p, cfg.d)
     if not (0 < cfg.p < 1 and cfg.p < cfg.q <= 1 and cfg.s == sc):
         raise ValueError("basis-fail needs p < q <= 1, p < 1 and s = d(1/p-1)")
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / (2.0 * cfg.q)
     prm = cfg.params()
-    rows, scales, ratios = [], [], []
-    for k in range(cfg.k_lo, cfg.k_hi + 1):
-        norms = scattered_closed_norms(ScatteredSpec(k, cfg.d, alpha), prm)
-        rows.append(_row(cfg, k, norms.ratio))
-        scales.append(k)
-        ratios.append(norms.ratio)
-    theo = cfg.d * (1.0 / cfg.p - 1.0 / cfg.q)
-    growth = GrowthReport.from_measurements(scales, ratios, theo)
-    passed = growth.relative_deviation <= 0.2
-    summary = _base_summary(cfg)
-    summary.update(
-        {
-            "rows": len(rows),
-            "alpha": alpha,
-            "fits": {"projector_ratio": growth.to_json_dict()},
-            "thresholds": {"relative_deviation": 0.2},
-            "pass": passed,
-        }
+    return _growth_experiment(
+        cfg,
+        lambda k: scattered_closed_norms(ScatteredSpec(k, cfg.d, alpha), prm).ratio,
+        cfg.d * (1.0 / cfg.p - 1.0 / cfg.q),
+        "projector_ratio",
+        alpha=alpha,
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 def _tensor_fail(cfg: ExperimentConfig) -> ExperimentResult:
     if not (0 < cfg.p < 1 and cfg.d >= 2):
         raise ValueError("tensor-fail needs 0 < p < 1 and d >= 2")
     prm = cfg.params()
-    rows, scales, ratios = [], [], []
-    for k in range(cfg.k_lo, cfg.k_hi + 1):
-        res = tensor_spike_pair(k, cfg.d, prm)
-        rows.append(_row(cfg, k, res.ratio))
-        scales.append(k)
-        ratios.append(res.ratio)
-    theo = (1.0 / cfg.p - 1.0) * (cfg.d - 1)
-    growth = GrowthReport.from_measurements(scales, ratios, theo)
-    passed = growth.relative_deviation <= 0.2
-    summary = _base_summary(cfg, System.TENSOR)
-    summary.update(
-        {
-            "rows": len(rows),
-            "fits": {"rank_one_ratio": growth.to_json_dict()},
-            "thresholds": {"relative_deviation": 0.2},
-            "pass": passed,
-        }
+    return _growth_experiment(
+        cfg,
+        lambda k: tensor_spike_pair(k, cfg.d, prm).ratio,
+        (1.0 / cfg.p - 1.0) * (cfg.d - 1),
+        "rank_one_ratio",
+        System.TENSOR,
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 _SWEEP_EXAMPLES = (

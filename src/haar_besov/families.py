@@ -64,6 +64,15 @@ TRIVIAL_DUAL = "trivial-dual"
 ALTERNATING = "alternating"
 
 
+def _check_closed_form_params(prm: BesovParams, d: int) -> None:
+    if prm.p > 1:
+        raise ValueError("closed forms need p <= 1; use the generic pipeline")
+    if not prm.q_finite:
+        raise ValueError("finite q required")
+    if prm.d != d:
+        raise ValueError("parameter dimension does not match the family")
+
+
 def _lower_corner_chain(d: int, m: int) -> tuple[DyadicCube, ...]:
     return tuple(DyadicCube(d, l, (0,) * d) for l in range(m + 1))
 
@@ -107,26 +116,6 @@ class NestedSpec:
     @property
     def cubes(self) -> tuple[DyadicCube, ...]:
         return self.chain if self.chain is not None else _lower_corner_chain(self.d, self.m)
-
-    def to_json_dict(self) -> dict:
-        out = {"family": "nested", "d": self.d, "m": self.m}
-        out["rule"] = self.rule if isinstance(self.rule, str) else list(self.rule)
-        if self.chain is not None:
-            out["chain"] = [list(c.index) for c in self.chain]
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NestedSpec":
-        rule = obj["rule"]
-        if not isinstance(rule, str):
-            rule = tuple(rule)
-        chain = None
-        if "chain" in obj:
-            d = int(obj["d"])
-            chain = tuple(
-                DyadicCube(d, l, tuple(idx)) for l, idx in enumerate(obj["chain"])
-            )
-        return cls(int(obj["d"]), int(obj["m"]), rule=rule, chain=chain)
 
     def coefficient_logs(self) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log2 magnitudes) of a_0..a_m."""
@@ -187,12 +176,7 @@ def nested_closed_form(spec: NestedSpec, prm: BesovParams) -> NestedNorms:
     dyadic cube, and along it the running value occupies at least half of
     each chain cube, so the best constant is the running value itself.
     """
-    if prm.p > 1:
-        raise ValueError("closed forms need p <= 1; use the generic pipeline")
-    if not prm.q_finite:
-        raise ValueError("finite q required")
-    if prm.d != spec.d:
-        raise ValueError("parameter dimension does not match the family")
+    _check_closed_form_params(prm, spec.d)
     p, q, s, d, m = prm.p, prm.q, prm.s, spec.d, spec.m
     signs, logs = spec.coefficient_logs()
 
@@ -239,29 +223,23 @@ class SpikePair:
             raise ValueError("need 0 <= 2k <= m")
         return nested_family(NestedSpec(self.d, 2 * k, rule=ALTERNATING))
 
-    def g_spec(self, k: int) -> NestedSpec:
-        if k < 0 or 2 * k > self.m:
-            raise ValueError("need 0 <= 2k <= m")
-        return NestedSpec(self.d, 2 * k, rule=ALTERNATING)
-
 
 def spike_pair(m: int, d: int) -> SpikePair:
     return SpikePair(m, d)
 
 
+def _flat_a_norm(lp: float, n: int, s: float, q: float) -> float:
+    """Approximation norm when E_l = ||f||_p = lp for l < n and E_l = 0 beyond."""
+    return lp * (1.0 + math.fsum(2.0 ** (l * s * q) for l in range(n))) ** (1.0 / q)
+
+
 def spike_closed_form(m: int, d: int, prm: BesovParams) -> NestedNorms:
     """Exact norms of the corner spike (p <= 1): E_k = ||f||_p for k < m."""
-    if prm.p > 1:
-        raise ValueError("closed forms need p <= 1; use the generic pipeline")
-    if not prm.q_finite:
-        raise ValueError("finite q required")
-    if prm.d != d:
-        raise ValueError("parameter dimension does not match the family")
+    _check_closed_form_params(prm, d)
     p, q, s = prm.p, prm.q, prm.s
     lp = 2.0 ** (m * d * (1.0 - 1.0 / p))
     e_values = np.append(np.full(m, lp), 0.0)
-    a = lp * (1.0 + math.fsum(2.0 ** (k * s * q) for k in range(m))) ** (1.0 / q)
-    return NestedNorms(lp, e_values, a, 1.0)
+    return NestedNorms(lp, e_values, _flat_a_norm(lp, m, s, q), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +254,20 @@ class ScatteredSpec:
     The marked set T' takes, inside every level-(k-1) parent, the 2^{d-1}
     children whose first-coordinate bit is 0; atoms descend to the lower
     corner.  Enumeration is lexicographic over parents, then children.
-    Only these fixed rules are implemented (the norms are placement
-    invariant; fixing them keeps outputs reproducible).
+    These rules are fixed: the norms do not depend on which cubes are
+    marked or where the atoms sit inside them, and fixing both keeps
+    outputs reproducible.
     """
 
     k: int
     d: int
     alpha: float
-    selection: str = "half-children"
-    placement: str = "lower-corner"
 
     def __post_init__(self):
         if self.k < 1 or self.d < 1:
             raise ValueError("need k >= 1 and d >= 1")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if self.selection != "half-children":
-            raise ValueError("only the half-children selection rule is implemented")
-        if self.placement != "lower-corner":
-            raise ValueError("only lower-corner placement is implemented")
 
     @property
     def n_atoms(self) -> int:
@@ -322,26 +295,6 @@ class ScatteredSpec:
         """log2 b_i with b_i = 2^{(k+i)d} i^{-alpha}."""
         i = np.arange(1, self.n_atoms + 1, dtype=float)
         return (self.k + i) * self.d - self.alpha * np.log2(i)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "scattered",
-            "k": self.k,
-            "d": self.d,
-            "alpha": self.alpha,
-            "selection": self.selection,
-            "placement": self.placement,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ScatteredSpec":
-        return cls(
-            int(obj["k"]),
-            int(obj["d"]),
-            float(obj["alpha"]),
-            selection=obj.get("selection", "half-children"),
-            placement=obj.get("placement", "lower-corner"),
-        )
 
 
 def scattered(spec: ScatteredSpec) -> SparseStepFunction:
@@ -392,10 +345,7 @@ def scattered_closed_norms(spec: ScatteredSpec, prm: BesovParams) -> ScatteredNo
     """
     if not (0 < prm.p < 1):
         raise ValueError("the scattered closed forms need 0 < p < 1")
-    if not prm.q_finite:
-        raise ValueError("finite q required")
-    if prm.d != spec.d:
-        raise ValueError("parameter dimension does not match the family")
+    _check_closed_form_params(prm, spec.d)
     if spec.alpha * prm.q >= 1.0:
         raise ValueError("need alpha < 1/q")
     p, q, s, d, k = prm.p, prm.q, prm.s, spec.d, spec.k
@@ -474,12 +424,7 @@ def tensor_spike_pair(k: int, d: int, prm: BesovParams) -> TensorSpikeResult:
         raise ValueError("the tensor failure needs d > 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    if prm.p > 1:
-        raise ValueError("closed forms need p <= 1; use the generic pipeline")
-    if not prm.q_finite:
-        raise ValueError("finite q required")
-    if prm.d != d:
-        raise ValueError("parameter dimension does not match the family")
+    _check_closed_form_params(prm, d)
     p, q, s = prm.p, prm.q, prm.s
 
     corner = DyadicCube(d, k, (0,) * d)
@@ -492,7 +437,7 @@ def tensor_spike_pair(k: int, d: int, prm: BesovParams) -> TensorSpikeResult:
 
     lp_f = 2.0 ** (-k * d / p)
     e_f = np.full(k, lp_f)
-    a_f = lp_f * (1.0 + math.fsum(2.0 ** (l * s * q) for l in range(k))) ** (1.0 / q)
+    a_f = _flat_a_norm(lp_f, k, s, q)
 
     lp_t = 2.0 ** ((1.0 - k) / p)
     e_t = np.full(k, lp_t)

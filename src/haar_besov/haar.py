@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .dyadic import (
     DyadicStepFunction,
     SparseAtom,
     SparseStepFunction,
+    cube_blocks,
     densify,
     stable_sum,
 )
@@ -84,10 +86,6 @@ class HaarIndex:
     def support(self) -> DyadicCube:
         return self.parent if self.parent is not None else DyadicCube.root(self.d)
 
-    @property
-    def support_measure(self) -> float:
-        return self.support.measure
-
 
 def block_size(d: int, k: int) -> int:
     """Number of indices in block k: 1 for k=0, else (2^d - 1) * 2^((k-1)d)."""
@@ -102,8 +100,6 @@ def level_indices(d: int, k: int) -> Iterable[HaarIndex]:
         yield HaarIndex.scaling(d)
         return
     n = 1 << (k - 1)
-    from itertools import product
-
     for idx in product(range(n), repeat=d):
         parent = DyadicCube(d, k - 1, idx)
         for pat in range(1, 1 << d):
@@ -140,10 +136,7 @@ def _sign_matrix(d: int) -> np.ndarray:
 def _split_children(a: np.ndarray, d: int) -> np.ndarray:
     """(2n,)*d array -> (n,)*d + (2^d,) array of per-parent child values."""
     n = a.shape[0] // 2
-    shape = sum(((n, 2) for _ in range(d)), ())
-    coarse = tuple(range(0, 2 * d, 2))
-    fine = tuple(range(1, 2 * d, 2))
-    return a.reshape(shape).transpose(coarse + fine).reshape((n,) * d + (1 << d,))
+    return cube_blocks(a, n.bit_length() - 1).reshape((n,) * d + (1 << d,))
 
 
 def _merge_children(child: np.ndarray, d: int) -> np.ndarray:
@@ -203,18 +196,6 @@ class HaarCoefficients:
         if k > self.max_level:
             return np.zeros(0)
         return np.abs(self.blocks[k - 1]).ravel()
-
-    def iter_entries(self, include_zero: bool = False):
-        yield HaarIndex.scaling(self.d), self.scaling
-        for k in range(1, self.max_level + 1):
-            block = self.blocks[k - 1]
-            it = np.ndindex(block.shape[: self.d])
-            for pidx in it:
-                parent = DyadicCube(self.d, k - 1, pidx)
-                for pat in range(1, 1 << self.d):
-                    v = float(block[pidx + (pat - 1,)])
-                    if include_zero or v != 0.0:
-                        yield HaarIndex.wavelet(parent, pat), v
 
     def to_json(self) -> str:
         levels = [

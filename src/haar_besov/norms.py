@@ -26,6 +26,7 @@ from .dyadic import (
     DyadicStepFunction,
     SparseStepFunction,
     ValueHistogram,
+    cube_blocks,
     densify,
     lp_quasinorm,
     stable_sum,
@@ -46,7 +47,6 @@ __all__ = [
     "b_norm_modulus",
     "best_constant_error",
     "modulus",
-    "shift_difference_norm",
     "square_function_norm",
 ]
 
@@ -197,10 +197,7 @@ def _cube_value_matrix(f: DyadicStepFunction, k: int) -> np.ndarray:
     """Rows = level-k cubes (lexicographic), columns = their level-m cells."""
     m, d = f.level, f.d
     n, r = 1 << k, 1 << (m - k)
-    shape = sum(((n, r) for _ in range(d)), ())
-    coarse = tuple(range(0, 2 * d, 2))
-    fine = tuple(range(1, 2 * d, 2))
-    return f.values.reshape(shape).transpose(coarse + fine).reshape(n**d, r**d)
+    return cube_blocks(f.values, k).reshape(n**d, r**d)
 
 
 def approx_error(f, k: int, p: float) -> float:
@@ -327,10 +324,6 @@ def shift_difference_ppow(f: DyadicStepFunction, y: Sequence[float], p: float) -
     return total
 
 
-def shift_difference_norm(f: DyadicStepFunction, y: Sequence[float], p: float) -> float:
-    return shift_difference_ppow(f, y, p) ** (1.0 / p)
-
-
 class ModulusTable:
     """Cached first-order modulus values omega(2^-j, f)_p for one (f, p).
 
@@ -429,8 +422,7 @@ def b_norm_modulus(f, prm: BesovParams) -> float:
     grid are evaluated exactly via fractional shifts, and the sum stops once
     three consecutive terms drop below 1e-9 of the running total.
     """
-    if isinstance(f, SparseStepFunction):
-        f = densify(f, f.max_level)
+    f = densify(f)
     return ModulusTable(f, prm.p).b_norm(prm)
 
 
@@ -447,8 +439,7 @@ def square_function_norm(f, p: float) -> float:
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
-    if isinstance(f, SparseStepFunction):
-        f = densify(f, f.max_level)
+    f = densify(f)
     c = analyze(f)
     acc = np.full(f.values.shape, c.scaling**2)
     for k in range(1, c.max_level + 1):
@@ -462,8 +453,7 @@ def square_function_norm(f, p: float) -> float:
 
 def b0_221_weighted_sum(f) -> float:
     """(sum_k sum_{h in block k} (k+1) mu(supp h) lambda_h^2)^{1/2}."""
-    if isinstance(f, SparseStepFunction):
-        f = densify(f, f.max_level)
+    f = densify(f)
     c = analyze(f)
     terms = [c.scaling**2]
     for k in range(1, c.max_level + 1):

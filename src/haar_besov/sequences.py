@@ -52,11 +52,6 @@ class CoefficientBlockView:
             ]
         return cls(c.d, levels)
 
-    @classmethod
-    def from_magnitudes(cls, d: int, magnitudes) -> "CoefficientBlockView":
-        with np.errstate(divide="ignore"):
-            return cls(d, [np.log2(np.abs(np.asarray(a, float))) for a in magnitudes])
-
     @property
     def max_level(self) -> int:
         return len(self.level_log2) - 1

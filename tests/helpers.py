@@ -38,7 +38,7 @@ def grid_best_constant_err(values, weights, p, coarse=10_000, fine=2_000):
 
 def approx_error_grid(f, k, p, coarse=4_000):
     """E_k via an independent per-cube grid search on the densified function."""
-    fd = hb.densify(f, f.level if isinstance(f, hb.DyadicStepFunction) else f.max_level)
+    fd = hb.densify(f)
     if k >= fd.level:
         return 0.0
     total = []
@@ -52,7 +52,7 @@ def approx_error_grid(f, k, p, coarse=4_000):
 
 def a_norm_grid(f, prm, coarse=4_000):
     """Approximation norm recomputed with grid-search best constants."""
-    fd = hb.densify(f, f.level if isinstance(f, hb.DyadicStepFunction) else f.max_level)
+    fd = hb.densify(f)
     lp = hb.lp_quasinorm(fd, prm.p)
     terms = [
         (2.0 ** (k * prm.s) * approx_error_grid(fd, k, prm.p, coarse)) ** prm.q

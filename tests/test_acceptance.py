@@ -128,7 +128,7 @@ def test_criterion_03_best_constant_oracle():
 
 
 def _check_closed_vs_pipeline(norms, f, prm, tag):
-    fd = hb.densify(f, f.max_level if isinstance(f, hb.SparseStepFunction) else f.level)
+    fd = hb.densify(f)
     rel = 1e-10
     assert norms.lp_norm == pytest.approx(hb.lp_quasinorm(fd, prm.p), rel=rel), tag
     e_vals = norms.e_values

@@ -218,7 +218,7 @@ class TestValueHistogram:
 
 class TestSparseDenseAgreement:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
     def test_operations_agree(self, seed, d):
         rng = np.random.default_rng(seed)
         f = random_sparse(rng, d, 4, max_level=3)
@@ -231,16 +231,30 @@ class TestSparseDenseAgreement:
             a = hb.average_project(f, k)
             b = hb.average_project(fd, k)
             np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
+            # one p per best-constant branch: enumeration, median, bisection, mean
+            for p in (0.5, 1.0, 1.5, 2.0):
+                assert hb.approx_error(f, k, p) == pytest.approx(
+                    hb.approx_error(fd, k, p), rel=1e-10, abs=1e-12
+                )
 
 
 class TestSerialization:
-    def test_dense_json_and_binary(self):
+    def test_dense_json_roundtrip(self):
         f = hb.DyadicStepFunction(2, 1, [1.0, -2.0, 3.5, 0.25])
         g = hb.function_from_json(hb.function_to_json(f))
         assert g.d == f.d and g.level == f.level
         assert np.array_equal(g.values, f.values)
-        h = hb.DyadicStepFunction.from_binary(f.to_binary())
-        assert np.array_equal(h.values, f.values)
+
+    def test_non_finite_values_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hb.DyadicStepFunction(1, 1, [bad, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                hb.SparseAtom.from_value(cube(1, 1, 0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            hb.function_from_json('{"kind":"dense","d":1,"m":1,"values":[NaN,1.0]}')
+        # a zero atom carries log2|c| = -inf by design
+        assert hb.SparseAtom(cube(1, 1, 0), 0, -math.inf).value == 0.0
 
     def test_sparse_json_roundtrip(self):
         f = hb.scattered(hb.ScatteredSpec(1, 2, 1.0))

@@ -266,6 +266,34 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_capacity_error_exits_one(self, tmp_path, capsys):
+        assert cli_main(["generate", "random", "--d", "3", "--m", "12"]) == 1
+        err = capsys.readouterr().err
+        assert "2**36" in err and "Traceback" not in err
+        fpath = tmp_path / "s.json"
+        args = ["generate", "scattered", "--k", "3", "--d", "2", "--out", str(fpath)]
+        assert cli_main(args) == 0
+        args = ["norm", "--input", str(fpath), "--p", "2", "--q", "2", "--s", "0.25"]
+        assert cli_main(args + ["--route", "modulus"]) == 1
+        err = capsys.readouterr().err
+        assert "2**70" in err and "Traceback" not in err
+
+    def test_non_finite_input_exits_one(self, tmp_path, capsys):
+        fpath = tmp_path / "nan.json"
+        fpath.write_text('{"kind":"dense","d":1,"m":1,"values":[NaN,1.0]}')
+        args = ["norm", "--input", str(fpath), "--p", "2", "--q", "2", "--s", "0.25"]
+        for route in ("lp", "a", "lqlp", "modulus"):
+            args += ["--route", route]
+        assert cli_main(args) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,field", [(["--samples", "0"], "samples"), (["--m", "0"], "m_hi")]
+    )
+    def test_empty_experiment_range_exits_one(self, flags, field, capsys):
+        assert cli_main(["experiment", "equivalence"] + flags) == 1
+        assert field in capsys.readouterr().err
+
     def test_cli_experiment_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli_main(["experiment", "uncond-fail", "--out", str(a)]) == 0

@@ -300,30 +300,6 @@ class TestTensorSpikePair:
             hb.tensor_spike_pair(2, 1, hb.BesovParams(0.5, 1.0, 1.0, 1))
 
 
-class TestSpecSerialization:
-    def test_nested_spec_roundtrip(self):
-        import json
-
-        chain = (
-            hb.DyadicCube.root(1),
-            hb.DyadicCube(1, 1, (1,)),
-            hb.DyadicCube(1, 2, (3,)),
-        )
-        for spec in (
-            hb.NestedSpec(2, 3, rule=ALTERNATING),
-            hb.NestedSpec(1, 2, rule=(1.0, -2.0, 0.5), chain=chain),
-        ):
-            blob = json.dumps(spec.to_json_dict())
-            assert hb.NestedSpec.from_json_dict(json.loads(blob)) == spec
-
-    def test_scattered_spec_roundtrip(self):
-        import json
-
-        spec = hb.ScatteredSpec(3, 2, 0.25)
-        blob = json.dumps(spec.to_json_dict())
-        assert hb.ScatteredSpec.from_json_dict(json.loads(blob)) == spec
-
-
 class TestGrowthSummaries:
     def test_trivial_dual_bounded_with_log_l1(self):
         for d in (1, 2):
