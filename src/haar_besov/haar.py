@@ -378,9 +378,6 @@ class TensorHaarCoefficients:
             raise ValueError(f"expected shape {want}")
         self.array = array
 
-    def coefficient(self, n: Sequence[int]) -> float:
-        return float(self.array[tuple(ni - 1 for ni in n)])
-
     def to_json(self) -> str:
         entries = []
         for pos in np.ndindex(self.array.shape):

@@ -285,12 +285,20 @@ def _offset_diff_ppow_sum(V: np.ndarray, offsets, p: float) -> float:
 
 
 def _difference_table(V: np.ndarray, p: float, nmax: int) -> np.ndarray:
+    """D[n] = _offset_diff_ppow_sum(V, n, p) for every |n|_inf <= nmax.
+
+    The offset -n pairs the same cells as n with negated differences in the
+    same order, so D[-n] == D[n] bit for bit: only the offsets after the
+    centre in C order are summed, and reversing the flat table mirrors them.
+    """
     d = V.ndim
     table = np.zeros((2 * nmax + 1,) * d)
-    for pos in np.ndindex(table.shape):
-        n = tuple(o - nmax for o in pos)
-        if any(n):
-            table[pos] = _offset_diff_ppow_sum(V, n, p)
+    flat = table.reshape(-1)
+    centre = flat.size // 2
+    for i, n in enumerate(product(range(-nmax, nmax + 1), repeat=d)):
+        if i > centre:
+            flat[i] = _offset_diff_ppow_sum(V, n, p)
+    flat[:centre] = flat[:centre:-1]
     return table
 
 
@@ -324,14 +332,51 @@ def shift_difference_ppow(f: DyadicStepFunction, y: Sequence[float], p: float) -
     return total
 
 
+#: Sub-cell scales (j > m) evaluated together when one of them is first asked for.
+_SCALE_BLOCK = 64
+
+
+def _subcell_ppow(near: np.ndarray, m: int, js: np.ndarray) -> np.ndarray:
+    """Maximum of shift_difference_ppow over the corner shifts {-t, 0, t}^d \\ {0}.
+
+    One value per t = 2^-j, j in ``js`` (all j > m).  A component y_k in
+    {-t, 0, t} splits over the offsets n = floor(y_k / delta) and n + 1, both
+    in {-1, 0, 1}, so every term is an entry of ``near``, the difference
+    table on {-1, 0, 1}^d (index offset + 1).  The float operations are those
+    of shift_difference_ppow, elementwise over j: phi = y / delta - n, weights
+    multiplied in axis order, terms added in ``product`` order.  A zero weight
+    adds +0.0 where shift_difference_ppow skips the term, so every value is
+    bit-identical to it.
+    """
+    d = near.ndim
+    delta = 2.0 ** (-m)
+    t = np.ldexp(1.0, -js)
+    low = np.array([-1, 0, 0])  # floor(y_k / delta) for y_k = -t, 0, t
+    weights = np.empty((3, 2) + js.shape)  # [sign of y_k, offset - low, j]
+    for i, y in enumerate((-t, np.zeros_like(t), t)):
+        phi = y / delta - low[i]
+        weights[i] = ((1.0 - phi) * delta, phi * delta)
+    corners = np.array([c for c in product(range(3), repeat=d) if c != (1,) * d])
+    total = np.zeros((len(corners),) + js.shape)
+    for upper in product((0, 1), repeat=d):
+        w = weights[corners[:, 0], upper[0]]
+        for k in range(1, d):
+            w = w * weights[corners[:, k], upper[k]]
+        dval = near[tuple(low[corners[:, k]] + upper[k] + 1 for k in range(d))]
+        total = total + np.where(w > 0.0, w * dval[:, None], 0.0)
+    return total.max(axis=0)
+
+
 class ModulusTable:
     """Cached first-order modulus values omega(2^-j, f)_p for one (f, p).
 
     The supremum over shifts ||y||_inf <= t is attained on grid shifts
     (the shifted p-power integral is affine in each fractional offset per
-    shift cell, so box suprema sit at vertices); for t at or above the cell
-    width that is a box maximum over an integer-offset table, below it a
-    maximum over the 3^d - 1 corner shifts evaluated exactly.
+    shift cell, so box suprema sit at vertices).  For t at or above the cell
+    width that is a box maximum over the integer-offset difference table D;
+    below it, a maximum over the 3^d - 1 corner shifts, each a weighted sum
+    of the table's entries on {-1, 0, 1}^d, evaluated exactly and a block of
+    scales at a time.
     """
 
     def __init__(self, f: DyadicStepFunction, p: float):
@@ -348,23 +393,25 @@ class ModulusTable:
         return self._table
 
     def omega_ppow(self, j: int) -> float:
-        f, p = self.f, self.p
+        f = self.f
         m = f.level
+        nmax = 1 << m
         if j < 0:
             raise ValueError("scale index must be nonnegative")
         if j <= m:
-            nmax = 1 << m
             half = 1 << (m - j)
             tab = self._full_table()
             sub = tab[tuple(slice(nmax - half, nmax + half + 1) for _ in range(f.d))]
             return float(sub.max()) * f.cell_measure
         if j not in self._deep:
-            t = 2.0**-j
-            best = 0.0
-            for signs in product((-t, 0.0, t), repeat=f.d):
-                if any(signs):
-                    best = max(best, shift_difference_ppow(f, signs, p))
-            self._deep[j] = best
+            # D on the offsets {-1, 0, 1}^d, from the full table once it is built
+            if self._table is None:
+                near = _difference_table(f.values, self.p, 1)
+            else:
+                near = self._table[(slice(nmax - 1, nmax + 2),) * f.d]
+            js = np.arange(j, j + _SCALE_BLOCK)
+            vals = _subcell_ppow(near, m, js)
+            self._deep.update(zip(js.tolist(), vals.tolist()))
         return self._deep[j]
 
     def omega(self, j: int) -> float:
@@ -419,8 +466,9 @@ def b_norm_modulus(f, prm: BesovParams) -> float:
     """Modulus-route quasi-norm with the scale integral discretized dyadically.
 
     (||f||_p^q + sum_j (2^{js} omega(2^-j, f)_p)^q)^{1/q}; scales below the
-    grid are evaluated exactly via fractional shifts, and the sum stops once
-    three consecutive terms drop below 1e-9 of the running total.
+    grid are evaluated exactly via fractional shifts, as weighted sums of the
+    difference table's entries on the offsets {-1, 0, 1}^d, and the sum stops
+    once three consecutive terms drop below 1e-9 of the running total.
     """
     f = densify(f)
     return ModulusTable(f, prm.p).b_norm(prm)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
-from haar_besov.norms import ModulusTable, shift_difference_ppow
+from haar_besov.norms import (
+    ModulusTable,
+    _difference_table,
+    _offset_diff_ppow_sum,
+    shift_difference_ppow,
+)
 
 from helpers import a_norm_grid, approx_error_grid, grid_best_constant_err
 
@@ -267,6 +273,48 @@ class TestModulus:
         for j in (3, 4):
             assert tab.omega_ppow(j) == pytest.approx(tab_r.omega_ppow(j), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d,m", [(1, 3), (2, 2), (3, 1)])
+    def test_subcell_scales_equal_corner_shift_maximum(self, d, m, p):
+        # j - m runs past 53, where the weight 1 - phi of a negative shift
+        # rounds to 0 and that offset drops out of shift_difference_ppow;
+        # the sub-cell scales read D before and after the full table exists
+        r = np.random.default_rng(54 + d)
+        for _ in range(3):
+            f = hb.DyadicStepFunction(d, m, r.normal(size=(1 << m,) * d))
+            fresh, built = ModulusTable(f, p), ModulusTable(f, p)
+            built.omega_ppow(0)
+            for j in range(m + 1, m + 81):
+                t = 2.0**-j
+                best = 0.0
+                for y in itertools.product((-t, 0.0, t), repeat=d):
+                    if any(y):
+                        best = max(best, shift_difference_ppow(f, y, p))
+                assert fresh.omega_ppow(j) == best, j
+                assert built.omega_ppow(j) == best, j
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("d,m", [(1, 4), (2, 2), (3, 1)])
+    def test_difference_table_is_symmetric(self, d, m, p):
+        r = np.random.default_rng(55 + d)
+        V = r.normal(size=(1 << m,) * d)
+        nmax = 1 << m
+        table = _difference_table(V, p, nmax)
+        assert np.array_equal(table, np.flip(table))
+        for pos in np.ndindex(table.shape):
+            n = tuple(o - nmax for o in pos)
+            expect = _offset_diff_ppow_sum(V, n, p) if any(n) else 0.0
+            assert table[pos] == expect, n
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d,m", [(1, 4), (2, 3)])
+    def test_modulus_equals_table_omega(self, d, m, p):
+        r = np.random.default_rng(56 + d)
+        f = hb.DyadicStepFunction(d, m, r.normal(size=(1 << m,) * d))
+        tab = ModulusTable(f, p)
+        for j in range(m + 1):
+            assert hb.modulus(f, 2.0**-j, p) == tab.omega(j), j
+
 
 class TestBNormModulus:
     def test_constant(self):
@@ -282,7 +330,6 @@ class TestBNormModulus:
         tab = ModulusTable(f, 1.0)
         for j in range(1, 8):
             assert tab.omega(j) == pytest.approx(2.0 ** (1 - j), rel=1e-12)
-        expect = 2.0 + 2.0 / (math.sqrt(2.0) - 1.0) * 2.0**-0.5
         expect = 2.0 + 2.0 * (2.0**-0.5) / (1.0 - 2.0**-0.5)
         assert hb.b_norm_modulus(f, prm) == pytest.approx(expect, rel=1e-6)
         # direct shift quadrature cross-check of the truncated sum
