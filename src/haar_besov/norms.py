@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -302,6 +303,34 @@ def _difference_table(V: np.ndarray, p: float, nmax: int) -> np.ndarray:
     return table
 
 
+def _axis_terms(y: float, delta: float) -> list[tuple[int, float]]:
+    """The integer offsets a shift y splits over on one axis, with weights.
+
+    The overlap of a cell shifted by y with the grid of width delta covers
+    offset n = floor(y / delta) for 1 - phi of a cell and n + 1 for phi.
+    """
+    u = y / delta
+    n = math.floor(u)
+    phi = u - n
+    opts = []
+    if 1.0 - phi > 0.0:
+        opts.append((n, (1.0 - phi) * delta))
+    if phi > 0.0:
+        opts.append((n + 1, phi * delta))
+    return opts
+
+
+def _shifted_ppow(per_axis: list, offset_ppow) -> float:
+    """Weighted sum of offset_ppow(n) over the offset combinations of per_axis."""
+    total = 0.0
+    for combo in product(*per_axis):
+        offsets, weights = zip(*combo)
+        weight = math.prod(weights)
+        if weight > 0.0:
+            total += weight * offset_ppow(offsets)
+    return total
+
+
 def shift_difference_ppow(f: DyadicStepFunction, y: Sequence[float], p: float) -> float:
     """Exact integral of |f(x+y) - f(x)|^p over {x : x, x+y in [0,1)^d}.
 
@@ -312,59 +341,8 @@ def shift_difference_ppow(f: DyadicStepFunction, y: Sequence[float], p: float) -
     if len(y) != f.d:
         raise ValueError("shift dimension mismatch")
     delta = 2.0 ** (-f.level)
-    per_axis = []
-    for yj in y:
-        u = yj / delta
-        n = math.floor(u)
-        phi = u - n
-        opts = []
-        if 1.0 - phi > 0.0:
-            opts.append((n, (1.0 - phi) * delta))
-        if phi > 0.0:
-            opts.append((n + 1, phi * delta))
-        per_axis.append(opts)
-    total = 0.0
-    for combo in product(*per_axis):
-        offsets = tuple(c[0] for c in combo)
-        weight = math.prod(c[1] for c in combo)
-        if weight > 0.0:
-            total += weight * _offset_diff_ppow_sum(f.values, offsets, p)
-    return total
-
-
-#: Sub-cell scales (j > m) evaluated together when one of them is first asked for.
-_SCALE_BLOCK = 64
-
-
-def _subcell_ppow(near: np.ndarray, m: int, js: np.ndarray) -> np.ndarray:
-    """Maximum of shift_difference_ppow over the corner shifts {-t, 0, t}^d \\ {0}.
-
-    One value per t = 2^-j, j in ``js`` (all j > m).  A component y_k in
-    {-t, 0, t} splits over the offsets n = floor(y_k / delta) and n + 1, both
-    in {-1, 0, 1}, so every term is an entry of ``near``, the difference
-    table on {-1, 0, 1}^d (index offset + 1).  The float operations are those
-    of shift_difference_ppow, elementwise over j: phi = y / delta - n, weights
-    multiplied in axis order, terms added in ``product`` order.  A zero weight
-    adds +0.0 where shift_difference_ppow skips the term, so every value is
-    bit-identical to it.
-    """
-    d = near.ndim
-    delta = 2.0 ** (-m)
-    t = np.ldexp(1.0, -js)
-    low = np.array([-1, 0, 0])  # floor(y_k / delta) for y_k = -t, 0, t
-    weights = np.empty((3, 2) + js.shape)  # [sign of y_k, offset - low, j]
-    for i, y in enumerate((-t, np.zeros_like(t), t)):
-        phi = y / delta - low[i]
-        weights[i] = ((1.0 - phi) * delta, phi * delta)
-    corners = np.array([c for c in product(range(3), repeat=d) if c != (1,) * d])
-    total = np.zeros((len(corners),) + js.shape)
-    for upper in product((0, 1), repeat=d):
-        w = weights[corners[:, 0], upper[0]]
-        for k in range(1, d):
-            w = w * weights[corners[:, k], upper[k]]
-        dval = near[tuple(low[corners[:, k]] + upper[k] + 1 for k in range(d))]
-        total = total + np.where(w > 0.0, w * dval[:, None], 0.0)
-    return total.max(axis=0)
+    per_axis = [_axis_terms(yj, delta) for yj in y]
+    return _shifted_ppow(per_axis, lambda n: _offset_diff_ppow_sum(f.values, n, p))
 
 
 class ModulusTable:
@@ -375,8 +353,7 @@ class ModulusTable:
     shift cell, so box suprema sit at vertices).  For t at or above the cell
     width that is a box maximum over the integer-offset difference table D;
     below it, a maximum over the 3^d - 1 corner shifts, each a weighted sum
-    of the table's entries on {-1, 0, 1}^d, evaluated exactly and a block of
-    scales at a time.
+    of the table's entries on {-1, 0, 1}^d, evaluated exactly.
     """
 
     def __init__(self, f: DyadicStepFunction, p: float):
@@ -392,26 +369,35 @@ class ModulusTable:
             self._table = _difference_table(self.f.values, self.p, 1 << self.f.level)
         return self._table
 
+    @cached_property
+    def _near(self) -> dict[tuple[int, ...], float]:
+        """The table's entries on the offsets {-1, 0, 1}^d, by offset."""
+        nmax = 1 << self.f.level
+        near = self._full_table()[(slice(nmax - 1, nmax + 2),) * self.f.d]
+        return dict(zip(product((-1, 0, 1), repeat=self.f.d), near.ravel().tolist()))
+
     def omega_ppow(self, j: int) -> float:
         f = self.f
         m = f.level
-        nmax = 1 << m
         if j < 0:
             raise ValueError("scale index must be nonnegative")
         if j <= m:
+            nmax = 1 << m
             half = 1 << (m - j)
             tab = self._full_table()
             sub = tab[tuple(slice(nmax - half, nmax + half + 1) for _ in range(f.d))]
             return float(sub.max()) * f.cell_measure
         if j not in self._deep:
-            # D on the offsets {-1, 0, 1}^d, from the full table once it is built
-            if self._table is None:
-                near = _difference_table(f.values, self.p, 1)
-            else:
-                near = self._table[(slice(nmax - 1, nmax + 2),) * f.d]
-            js = np.arange(j, j + _SCALE_BLOCK)
-            vals = _subcell_ppow(near, m, js)
-            self._deep.update(zip(js.tolist(), vals.tolist()))
+            # each corner shift splits over offsets in {-1, 0, 1}^d, so its
+            # offset sums are entries of the table already built
+            t = 2.0**-j
+            axis = {y: _axis_terms(y, 2.0 ** (-m)) for y in (-t, 0.0, t)}
+            near = self._near
+            best = 0.0
+            for y in product(axis, repeat=f.d):
+                if any(y):
+                    best = max(best, _shifted_ppow([axis[v] for v in y], near.__getitem__))
+            self._deep[j] = best
         return self._deep[j]
 
     def omega(self, j: int) -> float:
