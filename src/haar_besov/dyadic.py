@@ -537,50 +537,83 @@ def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
         return ValueHistogram.from_pairs(zip(vals.tolist(), w.tolist()))
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
-    return _sparse_histogram(f, cube)
+    return _sparse_histogram(f.atoms, cube)
 
 
-def _sparse_histogram(f: SparseStepFunction, cube: DyadicCube) -> ValueHistogram:
-    base = 0.0
-    inner: dict[DyadicCube, float] = {}
-    for a in f.atoms:
+def _level_histograms(f: SparseStepFunction, k: int) -> list[ValueHistogram]:
+    """Histograms of f on the level-k cubes where f may vary, by cube index.
+
+    Those cubes are the level-k ancestors of the atoms deeper than k.  One
+    pass buckets the deep atoms by that ancestor and the others by their own
+    cube; each histogram then reads its bucket plus the shallow atoms that
+    contain its cube, in the order of ``f.atoms``, so the sums are the same
+    floats as a scan of every atom.
+    """
+    deep: dict[tuple, list[int]] = {}
+    shallow: dict[tuple, list[int]] = {}
+    for pos, a in enumerate(f.atoms):
         c = a.cube
-        if c.level <= cube.level:
-            if c.contains(cube):
+        shift = c.level - k
+        if shift > 0:
+            deep.setdefault(tuple(i >> shift for i in c.index), []).append(pos)
+        else:
+            shallow.setdefault((c.level, c.index), []).append(pos)
+    levels = sorted({lev for lev, _ in shallow})
+    out = []
+    for idx in sorted(deep):
+        pos = list(deep[idx])
+        for lev in levels:
+            pos += shallow.get((lev, tuple(i >> (k - lev) for i in idx)), ())
+        atoms = [f.atoms[i] for i in sorted(pos)]
+        out.append(_sparse_histogram(atoms, DyadicCube(f.d, k, idx)))
+    return out
+
+
+def _sparse_histogram(atoms: Sequence[SparseAtom], cube: DyadicCube) -> ValueHistogram:
+    """Histogram on ``cube`` of the sum of the atoms that meet it.
+
+    Atoms that neither contain ``cube`` nor lie inside it are skipped, so any
+    atom sequence holding the ones that meet it, in the same order, gives the
+    same floats.  Cubes are compared as (level, index) keys by index shifts.
+    """
+    lev, idx = cube.level, cube.index
+    base = 0.0
+    inner: dict[tuple, float] = {}
+    for a in atoms:
+        c = a.cube
+        shift = c.level - lev
+        if shift <= 0:
+            if all(j == i >> -shift for i, j in zip(idx, c.index)):
                 base += a.value
-        elif cube.contains(c):
-            inner[c] = inner.get(c, 0.0) + a.value
+        elif all(i >> shift == j for i, j in zip(c.index, idx)):
+            key = (c.level, c.index)
+            inner[key] = inner.get(key, 0.0) + a.value
 
     if not inner:
         return ValueHistogram.from_pairs([(base, cube.measure)])
 
-    nodes = sorted(inner, key=lambda c: c.level)
-    parent: dict[DyadicCube, DyadicCube | None] = {}
-    placed_levels: list[int] = []
-    placed: set[DyadicCube] = set()
+    # each inner cube's parent is the deepest inner cube strictly containing it
+    nodes = sorted(inner, key=lambda c: c[0])
+    levels = sorted({c[0] for c in nodes}, reverse=True)
+    parent: dict[tuple, tuple | None] = {}
     for c in nodes:
-        par = None
-        for lev in reversed(placed_levels):
-            if lev >= c.level:
-                continue
-            anc = c.ancestor(lev)
-            if anc in placed:
-                par = anc
-                break
-        parent[c] = par
-        placed.add(c)
-        if not placed_levels or placed_levels[-1] != c.level:
-            placed_levels.append(c.level)
+        parent[c] = None
+        for up in levels:
+            if up < c[0]:
+                anc = (up, tuple(i >> (c[0] - up) for i in c[1]))
+                if anc in inner:
+                    parent[c] = anc
+                    break
 
-    covered: dict[DyadicCube | None, float] = {}
+    covered: dict[tuple | None, float] = {}
     for c in nodes:
-        covered[parent[c]] = covered.get(parent[c], 0.0) + c.measure
+        covered[parent[c]] = covered.get(parent[c], 0.0) + 2.0 ** (-c[0] * cube.d)
 
-    chain_value: dict[DyadicCube | None, float] = {None: base}
+    chain_value: dict[tuple | None, float] = {None: base}
     pairs = []
     for c in nodes:  # level-ascending, parents precede children
         chain_value[c] = chain_value[parent[c]] + inner[c]
-        region = c.measure - covered.get(c, 0.0)
+        region = 2.0 ** (-c[0] * cube.d) - covered.get(c, 0.0)
         if region > 0:
             pairs.append((chain_value[c], region))
     root_region = cube.measure - covered.get(None, 0.0)

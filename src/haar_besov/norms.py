@@ -16,6 +16,7 @@ out the module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -27,11 +28,11 @@ from .dyadic import (
     DyadicStepFunction,
     SparseStepFunction,
     ValueHistogram,
+    _level_histograms,
     cube_blocks,
     densify,
     lp_quasinorm,
     stable_sum,
-    value_histogram,
 )
 from .haar import analyze
 
@@ -151,7 +152,12 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
 
 
 def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
-    """Per-row min over xi of sum_j |rows[i, j] - xi|^p (unit weights)."""
+    """Per-row min over xi of sum_j |rows[i, j] - xi|^p (unit weights).
+
+    For p < 1 the minimum is enumerated over the row's own values, which
+    costs O(values^2) per row; a row of equal values has error exactly 0.0,
+    so the work scales with the rows on which the values vary.
+    """
     ncubes, nvals = rows.shape
     if nvals == 1:
         return np.zeros(ncubes)
@@ -162,23 +168,28 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
         med = np.sort(rows, axis=1)[:, (nvals - 1) // 2, None]
         return np.abs(rows - med).sum(axis=1)
     if p < 1.0:
+        out = np.zeros(ncubes)
+        live = np.flatnonzero((rows != rows[:, :1]).any(axis=1))
+        # sized by the whole matrix as before: a chunk of 1 sums each column
+        # pairwise, a wider one in sequence, so the width fixes the bits
+        chunk = max(1, (1 << 22) // rows.size)
+        rows = rows[live]
         if nvals >= 256:
             # consolidate duplicates cube by cube; cheap when rows are few
-            out = np.empty(ncubes)
-            for i in range(ncubes):
-                vals, counts = np.unique(rows[i], return_counts=True)
+            for i, row in zip(live, rows):
+                vals, counts = np.unique(row, return_counts=True)
                 errs = (counts[None, :] * np.abs(vals[:, None] - vals[None, :]) ** p).sum(
                     axis=1
                 )
                 out[i] = errs.min()
             return out
-        best = np.full(ncubes, np.inf)
-        chunk = max(1, (1 << 22) // (ncubes * nvals))
+        best = np.full(live.size, np.inf)
         for c0 in range(0, nvals, chunk):
             cand = rows[:, None, c0 : c0 + chunk]
             errs = (np.abs(rows[:, :, None] - cand) ** p).sum(axis=1)
             best = np.minimum(best, errs.min(axis=1))
-        return best
+        out[live] = best
+        return out
     lo = rows.min(axis=1)
     hi = rows.max(axis=1)
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
@@ -204,12 +215,18 @@ def _cube_value_matrix(f: DyadicStepFunction, k: int) -> np.ndarray:
 def approx_error(f, k: int, p: float) -> float:
     """Best L_p approximation error by level-k piecewise constants.
 
-    Only cubes on which f is non-constant contribute; for sparse inputs
-    those are located from the atom geometry, so cost is proportional to
-    atom count times depth rather than to the grid size.
+    Only cubes on which f is non-constant contribute.  For dense inputs at
+    p < 1 the O(values^2) enumeration runs on those cubes alone, so its cost
+    scales with them rather than with the grid.  For sparse inputs they are
+    the level-k ancestors of the deeper atoms, found in one pass that buckets
+    the atoms by ancestor, so the cost is proportional to atom count times
+    depth rather than to the grid size.
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"level must be an integer, got {k!r}")
+    k = int(k)
     if k < 0:
         raise ValueError("level must be nonnegative")
     if isinstance(f, DyadicStepFunction):
@@ -219,13 +236,7 @@ def approx_error(f, k: int, p: float) -> float:
         return (stable_sum(errs) * f.cell_measure) ** (1.0 / p)
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
-    cands = {
-        a.cube.ancestor(k) for a in f.atoms if a.cube.level > k
-    }
-    terms = []
-    for cube in sorted(cands, key=lambda c: c.index):
-        _, err = best_constant_error(value_histogram(f, cube), p)
-        terms.append(err)
+    terms = [best_constant_error(h, p)[1] for h in _level_histograms(f, k)]
     return math.fsum(terms) ** (1.0 / p) if terms else 0.0
 
 

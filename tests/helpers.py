@@ -3,9 +3,10 @@
 The oracles are deliberately independent of the library's computational
 paths: best constants come from candidate grids, coefficients from direct
 quadrature, projections and errors from densified arrays, shift differences
-from sliced cell values.  The clauses at the end are the acceptance checks
-for the norm equivalences (criteria 6 and 7) and the projector growth
-(criterion 10), kept here so their negative controls test the same code.
+from sliced cell values, sparse errors from a rescan of every atom per cube.
+The clauses at the end are the acceptance checks for the norm equivalences
+(criteria 6 and 7) and the projector growth (criterion 10), kept here so
+their negative controls test the same code.
 """
 
 import math
@@ -48,6 +49,21 @@ def approx_error_grid(f, k, p, coarse=4_000):
         block = fd.restrict(cube).ravel()
         total.append(grid_best_constant_err(block, np.full(block.size, w), p, coarse, 500))
     return math.fsum(total) ** (1.0 / p)
+
+
+def approx_error_sparse_rescan(f, k, p):
+    """E_k of a sparse f, each candidate cube's histogram rescanning every atom.
+
+    The candidates are the level-k ancestors of the atoms deeper than k, in
+    index order; each goes through ``value_histogram`` over all of f's atoms
+    and ``best_constant_error``, and the errors are fsummed.
+    """
+    cands = {a.cube.ancestor(k) for a in f.atoms if a.cube.level > k}
+    terms = [
+        hb.best_constant_error(hb.value_histogram(f, cube), p)[1]
+        for cube in sorted(cands, key=lambda c: c.index)
+    ]
+    return math.fsum(terms) ** (1.0 / p) if terms else 0.0
 
 
 def a_norm_grid(f, prm, coarse=4_000):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from haar_besov.norms import (
     shift_difference_ppow,
 )
 
-from helpers import a_norm_grid, approx_error_grid, grid_best_constant_err
+from helpers import (
+    a_norm_grid,
+    approx_error_grid,
+    approx_error_sparse_rescan,
+    grid_best_constant_err,
+    random_sparse,
+)
 
 
 def h0_dense():
@@ -126,6 +133,57 @@ class TestApproxError:
             oracle = approx_error_grid(f, k, p)
             assert got ** p == pytest.approx(oracle ** p, rel=1e-6, abs=1e-10)
 
+    @staticmethod
+    def _mixed_grid(d, m, k, seed):
+        """Level-m grid whose level-k cubes cycle through three kinds: constant,
+        one value on more than half the cells, and all values distinct."""
+        r = np.random.default_rng(seed)
+        v = np.empty((1 << m,) * d)
+        for n, idx in enumerate(itertools.product(range(1 << k), repeat=d)):
+            block = v[hb.DyadicCube(d, k, idx).grid_slices(m)]
+            vals = np.full(block.size, r.normal())
+            if n % 3 == 1:
+                pick = r.choice(vals.size, size=vals.size // 2 - 1, replace=False)
+                vals[pick] = r.normal(size=pick.size)
+            elif n % 3 == 2:
+                vals = r.normal(size=vals.size)
+            block[...] = vals.reshape(block.shape)
+        return hb.DyadicStepFunction(d, m, v)
+
+    # (d, m, k): level-k rows of 8, 16 and 64 values, then of 256, 256 and 512
+    MIXED = [(1, 6, 3), (2, 4, 2), (3, 3, 1), (1, 10, 2), (2, 5, 1), (3, 4, 1)]
+
+    @pytest.mark.parametrize("d, m, k", MIXED)
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.8])
+    def test_mixed_rows_match_oracles(self, d, m, k, p):
+        f = self._mixed_grid(d, m, k, seed=10 * m + d)
+        got = hb.approx_error(f, k, p)
+        assert got > 0.0
+        assert got == pytest.approx(approx_error_grid(f, k, p), rel=1e-12)
+        per_cube = [
+            hb.best_constant_error(hb.value_histogram(f, hb.DyadicCube(d, k, idx)), p)[1]
+            for idx in itertools.product(range(1 << k), repeat=d)
+        ]
+        assert got == pytest.approx(math.fsum(per_cube) ** (1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("d, m, k", MIXED)
+    def test_constant_cubes_give_exact_zero(self, d, m, k):
+        r = np.random.default_rng(m + d)
+        f = hb.DyadicStepFunction(d, k, r.normal(size=(1 << k,) * d)).refine(m)
+        for p in (0.3, 0.6, 0.8):
+            assert hb.approx_error(f, k, p) == 0.0
+            assert hb.approx_error(f, k - 1, p) > 0.0
+
+    def test_rejects_non_integer_level(self):
+        dense = hb.DyadicStepFunction(1, 2, [0.0, 1.0, 2.0, 3.0])
+        sparse = hb.SparseStepFunction.from_terms(1, [(hb.DyadicCube(1, 2, (1,)), 1.0)])
+        for f in (dense, sparse):
+            for bad in (1.0, 0.5, "1"):
+                msg = re.escape(f"level must be an integer, got {bad!r}")
+                with pytest.raises(ValueError, match=msg):
+                    hb.approx_error(f, bad, 0.5)
+            assert hb.approx_error(f, np.int64(1), 0.5) == hb.approx_error(f, 1, 0.5)
+
     def test_monotone_in_k(self):
         r = np.random.default_rng(40)
         f = hb.DyadicStepFunction(1, 5, r.normal(size=32))
@@ -144,6 +202,89 @@ class TestApproxError:
                 lhs = hb.approx_error(s, k, p) ** p
                 rhs = hb.approx_error(f, k, p) ** p + hb.approx_error(g, k, p) ** p
                 assert lhs <= rhs + 1e-10
+
+
+def _random_chain(rng, d, m):
+    cubes = [hb.DyadicCube.root(d)]
+    for _ in range(m):
+        cubes.append(cubes[-1].child(tuple(int(b) for b in rng.integers(0, 2, size=d))))
+    return tuple(cubes)
+
+
+class TestSparseBucketing:
+    """The one-pass, ancestor-bucketed sparse E_k equals a rescan of every
+    atom per candidate cube, bit for bit, on each best-constant branch."""
+
+    PS = (0.5, 1.0, 1.5, 2.0)
+
+    def _assert_equal_to_rescan(self, f):
+        for k in range(f.max_level + 1):
+            for p in self.PS:
+                assert hb.approx_error(f, k, p) == approx_error_sparse_rescan(f, k, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_nested_atoms(self, d):
+        rng = np.random.default_rng(50 + d)
+        nesting = 0
+        for n in range(12):
+            f = random_sparse(rng, d, 4 + 2 * n, max_level=4)
+            nesting += not f.nesting_free
+            self._assert_equal_to_rescan(f)
+        assert nesting >= 6
+
+    @pytest.mark.parametrize("d, m", [(1, 12), (2, 8), (3, 5)])
+    def test_nested_chains(self, d, m):
+        rng = np.random.default_rng(60 + d)
+        for rule in ("trivial-dual", "alternating", tuple(rng.uniform(-2, 2, m + 1))):
+            spec = hb.NestedSpec(d, m, rule=rule, chain=_random_chain(rng, d, m))
+            self._assert_equal_to_rescan(hb.nested_family(spec))
+
+    @pytest.mark.parametrize("k, d", [(2, 1), (4, 1), (6, 1), (1, 2), (2, 2), (3, 2), (1, 3)])
+    def test_scattered(self, k, d):
+        self._assert_equal_to_rescan(hb.scattered(hb.ScatteredSpec(k, d, 0.45)))
+
+
+class TestHomogeneity:
+    """E_k(cf) = |c| E_k(f) and a(cf) = |c| a(f), dense and sparse, one p per
+    best-constant branch."""
+
+    @staticmethod
+    def _assert_homogeneous(f, cf, c, levels, d):
+        for p in (0.5, 1.0, 1.5, 2.0):
+            for k in levels:
+                assert hb.approx_error(cf, k, p) == pytest.approx(
+                    abs(c) * hb.approx_error(f, k, p), rel=1e-12
+                )
+            prm = hb.BesovParams(p, 1.0, 0.5 / p, d)
+            assert hb.a_norm(cf, prm) == pytest.approx(abs(c) * hb.a_norm(f, prm), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3]),
+        st.floats(0.1, 10.0),
+        st.booleans(),
+    )
+    def test_dense(self, seed, d, mag, negative):
+        c = -mag if negative else mag
+        m = {1: 6, 2: 3, 3: 2}[d]
+        v = np.random.default_rng(seed).uniform(-1, 1, size=(1 << m,) * d)
+        f = hb.DyadicStepFunction(d, m, v)
+        cf = hb.DyadicStepFunction(d, m, c * v)
+        self._assert_homogeneous(f, cf, c, range(m), d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3]),
+        st.floats(0.1, 10.0),
+        st.booleans(),
+    )
+    def test_sparse(self, seed, d, mag, negative):
+        c = -mag if negative else mag
+        f = random_sparse(np.random.default_rng(seed), d, 6, max_level=3)
+        cf = hb.SparseStepFunction.from_terms(d, [(a.cube, c * a.value) for a in f.atoms])
+        self._assert_homogeneous(f, cf, c, range(f.max_level + 1), d)
 
 
 class TestANorm:
