@@ -3,7 +3,8 @@
 The oracles are deliberately independent of the library's computational
 paths: best constants come from candidate grids, coefficients from direct
 quadrature, projections and errors from densified arrays, shift differences
-from sliced cell values, sparse errors from a rescan of every atom per cube.
+from sliced cell values, sparse errors from a rescan of every atom per cube,
+random words one xoshiro step at a time.
 The clauses at the end are the acceptance checks for the norm equivalences
 (criteria 6 and 7) and the projector growth (criterion 10), kept here so
 their negative controls test the same code.
@@ -17,6 +18,7 @@ import numpy as np
 import haar_besov as hb
 from haar_besov.experiments import fit_log2_slope
 from haar_besov.norms import ApproxProfile, a_norm_from_profile
+from haar_besov.rng import RandomStream
 
 
 def grid_best_constant_err(values, weights, p, coarse=10_000, fine=2_000):
@@ -96,6 +98,19 @@ def block_l1_ppow_sum(g, k, p):
         l1 = math.fsum(np.abs(g.restrict(cube)).ravel()) * g.cell_measure
         total.append(l1**p)
     return math.fsum(total)
+
+
+class StepwiseStream(RandomStream):
+    """The stream by its definition: every draw runs one step per 64 words.
+
+    Draws of one step never take the split path, so ``uniform`` and
+    ``normal`` on this stream are the oracle for chained draws.
+    """
+
+    def random_u64(self, n):
+        draw = super().random_u64
+        words = [draw(64) for _ in range(-(-n // 64))]
+        return np.concatenate([np.zeros(0, dtype=np.uint64), *words])[:n]
 
 
 def dense_from_grid(d, m, values):

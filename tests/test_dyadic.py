@@ -217,7 +217,7 @@ class TestValueHistogram:
 
 
 class TestSparseDenseAgreement:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
     def test_operations_agree(self, seed, d):
         rng = np.random.default_rng(seed)

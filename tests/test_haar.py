@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import haar_besov as hb
 from haar_besov.haar import block_size
@@ -88,6 +90,18 @@ class TestSynthesize:
         f = hb.densify(hb.spike_pair(4, 1).f, 4)
         g = hb.synthesize(hb.analyze(f), 4)
         assert np.array_equal(g.values, f.values)
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 4),
+        st.floats(1e-3, 1e3),
+    )
+    def test_roundtrip_property(self, seed, d, m, scale):
+        v = scale * np.random.default_rng(seed).normal(size=(1 << m,) * d)
+        g = hb.synthesize(hb.analyze(hb.DyadicStepFunction(d, m, v)), m)
+        assert np.max(np.abs(g.values - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
 
     def test_even_block_coefficients_give_alternating_sum(self):
         m, d, k = 4, 1, 1

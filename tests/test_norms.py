@@ -24,6 +24,11 @@ from helpers import (
 )
 
 
+# (d, m) for the modulus property tests; the table has (2^{m+1} + 1)^d
+# entries, so m stays small as d grows
+GRIDS = [(1, m) for m in range(1, 6)] + [(2, m) for m in range(1, 4)] + [(3, 1), (3, 2)]
+
+
 def h0_dense():
     idx = hb.HaarIndex.wavelet(hb.DyadicCube.root(1), 1)
     return hb.densify(hb.haar_function(idx), 1)
@@ -258,7 +263,7 @@ class TestHomogeneity:
             prm = hb.BesovParams(p, 1.0, 0.5 / p, d)
             assert hb.a_norm(cf, prm) == pytest.approx(abs(c) * hb.a_norm(f, prm), rel=1e-12)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 2, 3]),
@@ -273,7 +278,7 @@ class TestHomogeneity:
         cf = hb.DyadicStepFunction(d, m, c * v)
         self._assert_homogeneous(f, cf, c, range(m), d)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([1, 2, 3]),
@@ -319,7 +324,7 @@ class TestANorm:
                 a_norm_grid(f, prm), rel=1e-6
             )
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.integers(0, 2**31))
     def test_gamma_quasi_triangle(self, seed):
         r = np.random.default_rng(seed)
@@ -454,6 +459,45 @@ class TestModulus:
             assert hb.modulus(f, 2.0**-j, p) == tab.omega(j), j
 
 
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(GRIDS),
+        st.sampled_from([0.5, 0.8, 1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_omega_nonincreasing_property(self, seed, grid, p):
+        d, m = grid
+        v = np.random.default_rng(seed).normal(size=(1 << m,) * d)
+        tab = ModulusTable(hb.DyadicStepFunction(d, m, v), p)
+        omegas = [tab.omega(j) for j in range(m + 61)]
+        for j in range(m + 60):
+            assert omegas[j + 1] <= omegas[j], j
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(GRIDS),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+        st.integers(0, 2),
+    )
+    def test_flip_mirrors_difference_table_property(self, seed, grid, p, axis):
+        # V flipped along one axis pairs the same cells at offset n with the
+        # axis entry negated, so D is mirrored along that axis (at d = 1,
+        # where D[-n] == D[n], unchanged) and every box maximum is unchanged
+        d, m = grid
+        axis %= d
+        V = np.random.default_rng(seed).normal(size=(1 << m,) * d)
+        table = _difference_table(V, p, 1 << m)
+        flipped = _difference_table(np.flip(V, axis), p, 1 << m)
+        np.testing.assert_allclose(flipped, np.flip(table, axis), rtol=1e-12, atol=0)
+        if d == 1:
+            np.testing.assert_allclose(flipped, table, rtol=1e-12, atol=0)
+        tab = ModulusTable(hb.DyadicStepFunction(d, m, V), p)
+        tab_flipped = ModulusTable(hb.DyadicStepFunction(d, m, np.flip(V, axis)), p)
+        for j in range(m + 1):
+            assert tab_flipped.omega(j) == pytest.approx(tab.omega(j), rel=1e-12)
+
+
 class TestBNormModulus:
     def test_constant(self):
         f = hb.DyadicStepFunction(1, 3, np.full(8, 4.0))
@@ -516,6 +560,20 @@ class TestSquareFunction:
             assert hb.square_function_norm(f, 2.0) == pytest.approx(
                 hb.lp_quasinorm(f, 2.0), rel=1e-12
             )
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 4),
+        st.floats(1e-3, 1e3),
+    )
+    def test_parseval_property(self, seed, d, m, scale):
+        v = scale * np.random.default_rng(seed).normal(size=(1 << m,) * d)
+        f = hb.DyadicStepFunction(d, m, v)
+        assert hb.square_function_norm(f, 2.0) == pytest.approx(
+            hb.lp_quasinorm(f, 2.0), rel=1e-12
+        )
 
     def test_disjoint_wavelets(self):
         d, m = 1, 3
