@@ -409,8 +409,14 @@ class ValueHistogram:
     def __post_init__(self):
         ent = tuple((float(v), float(w)) for v, w in self.entries)
         object.__setattr__(self, "entries", ent)
-        if any(w <= 0 for _, w in ent):
-            raise ValueError("histogram measures must be positive")
+        prev = -math.inf
+        for v, w in ent:
+            if not prev < v < math.inf:
+                problem = "finite" if not math.isfinite(v) else "strictly increasing"
+                raise ValueError(f"histogram values must be {problem}")
+            if not 0.0 < w < math.inf:
+                raise ValueError("histogram measures must be positive and finite")
+            prev = v
 
     @classmethod
     def from_pairs(cls, pairs) -> "ValueHistogram":

@@ -106,14 +106,103 @@ class BesovParams:
 # ---------------------------------------------------------------------------
 
 
+#: Group counts of the pruning stages in :func:`_enum_best`; up to the first
+#: one, every candidate is enumerated directly.
+_PRUNE_GROUPS = (64, 512)
+#: Cells per block of candidate rows (sizes the temporaries, not the bits:
+#: every row is summed on its own).
+_ENUM_BLOCK_CELLS = 1 << 16
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+
+
+def _enum_errs(v: np.ndarray, w: np.ndarray, p: float, rows) -> np.ndarray:
+    """sum_j w_j |v_i - v_j|^p for the candidates i in ``rows``, one row each."""
+    return (w[None, :] * np.abs(v[rows, None] - v[None, :]) ** p).sum(axis=1)
+
+
+def _enum_best(v: np.ndarray, w: np.ndarray, p: float) -> tuple[int, float]:
+    """First minimizer i of e_i = sum_j w_j |v_i - v_j|^p and its error e_i.
+
+    ``v`` must be strictly increasing and finite, ``w`` positive and finite.
+    Up to ``_PRUNE_GROUPS[0]`` values every row is evaluated.  Above it a
+    branch-and-bound keeps the same answer bit for bit: an upper bound U is
+    the computed error of the few candidates around the weighted median;
+    for G consecutive groups of values (total weight W_g, range
+    [a_g, b_g]) every candidate c has e_c >= sum_g W_g dist(c, [a_g, b_g])^p,
+    and a candidate whose bound exceeds U by the rounding margin below is
+    dropped, first with 64 groups, then with 512 on the survivors.  The
+    survivors' rows are computed by the same expression, row by row, as a
+    full enumeration, so the minimum and its first index come out equal.
+
+    Margin.  Let u = 2^-53 and let pow be within 4 ulp.  A computed term
+    fl(w_j fl(|fl(v_i - v_j)|^p)) is within 7u relative of the exact term,
+    give or take (w_j + 1) 2^-1074 where pow or the product is subnormal (a
+    subnormal difference is exact).  Summing n nonnegative terms in any
+    order adds (n - 1)u; the bound sums G terms whose group weights took at
+    most n roundings.  So a computed error and a computed bound are each
+    within d = 2(n + G)u relative and A = (W + n + G) 2^-1074 absolute of
+    their exact values (W the total weight), and the exact bound is at most
+    the exact error.  A computed bound L > U (1 + 4d) + 4A then gives a
+    computed error >= (L - A)(1 - 2d) - A > U >= the computed minimum: the
+    candidate is neither the minimum nor tied with it.  The absolute term
+    keeps this true where terms underflow and U d rounds to zero.  Overflow
+    rounds upwards only, and U = inf drops nothing.
+    """
+    n = v.size
+    if n <= _PRUNE_GROUPS[0]:
+        errs = _enum_errs(v, w, p, slice(None))
+        j = int(errs.argmin())
+        return j, float(errs[j])
+    cw = np.cumsum(w)
+    med = int(np.searchsorted(cw, cw[-1] / 2.0))
+    near = np.arange(max(0, med - 2), min(n, med + 3))
+    upper = float(_enum_errs(v, w, p, near).min())
+    live = np.arange(n)
+    for groups in _PRUNE_GROUPS:
+        if groups >= n:
+            break
+        start = (np.arange(groups) * n) // groups
+        lo, hi = v[start], v[np.append(start[1:], n) - 1]
+        weight = np.add.reduceat(w, start).astype(float)
+        limit = (
+            upper
+            + 8.0 * (n + groups) * _UNIT_ROUNDOFF * upper
+            + 4.0 * (float(cw[-1]) + n + groups) * _SMALLEST_SUBNORMAL
+        )
+        keep = []
+        for rows in _blocks(live, groups):
+            c = v[rows, None]
+            dist = lo[None, :] - c  # dist(c, [lo, hi]): one side is <= 0
+            np.maximum(dist, c - hi[None, :], out=dist)
+            np.maximum(dist, 0.0, out=dist)
+            keep.append(np.power(dist, p, out=dist) @ weight <= limit)
+        live = live[np.concatenate(keep)]
+    best_i, best = -1, math.inf
+    for rows in _blocks(live, n):  # ascending, so ties keep the first index
+        errs = _enum_errs(v, w, p, rows)
+        j = int(errs.argmin())
+        if errs[j] < best:
+            best_i, best = int(rows[j]), float(errs[j])
+    return best_i, best
+
+
+def _blocks(rows: np.ndarray, width: int):
+    """``rows`` in consecutive pieces of about _ENUM_BLOCK_CELLS / width."""
+    step = max(1, _ENUM_BLOCK_CELLS // width)
+    return (rows[i : i + step] for i in range(0, rows.size, step))
+
+
 def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
     """Minimize sum_i w_i |v_i - xi|^p over xi.
 
     Returns (minimizer, minimal p-th power error).  For p <= 1 the objective
-    is concave between data values, so the minimum sits on a data value and
-    exact enumeration applies; p = 1 uses the weighted median, p = 2 the
-    weighted mean, and other p > 1 a monotone-derivative bisection.  Ties
-    resolve to the smallest minimizing value.
+    is concave between data values, so the minimum sits on a data value:
+    :func:`_enum_best` finds the first minimizing value, pruning candidates
+    by certified bounds above 64 values, and the error is recomputed there
+    with ``fsum``.  p = 1 uses the weighted median, p = 2 the weighted mean,
+    and other p > 1 a monotone-derivative bisection.  Ties resolve to the
+    smallest minimizing value.
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
@@ -131,9 +220,7 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
         xi = float(v[int(np.searchsorted(cw, cw[-1] / 2.0))])
         return xi, math.fsum(w * np.abs(v - xi))
     if p < 1.0:
-        # concavity between data values puts the minimizer on a data value
-        errs = (w[None, :] * np.abs(v[:, None] - v[None, :]) ** p).sum(axis=1)
-        j = int(np.argmin(errs))  # values sorted ascending: first = smallest
+        j, _ = _enum_best(v, w, p)  # values ascend: the first is the smallest
         return float(v[j]), math.fsum(w * np.abs(v - v[j]) ** p)
     lo, hi = float(v[0]), float(v[-1])
     scale = max(1.0, abs(lo), abs(hi))
@@ -154,9 +241,12 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
 def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
     """Per-row min over xi of sum_j |rows[i, j] - xi|^p (unit weights).
 
-    For p < 1 the minimum is enumerated over the row's own values, which
-    costs O(values^2) per row; a row of equal values has error exactly 0.0,
-    so the work scales with the rows on which the values vary.
+    For p < 1 the minimum is enumerated over the row's own values; a row of
+    equal values has error exactly 0.0, so the work scales with the rows on
+    which the values vary.  Rows of 256 cells or more go one by one through
+    :func:`_enum_best` on their distinct values weighted by counts, which
+    prunes candidates by certified bounds above 64 distinct values; shorter
+    rows are enumerated together in chunks, O(cells^2) per row.
     """
     ncubes, nvals = rows.shape
     if nvals == 1:
@@ -178,10 +268,7 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
             # consolidate duplicates cube by cube; cheap when rows are few
             for i, row in zip(live, rows):
                 vals, counts = np.unique(row, return_counts=True)
-                errs = (counts[None, :] * np.abs(vals[:, None] - vals[None, :]) ** p).sum(
-                    axis=1
-                )
-                out[i] = errs.min()
+                out[i] = _enum_best(vals, counts, p)[1]
             return out
         best = np.full(live.size, np.inf)
         for c0 in range(0, nvals, chunk):
@@ -216,11 +303,13 @@ def approx_error(f, k: int, p: float) -> float:
     """Best L_p approximation error by level-k piecewise constants.
 
     Only cubes on which f is non-constant contribute.  For dense inputs at
-    p < 1 the O(values^2) enumeration runs on those cubes alone, so its cost
-    scales with them rather than with the grid.  For sparse inputs they are
-    the level-k ancestors of the deeper atoms, found in one pass that buckets
-    the atoms by ancestor, so the cost is proportional to atom count times
-    depth rather than to the grid size.
+    p < 1 the enumeration runs on those cubes alone, so its cost scales with
+    them rather than with the grid, and on cubes with many distinct values
+    it evaluates only the candidates that certified lower bounds cannot rule
+    out, with the same result bit for bit.  For sparse inputs
+    the cubes are the level-k ancestors of the deeper atoms, found in one
+    pass that buckets the atoms by ancestor, so the cost is proportional to
+    atom count times depth rather than to the grid size.
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")

@@ -1,7 +1,8 @@
 """Brute-force oracles and acceptance clauses shared by the test suite.
 
 The oracles are deliberately independent of the library's computational
-paths: best constants come from candidate grids, coefficients from direct
+paths: best constants come from candidate grids or, for p < 1, from the
+full enumeration of every candidate's error, coefficients from direct
 quadrature, projections and errors from densified arrays, shift differences
 from sliced cell values, sparse errors from a rescan of every atom per cube,
 random words one xoshiro step at a time.
@@ -37,6 +38,28 @@ def grid_best_constant_err(values, weights, p, coarse=10_000, fine=2_000):
     ref = np.linspace(lo, hi, fine)
     errs2 = (w[None, :] * np.abs(v[None, :] - ref[:, None]) ** p).sum(axis=1)
     return min(float(errs.min()), float(errs2.min()))
+
+
+def enum_best_oracle(values, weights, p):
+    """(first argmin, minimum) of e_i = sum_j w_j |v_i - v_j|^p, every row computed.
+
+    The full enumeration, each candidate's row summed by the same expression
+    as the library's, so a pruned search must match it bit for bit.
+    """
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights)
+    errs = (w[None, :] * np.abs(v[:, None] - v[None, :]) ** p).sum(axis=1)
+    j = int(np.argmin(errs))
+    return j, float(errs[j])
+
+
+def row_best_err_oracle(rows, p):
+    """Per-row best p < 1 error: full enumeration of the distinct values by count."""
+    out = []
+    for row in rows:
+        vals, counts = np.unique(row, return_counts=True)
+        out.append(enum_best_oracle(vals, counts, p)[1] if vals.size > 1 else 0.0)
+    return np.array(out)
 
 
 def approx_error_grid(f, k, p, coarse=4_000):

@@ -216,6 +216,33 @@ class TestValueHistogram:
         assert h.entries == ((5.0, 2.0**-3),)
 
 
+    @pytest.mark.parametrize(
+        "entries, problem",
+        [
+            (((math.nan, 1.0), (0.0, 1.0)), "values must be finite"),
+            (((0.0, 1.0), (math.inf, 1.0)), "values must be finite"),
+            (((-math.inf, 1.0),), "values must be finite"),
+            (((0.0, math.nan),), "measures must be positive and finite"),
+            (((0.0, 1.0), (1.0, math.inf)), "measures must be positive and finite"),
+            (((0.0, 0.0),), "measures must be positive and finite"),
+            (((0.0, -1.0),), "measures must be positive and finite"),
+            (((3.0, 1.0), (0.0, 1.0), (1.0, 1.0)), "values must be strictly increasing"),
+            (((0.0, 1.0), (0.0, 2.0)), "values must be strictly increasing"),
+        ],
+    )
+    def test_bad_entries_rejected(self, entries, problem):
+        with pytest.raises(ValueError, match=problem):
+            hb.ValueHistogram(entries)
+
+    def test_from_pairs_sorts_and_rejects_non_finite(self):
+        h = hb.ValueHistogram.from_pairs([(3.0, 1.0), (0.0, 1.0), (1.0, 1.0)])
+        assert h.entries == ((0.0, 1.0), (1.0, 1.0), (3.0, 1.0))
+        assert hb.best_constant_error(h, 1.0) == (1.0, 3.0)
+        for pairs in ([(math.nan, 1.0), (0.0, 1.0)], [(0.0, math.inf)]):
+            with pytest.raises(ValueError, match="must be"):
+                hb.ValueHistogram.from_pairs(pairs)
+
+
 class TestSparseDenseAgreement:
     @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 import haar_besov as hb
 from haar_besov.norms import (
+    _PRUNE_GROUPS,
     ModulusTable,
     _difference_table,
+    _enum_best,
     _offset_diff_ppow_sum,
+    _row_best_err_ppow,
     shift_difference_ppow,
 )
 
@@ -19,8 +22,10 @@ from helpers import (
     a_norm_grid,
     approx_error_grid,
     approx_error_sparse_rescan,
+    enum_best_oracle,
     grid_best_constant_err,
     random_sparse,
+    row_best_err_oracle,
 )
 
 
@@ -98,6 +103,96 @@ class TestBestConstant:
             oracle = grid_best_constant_err(hist.values, hist.measures, p)
             assert err <= oracle + 1e-12
             assert oracle - err <= 1e-8
+
+
+def _ulp_runs(base, n):
+    """n values in runs of consecutive floats, one run from each base value.
+
+    The runs are the groups of the first pruning stage, so the group bound
+    of every candidate equals its error up to a few ulps.
+    """
+    groups = _PRUNE_GROUPS[0]
+    start = (np.arange(groups) * n) // groups
+    out = []
+    for x, size in zip(base, np.diff(np.append(start, n))):
+        for _ in range(size):
+            out.append(x)
+            x = np.nextafter(x, np.inf)
+    return np.array(out)
+
+
+def _hard_candidates(n, seed):
+    """(kind, values, weights): n strictly increasing values built against pruning.
+
+    Near-ties (mirror-symmetric data, an integer lattice, runs of adjacent
+    floats), a heavy cluster far from the weighted median, magnitudes near
+    1e-300 and 1e300, and terms w |v_i - v_j|^p that underflow, where a
+    relative margin vanishes.
+    """
+    r = np.random.default_rng(seed)
+    base = np.sort(r.uniform(1.0, 2.0, _PRUNE_GROUPS[0]))
+    run_w = r.uniform(0.5, 1.0, n)
+    run_w[n // 2] = 3.0  # the minimizer sits at the weighted median
+    yield "ulp runs", _ulp_runs(base, n), run_w
+    yield "ulp runs, underflow", _ulp_runs(base * 1e-300, n), run_w * 1e-20
+    u = np.unique(r.uniform(-1.0, 1.0, n))
+    w = r.uniform(0.1, 2.0, u.size)
+    yield "uniform", u, w
+    half = np.unique(r.uniform(0.01, 1.0, n // 2))
+    odd = [0.0] if n % 2 else []
+    sym_w = r.uniform(0.1, 2.0, half.size)
+    yield "symmetric", np.concatenate([-half[::-1], odd, half]), np.concatenate(
+        [sym_w[::-1], [1.0] * len(odd), sym_w]
+    )
+    yield "lattice", np.arange(float(n)), np.ones(n)
+    # a tight cluster at -50 with 47% of the weight: the weighted median is
+    # in the wide cluster, the minimizer for p <= 0.3 in the tight one
+    k = max(1, u.size // 3)
+    far_w = w[:k] * (0.9 * w[k:].sum() / w[:k].sum())
+    yield "bimodal", np.concatenate([u[:k] * 1e-3 - 50.0, u[k:]]), np.concatenate([far_w, w[k:]])
+    yield "tiny", u * 1e-300, w
+    yield "huge", u * 1e300, w
+    yield "underflow", u * 1e-300, w * 1e-20
+
+
+#: distinct-value counts on both sides of each pruning stage (64 and 512 groups)
+ENUM_SIZES = (2, 7, 63, 64, 65, 66, 70, 100, 129, 511, 512, 513, 1000)
+ENUM_PS = (0.05, 0.3, 0.8, 0.999)
+
+
+class TestEnumBest:
+    """The pruned p < 1 enumeration against the full one, bit for bit."""
+
+    @pytest.mark.parametrize("n", ENUM_SIZES)
+    def test_kernel_and_sparse_path_match_full_enumeration(self, n):
+        for kind, v, w in _hard_candidates(n, seed=n):
+            hist = hb.ValueHistogram(tuple(zip(v.tolist(), w.tolist())))
+            for p in ENUM_PS:
+                j, err = enum_best_oracle(v, w, p)
+                assert _enum_best(v, w, p) == (j, err), (kind, p)
+                expect = (float(v[j]), math.fsum(w * np.abs(v - v[j]) ** p))
+                assert hb.best_constant_error(hist, p) == expect, (kind, p)
+
+    # (distinct values, cells per row): rows of 256 cells or more take the
+    # per-row kernel on their distinct values, weighted by counts
+    @pytest.mark.parametrize("n, cells", [(64, 256), (65, 256), (200, 256), (700, 1024), (2048, 2048)])
+    def test_dense_rows_match_full_enumeration(self, n, cells):
+        r = np.random.default_rng(n + cells)
+        for kind, v, _ in _hard_candidates(n, seed=cells):
+            rows = np.stack([r.choice(v, size=cells) for _ in range(3)])
+            rows[1, : cells // 2] = v[0]  # a value holding half of the row
+            for p in ENUM_PS:
+                got = _row_best_err_ppow(rows, p)
+                assert np.array_equal(got, row_best_err_oracle(rows, p)), (kind, p)
+
+    def test_dense_profile_matches_full_enumeration(self):
+        # white noise: rows of 4096, 2048, 1024, 512 and 256 distinct values
+        f = hb.DyadicStepFunction(1, 12, np.random.default_rng(71).uniform(-1, 1, 4096))
+        for k in range(5):
+            rows = f.values.reshape(1 << k, -1)
+            for p in (0.3, 0.8):
+                want = (math.fsum(row_best_err_oracle(rows, p)) * f.cell_measure) ** (1 / p)
+                assert hb.approx_error(f, k, p) == want
 
 
 class TestApproxError:
@@ -251,7 +346,8 @@ class TestSparseBucketing:
 
 class TestHomogeneity:
     """E_k(cf) = |c| E_k(f) and a(cf) = |c| a(f), dense and sparse, one p per
-    best-constant branch."""
+    best-constant branch; the same for the modulus, square-function and
+    sequence routes."""
 
     @staticmethod
     def _assert_homogeneous(f, cf, c, levels, d):
@@ -290,6 +386,36 @@ class TestHomogeneity:
         f = random_sparse(np.random.default_rng(seed), d, 6, max_level=3)
         cf = hb.SparseStepFunction.from_terms(d, [(a.cube, c * a.value) for a in f.atoms])
         self._assert_homogeneous(f, cf, c, range(f.max_level + 1), d)
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(GRIDS),
+        st.sampled_from([0.5, 0.8, 1.0, 1.5, 2.0]),
+        st.floats(1e-3, 1e3),
+        st.booleans(),
+    )
+    def test_modulus_square_and_sequence_routes(self, seed, grid, p, mag, negative):
+        # N(cf) = |c| N(f) for omega, the modulus b-norm, the square function
+        # and the coefficient-side lqlp norm
+        c = -mag if negative else mag
+        d, m = grid
+        v = np.random.default_rng(seed).normal(size=(1 << m,) * d)
+        f = hb.DyadicStepFunction(d, m, v)
+        cf = hb.DyadicStepFunction(d, m, c * v)
+        tab, ctab = ModulusTable(f, p), ModulusTable(cf, p)
+        for j in range(m + 4):
+            assert ctab.omega(j) == pytest.approx(abs(c) * tab.omega(j), rel=1e-12), j
+        coeffs, ccoeffs = hb.analyze(f), hb.analyze(cf)
+        for q in (0.5, 1.0, 2.0):
+            prm = hb.BesovParams(p, q, 0.5 / p, d)
+            assert ctab.b_norm(prm) == pytest.approx(abs(c) * tab.b_norm(prm), rel=1e-12)
+            assert hb.lqlp_norm(ccoeffs, prm) == pytest.approx(
+                abs(c) * hb.lqlp_norm(coeffs, prm), rel=1e-12
+            )
+        assert hb.square_function_norm(cf, p) == pytest.approx(
+            abs(c) * hb.square_function_norm(f, p), rel=1e-12
+        )
 
 
 class TestANorm:
