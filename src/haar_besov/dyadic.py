@@ -225,10 +225,8 @@ class DyadicStepFunction:
         if m == self.level:
             return self
         _check_budget(self.d, m, max_cells)
-        r = 1 << (m - self.level)
-        out = self.values
-        for axis in range(self.d):
-            out = np.repeat(out, r, axis=axis)
+        out = np.empty((1 << m,) * self.d)
+        cube_blocks(out, self.level)[...] = self.values[(...,) + (None,) * self.d]
         return DyadicStepFunction(self.d, m, out)
 
     def restrict(self, cube: DyadicCube) -> np.ndarray:
@@ -277,7 +275,14 @@ class SparseAtom:
     def value(self) -> float:
         if self.sign == 0:
             return 0.0
-        return self.sign * 2.0**self.log2mag
+        try:
+            return self.sign * 2.0**self.log2mag
+        except OverflowError:
+            c = self.cube
+            raise ValueError(
+                f"atom at level {c.level}, index {c.index} has log2 magnitude "
+                f"{self.log2mag}, beyond double range"
+            ) from None
 
 
 class SparseStepFunction:
@@ -495,7 +500,13 @@ def lp_quasinorm(f, p: float) -> float:
         log2_terms = np.array(
             [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
         )
-        return 2.0 ** (logsumexp2(log2_terms) / p)
+        log2_norm = logsumexp2(log2_terms) / p
+        try:
+            return 2.0**log2_norm
+        except OverflowError:
+            raise ValueError(
+                f"the L_{p} norm is 2**{log2_norm}, beyond double range"
+            ) from None
     hist = value_histogram(f, DyadicCube.root(f.d))
     v, w = hist.values, hist.measures
     return float(math.fsum(w * np.abs(v) ** p)) ** (1.0 / p)

@@ -142,12 +142,9 @@ def _split_children(a: np.ndarray, d: int) -> np.ndarray:
 def _merge_children(child: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`_split_children`."""
     n = child.shape[0]
-    interleave = sum(((j, d + j) for j in range(d)), ())
-    return (
-        child.reshape((n,) * d + (2,) * d)
-        .transpose(interleave)
-        .reshape((2 * n,) * d)
-    )
+    out = np.empty((2 * n,) * d)
+    cube_blocks(out, n.bit_length() - 1)[...] = child.reshape((n,) * d + (2,) * d)
+    return out
 
 
 class HaarCoefficients:

@@ -20,7 +20,6 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -403,46 +402,32 @@ def _difference_table(V: np.ndarray, p: float, nmax: int) -> np.ndarray:
     return table
 
 
-def _axis_terms(y: float, delta: float) -> list[tuple[int, float]]:
-    """The integer offsets a shift y splits over on one axis, with weights.
+def _corner_shift_max(near: dict, phi: float, delta: float, d: int) -> float:
+    """Largest p-power difference integral over the corner shifts {-t, 0, t}^d.
 
-    The overlap of a cell shifted by y with the grid of width delta covers
-    offset n = floor(y / delta) for 1 - phi of a cell and n + 1 for phi.
+    With t = phi * delta below the cell width delta, a cell shifted by t on
+    one axis overlaps offsets 0 and 1 for 1 - phi and phi of a cell, and one
+    shifted by -t offsets -1 and 0 for 1 - (1 - phi) and 1 - phi (as the
+    floor split of -phi rounds them).  Each corner is the weighted sum of the
+    table's entries ``near`` over its offset combinations, weights multiplied
+    in axis order and zero weights skipped.  The zero shift is among the
+    corners; it gives D[0] = 0 and moves no maximum.
     """
-    u = y / delta
-    n = math.floor(u)
-    phi = u - n
-    opts = []
-    if 1.0 - phi > 0.0:
-        opts.append((n, (1.0 - phi) * delta))
-    if phi > 0.0:
-        opts.append((n + 1, phi * delta))
-    return opts
-
-
-def _shifted_ppow(per_axis: list, offset_ppow) -> float:
-    """Weighted sum of offset_ppow(n) over the offset combinations of per_axis."""
-    total = 0.0
-    for combo in product(*per_axis):
-        offsets, weights = zip(*combo)
-        weight = math.prod(weights)
-        if weight > 0.0:
-            total += weight * offset_ppow(offsets)
-    return total
-
-
-def shift_difference_ppow(f: DyadicStepFunction, y: Sequence[float], p: float) -> float:
-    """Exact integral of |f(x+y) - f(x)|^p over {x : x, x+y in [0,1)^d}.
-
-    Works for arbitrary real shifts: per axis the overlap of a shifted cell
-    with the grid splits over two integer offsets with complementary
-    weights, and the integral is the weighted sum of pure-offset sums.
-    """
-    if len(y) != f.d:
-        raise ValueError("shift dimension mismatch")
-    delta = 2.0 ** (-f.level)
-    per_axis = [_axis_terms(yj, delta) for yj in y]
-    return _shifted_ppow(per_axis, lambda n: _offset_diff_ppow_sum(f.values, n, p))
+    rows = (
+        ((-1, (1.0 - (1.0 - phi)) * delta), (0, (1.0 - phi) * delta)),
+        ((0, delta),),
+        ((0, (1.0 - phi) * delta), (1, phi * delta)),
+    )
+    best = 0.0
+    for corner in product(rows, repeat=d):
+        total = 0.0
+        for combo in product(*corner):
+            offsets, weights = zip(*combo)
+            weight = math.prod(weights)
+            if weight > 0.0:
+                total += weight * near[offsets]
+        best = max(best, total)
+    return best
 
 
 class ModulusTable:
@@ -453,7 +438,8 @@ class ModulusTable:
     shift cell, so box suprema sit at vertices).  For t at or above the cell
     width that is a box maximum over the integer-offset difference table D;
     below it, a maximum over the 3^d - 1 corner shifts, each a weighted sum
-    of the table's entries on {-1, 0, 1}^d, evaluated exactly.
+    of the table's entries on {-1, 0, 1}^d, evaluated exactly.  Both kinds of
+    scale are cached in one dict by j.
     """
 
     def __init__(self, f: DyadicStepFunction, p: float):
@@ -461,44 +447,32 @@ class ModulusTable:
             raise ValueError("p must be a positive finite exponent")
         self.f = f
         self.p = p
-        self._table: np.ndarray | None = None
-        self._deep: dict[int, float] = {}
+        self._scales: dict[int, float] = {}
 
-    def _full_table(self) -> np.ndarray:
-        if self._table is None:
-            self._table = _difference_table(self.f.values, self.p, 1 << self.f.level)
-        return self._table
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return _difference_table(self.f.values, self.p, 1 << self.f.level)
 
     @cached_property
     def _near(self) -> dict[tuple[int, ...], float]:
         """The table's entries on the offsets {-1, 0, 1}^d, by offset."""
         nmax = 1 << self.f.level
-        near = self._full_table()[(slice(nmax - 1, nmax + 2),) * self.f.d]
+        near = self._table[(slice(nmax - 1, nmax + 2),) * self.f.d]
         return dict(zip(product((-1, 0, 1), repeat=self.f.d), near.ravel().tolist()))
 
     def omega_ppow(self, j: int) -> float:
-        f = self.f
-        m = f.level
         if j < 0:
             raise ValueError("scale index must be nonnegative")
-        if j <= m:
-            nmax = 1 << m
-            half = 1 << (m - j)
-            tab = self._full_table()
-            sub = tab[tuple(slice(nmax - half, nmax + half + 1) for _ in range(f.d))]
-            return float(sub.max()) * f.cell_measure
-        if j not in self._deep:
-            # each corner shift splits over offsets in {-1, 0, 1}^d, so its
-            # offset sums are entries of the table already built
-            t = 2.0**-j
-            axis = {y: _axis_terms(y, 2.0 ** (-m)) for y in (-t, 0.0, t)}
-            near = self._near
-            best = 0.0
-            for y in product(axis, repeat=f.d):
-                if any(y):
-                    best = max(best, _shifted_ppow([axis[v] for v in y], near.__getitem__))
-            self._deep[j] = best
-        return self._deep[j]
+        if j not in self._scales:
+            m = self.f.level
+            if j <= m:
+                nmax, half = 1 << m, 1 << (m - j)
+                box = self._table[(slice(nmax - half, nmax + half + 1),) * self.f.d]
+                self._scales[j] = float(box.max()) * self.f.cell_measure
+            else:
+                phi = 2.0**-j / 2.0**-m
+                self._scales[j] = _corner_shift_max(self._near, phi, 2.0**-m, self.f.d)
+        return self._scales[j]
 
     def omega(self, j: int) -> float:
         return self.omega_ppow(j) ** (1.0 / self.p)
@@ -509,6 +483,8 @@ class ModulusTable:
             raise ValueError("the modulus norm needs finite q")
         if prm.p != self.p:
             raise ValueError("table was built for a different p")
+        if prm.is_degenerate:
+            raise ValueError("s >= 1/p: the modulus scale sum diverges")
         q, s = prm.q, prm.s
         total = lp_quasinorm(self.f, self.p) ** q
         consec = 0
@@ -578,10 +554,8 @@ def square_function_norm(f, p: float) -> float:
     acc = np.full(f.values.shape, c.scaling**2)
     for k in range(1, c.max_level + 1):
         sq = (c.blocks[k - 1] ** 2).sum(axis=-1)
-        rep = 1 << (f.level - (k - 1))
-        for axis in range(f.d):
-            sq = np.repeat(sq, rep, axis=axis)
-        acc += sq
+        cells = cube_blocks(acc, k - 1)  # a view: adding to it adds to acc
+        cells += sq[(...,) + (None,) * f.d]
     return lp_quasinorm(DyadicStepFunction(f.d, f.level, np.sqrt(acc)), p)
 
 

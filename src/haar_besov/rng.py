@@ -7,21 +7,22 @@ the splitmix64 sequence of the seed, and outputs are emitted lane-major
 (one word from every lane per step).  Everything is pure 64-bit integer
 arithmetic, so a given seed yields the same draws on every platform.
 
-Large draws compute the same words in fewer Python-level steps.  The state
-update of xoshiro256** is linear over GF(2): one step maps the 256 state
-bits by a fixed 256x256 bit matrix M.  A draw of ``steps >= 2L`` steps
-(``L = _JUMP_STEPS``) starts B = ceil(steps / L) sub-lanes per lane, the
+A draw computes these words in at most L = ``_JUMP_STEPS`` Python-level
+steps.  The state update of xoshiro256** is linear over GF(2): one step
+maps the 256 state bits by a fixed 256x256 bit matrix M.  A draw of
+``steps`` steps starts B = max(1, ceil(steps / L)) sub-lanes per lane, the
 b-th at the lane's state after b*L steps, found by applying M^L, M^{2L},
-M^{4L}, ... by doubling.  All 64*B sub-lanes then step L times together,
-and each word is written to the position the stepwise loop gives it.  The
-scrambler is applied to the same states, so every word is bit for bit the
-word of the stepwise loop.  The stream is left exactly ``steps`` steps on:
-the last sub-lane's state is kept after its steps - (B-1)*L steps, before
-it overshoots.  The powers of M are built once per process, on the first
-large draw.  See Blackman & Vigna, "Scrambled linear pseudorandom number
-generators", ACM TOMS 47(4), 2021, and Haramoto et al., "Efficient jump
-ahead for F2-linear random number generators", INFORMS J. Comput. 20(3),
-2008.
+M^{4L}, ... by doubling.  All 64*B sub-lanes then step min(steps, L) times
+together, and each word is written to the position the stepwise loop gives
+it.  The scrambler is applied to the same states, so every word is bit for
+bit the word of the stepwise loop; a draw of at most L steps is one
+sub-lane per lane and makes no jump, so it is that loop.  The stream is
+left exactly ``steps`` steps on: the last sub-lane's state is kept after
+its steps - (B-1)*L steps, before it overshoots.  The powers of M are built
+once per process, on the first draw of more than L steps.  See Blackman &
+Vigna, "Scrambled linear pseudorandom number generators", ACM TOMS 47(4),
+2021, and Haramoto et al., "Efficient jump ahead for F2-linear random
+number generators", INFORMS J. Comput. 20(3), 2008.
 
 Uniform doubles take the top 53 bits of a word; normal variates come from
 the Box-Muller transform applied to consecutive uniform pairs.
@@ -40,8 +41,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _LANES = 64
-# Steps per sub-lane of a split draw.  Draws of fewer than 2 * _JUMP_STEPS
-# steps run stepwise.
+# Steps per sub-lane of a draw; longer draws start sub-lanes by jump-ahead.
 _JUMP_STEPS = 128
 # States jumped per numpy call, which bounds the (32, chunk, 4) gather.
 _JUMP_CHUNK = 4096
@@ -156,9 +156,11 @@ class RandomStream:
         words = splitmix64(self.seed, 4 * _LANES)
         self._state = words.reshape(_LANES, 4).T.copy()
 
-    def _split_steps(self, steps: int) -> np.ndarray:
-        """Words of ``steps`` steps, as (steps * 64,) in stepwise order."""
-        nsub = -(-steps // _JUMP_STEPS)
+    def random_u64(self, n: int) -> np.ndarray:
+        """The next n words of the stream."""
+        n = _count(n)
+        steps = -(-n // _LANES)
+        nsub = max(1, -(-steps // _JUMP_STEPS))
         # starts[b, j] is lane j's state after b * L steps
         starts = np.empty((nsub, _LANES, 4), dtype=np.uint64)
         starts[0] = self._state.T
@@ -175,24 +177,14 @@ class RandomStream:
         state = starts.reshape(-1, 4).T.copy()
         # word of sub-lane b, lane j at inner step t is stepwise word
         # (b * L + t) * 64 + j
-        out = np.empty((nsub, _JUMP_STEPS, _LANES), dtype=np.uint64)
+        inner = min(steps, _JUMP_STEPS)
+        out = np.empty((nsub, inner, _LANES), dtype=np.uint64)
         last = steps - (nsub - 1) * _JUMP_STEPS
-        for t in range(_JUMP_STEPS):
+        for t in range(inner):
             words, state = _step(state)
             out[:, t, :] = words.reshape(nsub, _LANES)
             if t + 1 == last:
                 self._state = state[:, -_LANES:].copy()
-        return out.reshape(-1)
-
-    def random_u64(self, n: int) -> np.ndarray:
-        """The next n words of the stream."""
-        n = _count(n)
-        steps = -(-n // _LANES)
-        if steps >= 2 * _JUMP_STEPS:
-            return self._split_steps(steps)[:n]
-        out = np.empty((steps, _LANES), dtype=np.uint64)
-        for t in range(steps):
-            out[t], self._state = _step(self._state)
         return out.reshape(-1)[:n]
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

@@ -4,8 +4,10 @@ The oracles are deliberately independent of the library's computational
 paths: best constants come from candidate grids or, for p < 1, from the
 full enumeration of every candidate's error, coefficients from direct
 quadrature, projections and errors from densified arrays, shift differences
-from sliced cell values, sparse errors from a rescan of every atom per cube,
-random words one xoshiro step at a time.
+from sliced cell values (for any real shift, as weighted sums of the
+library's own integer-offset sums, so that comparison is bit for bit),
+sparse errors from a rescan of every atom per cube, random words one
+xoshiro step at a time.
 The clauses at the end are the acceptance checks for the norm equivalences
 (criteria 6 and 7) and the projector growth (criterion 10), kept here so
 their negative controls test the same code.
@@ -18,7 +20,7 @@ import numpy as np
 
 import haar_besov as hb
 from haar_besov.experiments import fit_log2_slope
-from haar_besov.norms import ApproxProfile, a_norm_from_profile
+from haar_besov.norms import ApproxProfile, _offset_diff_ppow_sum, a_norm_from_profile
 from haar_besov.rng import RandomStream
 
 
@@ -126,8 +128,9 @@ def block_l1_ppow_sum(g, k, p):
 class StepwiseStream(RandomStream):
     """The stream by its definition: every draw runs one step per 64 words.
 
-    Draws of one step never take the split path, so ``uniform`` and
-    ``normal`` on this stream are the oracle for chained draws.
+    A draw of one step is one sub-lane per lane and makes no jump, so
+    ``uniform`` and ``normal`` on this stream are the oracle for chained
+    draws.
     """
 
     def random_u64(self, n):
@@ -162,6 +165,32 @@ def direction_difference_sums(values, p):
             dst = tuple(slice(max(0, nj), size - max(0, -nj)) for nj in n)
             out[n] = math.fsum(np.abs(V[dst] - V[src]).ravel() ** p)
     return out
+
+
+def shift_difference_ppow(f, y, p):
+    """Exact integral of |f(x+y) - f(x)|^p over {x : x, x+y in [0,1)^d}.
+
+    Works for arbitrary real shifts: per axis the overlap of a shifted cell
+    with the grid covers offset n = floor(y / delta) for 1 - phi of a cell
+    and n + 1 for phi, and the integral is the weighted sum of the pure-offset
+    sums over the offset combinations, zero weights skipped.
+    """
+    if len(y) != f.d:
+        raise ValueError("shift dimension mismatch")
+    delta = 2.0 ** (-f.level)
+    per_axis = []
+    for yj in y:
+        u = yj / delta
+        n = math.floor(u)
+        phi = u - n
+        per_axis.append(((n, (1.0 - phi) * delta), (n + 1, phi * delta)))
+    total = 0.0
+    for combo in product(*per_axis):
+        offsets, weights = zip(*combo)
+        weight = math.prod(weights)
+        if weight > 0.0:
+            total += weight * _offset_diff_ppow_sum(f.values, offsets, p)
+    return total
 
 
 def finest_scale_terms(f, profile, table, coeffs, s):

@@ -13,6 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import haar_besov as hb
+from haar_besov import norms
+from haar_besov.experiments import random_step
+from haar_besov.norms import ModulusTable
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -57,3 +62,54 @@ def test_full_fine_grid_p_below_one_profiles_pass():
     # one L_p value and m values E_0..E_{m-1} per item
     assert chk.attempted == workloads.FINE_POOL * sum(1 + m for _, m, _ in configs)
     assert chk.failed == 0, chk.failures
+
+
+class _Counts:
+    """A tracer that only takes counts, as a counting pass of the benchmark does."""
+
+    counting = True
+
+    def __init__(self):
+        self.counts = {}
+
+    def count(self, name, n):
+        self.counts[name] = self.counts.get(name, 0) + n
+
+
+@pytest.mark.parametrize("d,m,p", [(1, 4, 0.8), (1, 5, 2.0), (2, 3, 1.0), (2, 2, 1.5)])
+def test_b_norm_reads_every_level_through_the_subcell_hook(d, m, p, monkeypatch):
+    # the benchmark counts norms.modulus.subcell_scales by wrapping
+    # table.omega_ppow, so b_norm must read every level it sums through
+    # that attribute, and a level read again must be the cached value: no
+    # sub-cell scale is computed twice
+    evaluated, corner_shift_max = [], norms._corner_shift_max
+
+    def counted(*args):
+        evaluated.append(args)
+        return corner_shift_max(*args)
+
+    monkeypatch.setattr(norms, "_corner_shift_max", counted)
+    f = random_step(workloads.pool_seed("lattice", d, p, m, 0), d, m)
+    table = ModulusTable(f, p)
+    tracer = _Counts()
+    workloads.watch_subcell_scales(tracer, table, m)
+    hooked, reads = table.omega_ppow, []
+
+    def recording(j):
+        reads.append((j, hooked(j)))
+        return reads[-1][1]
+
+    table.omega_ppow = recording
+    prm = hb.BesovParams(p, 1.0, workloads.mid_s(p, d), d)
+    first = table.b_norm(prm)
+    levels = [j for j, _ in reads]
+    top = levels[-1]
+    assert levels == list(range(top + 1)) and top > m
+    assert tracer.counts == {"norms.modulus.subcell_scales": top - m}
+    assert len(evaluated) == top - m
+    again = list(reads)
+    reads.clear()
+    assert table.b_norm(prm) == first
+    assert reads == again
+    assert tracer.counts == {"norms.modulus.subcell_scales": top - m}
+    assert len(evaluated) == top - m

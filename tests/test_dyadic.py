@@ -116,6 +116,17 @@ class TestLpQuasinorm:
         expected = (2.0 ** (2000 * (p - 1)) + 2.0 ** (3000 * (p - 1))) ** (1 / p)
         assert hb.lp_quasinorm(f, p) == pytest.approx(expected, rel=1e-12)
 
+    def test_beyond_double_range_raises_value_error(self):
+        # a norm of 2^1960 has no double: the error names it, as the atom's
+        # value names the atom
+        atom = hb.SparseAtom(cube(1, 20, 3), 1, 2000.0)
+        f = hb.SparseStepFunction(1, [atom], atoms_disjoint=True)
+        with pytest.raises(ValueError, match=r"2\*\*1960\.0, beyond double range"):
+            hb.lp_quasinorm(f, 0.5)
+        with pytest.raises(ValueError, match=r"level 20, index \(3,\) has log2 magnitude 2000\.0"):
+            atom.value
+        assert hb.SparseAtom(cube(1, 20, 3), -1, 1023.0).value == -(2.0**1023)
+
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0, 1.5, 2.0])
     def test_refinement_invariance(self, p):
         rng = np.random.default_rng(11)

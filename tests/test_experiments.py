@@ -287,6 +287,17 @@ class TestCli:
         assert cli_main(args) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["lp", "a", "modulus"])
+    def test_atom_beyond_double_range_exits_one(self, route, tmp_path, capsys):
+        fpath = tmp_path / "big.json"
+        atom = {"level": 20, "index": [3], "sign": 1, "log2mag": 2000.0}
+        fpath.write_text(json.dumps({"kind": "sparse", "d": 1, "atoms": [atom]}))
+        args = ["norm", "--input", str(fpath), "--p", "0.5", "--q", "1", "--s", "0.1"]
+        assert cli_main(args + ["--route", route]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "beyond double range" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags,field", [(["--samples", "0"], "samples"), (["--m", "0"], "m_hi")]
     )

@@ -15,7 +15,6 @@ from haar_besov.norms import (
     _enum_best,
     _offset_diff_ppow_sum,
     _row_best_err_ppow,
-    shift_difference_ppow,
 )
 
 from helpers import (
@@ -26,6 +25,7 @@ from helpers import (
     grid_best_constant_err,
     random_sparse,
     row_best_err_oracle,
+    shift_difference_ppow,
 )
 
 
@@ -650,6 +650,16 @@ class TestBNormModulus:
                 break
             j += 1
         assert hb.b_norm_modulus(f, prm) == pytest.approx(direct, rel=1e-6)
+
+    def test_degenerate_parameters_rejected(self):
+        # s >= 1/p is accepted by BesovParams only for the classifier; the
+        # scale sum diverges there, so b_norm says so before summing
+        f = hb.DyadicStepFunction(1, 2, [0.0, 1.0, 3.0, -2.0])
+        prm = hb.BesovParams(1.0, 1.0, 1.5, 1, allow_degenerate=True)
+        with pytest.raises(ValueError, match="diverges"):
+            hb.b_norm_modulus(f, prm)
+        with pytest.raises(ValueError, match="diverges"):
+            ModulusTable(f, 1.0).b_norm(prm)
 
     def test_zero_function(self):
         f = hb.DyadicStepFunction(1, 2, np.zeros(4))

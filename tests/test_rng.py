@@ -11,9 +11,10 @@ from haar_besov.rng import _JUMP_STEPS, RandomStream, _step
 from helpers import StepwiseStream
 
 SEEDS = (0, 1, 7, 2**63 + 5)
-SPLIT = 2 * _JUMP_STEPS * 64  # smallest draw that takes the split path
+ONE = _JUMP_STEPS * 64  # largest draw of one sub-lane per lane, which makes no jump
+SPLIT = 2 * ONE  # largest draw of two sub-lanes per lane
 SIZES = (
-    1, 63, 64, 65, 511 * 64, 512 * 64, 512 * 64 + 1,
+    1, 63, 64, 65, 511 * 64, 512 * 64, 512 * 64 + 1, ONE, ONE + 1,
     SPLIT - 64, SPLIT - 1, SPLIT, SPLIT + 1, SPLIT + 64,
     2**16, 2**17, 3 * 2**18 + 5, 2**20,
 )
