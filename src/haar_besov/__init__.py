@@ -56,7 +56,7 @@ from .norms import (
     modulus,
     square_function_norm,
 )
-from .sequences import CoefficientBlockView, linf_lp_norm, lqlp_norm, lqlp_norm_log2
+from .sequences import linf_lp_norm, lqlp_norm, lqlp_norm_log2
 from .regimes import Regime, RegimeResult, System, classify, critical_smoothness
 from .families import (
     NestedSpec,

@@ -3,7 +3,8 @@
 Subcommands: classify, generate, norm, transform, experiment.  Exit codes:
 0 on success/pass, 2 when an experiment fails its thresholds, 1 on usage
 errors (bad flags, unknown experiment, out-of-range parameters), on
-non-finite input values and on grids over the cell budget.
+non-finite input values, on grids over the cell budget and on atoms, norms
+or route totals beyond double range.
 """
 
 from __future__ import annotations

@@ -288,30 +288,26 @@ class SparseAtom:
 class SparseStepFunction:
     """Finite sum of coefficient * indicator atoms over dyadic cubes.
 
-    Atom cubes may sit at distinct levels and may nest.  ``atoms_disjoint``
-    may be supplied by generators that know their atoms are pairwise
-    non-nesting; otherwise it is established on demand.
+    Atom cubes may sit at distinct levels and may nest.  Two dyadic cubes
+    either nest or are disjoint, so whether the atoms nest follows from
+    their (level, index) keys: ``nesting_free`` computes it on first use.
     """
 
-    __slots__ = ("d", "atoms", "_disjoint")
+    __slots__ = ("d", "atoms", "_nesting_free")
 
-    def __init__(self, d: int, atoms: Iterable[SparseAtom], atoms_disjoint=None):
+    def __init__(self, d: int, atoms: Iterable[SparseAtom]):
         self.d = d
         atoms = tuple(a for a in atoms if a.sign != 0)
         for a in atoms:
             if a.cube.d != d:
                 raise ValueError("atom dimension mismatch")
         self.atoms = atoms
-        self._disjoint = atoms_disjoint
+        self._nesting_free = None
 
     @classmethod
-    def from_terms(cls, d: int, terms, atoms_disjoint=None) -> "SparseStepFunction":
+    def from_terms(cls, d: int, terms) -> "SparseStepFunction":
         """Build from (cube, coefficient) pairs with plain float coefficients."""
-        return cls(
-            d,
-            (SparseAtom.from_value(c, v) for c, v in terms),
-            atoms_disjoint=atoms_disjoint,
-        )
+        return cls(d, (SparseAtom.from_value(c, v) for c, v in terms))
 
     @property
     def max_level(self) -> int:
@@ -319,26 +315,28 @@ class SparseStepFunction:
 
     @property
     def nesting_free(self) -> bool:
-        """True when no atom cube contains another (distinct cubes only)."""
-        if self._disjoint is None:
-            self._disjoint = self._compute_disjoint()
-        return self._disjoint
+        """True when no atom cube contains another (a repeated cube nests)."""
+        if self._nesting_free is None:
+            self._nesting_free = self._compute_nesting_free()
+        return self._nesting_free
 
-    def _compute_disjoint(self) -> bool:
-        seen: dict[DyadicCube, None] = {}
+    def _compute_nesting_free(self) -> bool:
+        """Level-ascending scan: each cube's ancestors at the levels seen so
+        far, and the cube itself, must not be keys seen before."""
+        seen: set[tuple] = set()
         levels: list[int] = []
         for a in sorted(self.atoms, key=lambda a: a.cube.level):
-            c = a.cube
-            for lev in levels:
-                if lev >= c.level:
+            lev, idx = a.cube.level, a.cube.index
+            for up in levels:
+                if up == lev:
                     break
-                if c.ancestor(lev) in seen:
+                if (up, tuple(i >> (lev - up) for i in idx)) in seen:
                     return False
-            if c in seen:
+            if (lev, idx) in seen:
                 return False
-            seen[c] = None
-            if not levels or levels[-1] != c.level:
-                levels.append(c.level)
+            seen.add((lev, idx))
+            if not levels or levels[-1] != lev:
+                levels.append(lev)
         return True
 
     def densify(self, m: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicStepFunction:
@@ -486,30 +484,43 @@ def lp_quasinorm(f, p: float) -> float:
     Sparse functions with pairwise non-nesting atoms are handled atom by
     atom in the log2 domain, so coefficients far outside double range are
     fine; nesting atom sets go through the exact value histogram instead.
+    Dense grids and histograms sum the p-th powers in doubles; a sum that
+    overflows raises ``ValueError`` naming the norm's log2.
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
     if isinstance(f, DyadicStepFunction):
-        s = stable_sum(np.abs(f.values) ** p) * f.cell_measure
-        return s ** (1.0 / p)
-    if not isinstance(f, SparseStepFunction):
+        v, w = f.values, f.cell_measure
+        ppow = lambda: stable_sum(np.abs(v) ** p) * w
+    elif isinstance(f, SparseStepFunction):
+        if not f.atoms:
+            return 0.0
+        if f.nesting_free:
+            log2_terms = np.array(
+                [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
+            )
+            log2_norm = logsumexp2(log2_terms) / p
+            try:
+                return 2.0**log2_norm
+            except OverflowError:
+                raise ValueError(
+                    f"the L_{p} norm is 2**{log2_norm}, beyond double range"
+                ) from None
+        hist = value_histogram(f, DyadicCube.root(f.d))
+        v, w = hist.values, hist.measures
+        ppow = lambda: float(math.fsum(w * np.abs(v) ** p))
+    else:
         raise TypeError("expected a step function")
-    if not f.atoms:
-        return 0.0
-    if f.nesting_free:
-        log2_terms = np.array(
-            [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
-        )
-        log2_norm = logsumexp2(log2_terms) / p
-        try:
-            return 2.0**log2_norm
-        except OverflowError:
-            raise ValueError(
-                f"the L_{p} norm is 2**{log2_norm}, beyond double range"
-            ) from None
-    hist = value_histogram(f, DyadicCube.root(f.d))
-    v, w = hist.values, hist.measures
-    return float(math.fsum(w * np.abs(v) ** p)) ** (1.0 / p)
+    try:
+        with np.errstate(over="raise"):
+            return ppow() ** (1.0 / p)
+    except (OverflowError, FloatingPointError):
+        with np.errstate(divide="ignore"):  # a zero value is a -inf term
+            lg = logsumexp2(np.log2(w) + p * np.log2(np.abs(v))) / p
+        raise ValueError(
+            f"the L_{p} norm is 2**{lg}, and its sum of p-th powers is beyond "
+            "double range"
+        ) from None
 
 
 def average_project(f, k: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicStepFunction:
@@ -535,7 +546,14 @@ def average_project(f, k: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicSt
         else:
             cell = tuple(i >> (c.level - k) for i in c.index)
             # average of c's indicator over the level-k cell, in log2 space
-            out[cell] += a.sign * 2.0 ** (a.log2mag - (c.level - k) * f.d)
+            log2_avg = a.log2mag - (c.level - k) * f.d
+            try:
+                out[cell] += a.sign * 2.0**log2_avg
+            except OverflowError:
+                raise ValueError(
+                    f"atom at level {c.level}, index {c.index} averages to "
+                    f"2**{log2_avg} on its level-{k} cube, beyond double range"
+                ) from None
     return DyadicStepFunction(f.d, k, out)
 
 

@@ -164,7 +164,6 @@ class ExperimentConfig:
     k_hi: int = 7
     samples: int = 50
     alpha: float | None = None
-    distribution: str = "uniform"
     out: str | None = None
     fmt: str = "csv"
 
@@ -279,7 +278,7 @@ def _base_summary(cfg: ExperimentConfig, system: System = System.ISOTROPIC) -> d
             "m": [cfg.m_lo, cfg.m_hi],
             "k": [cfg.k_lo, cfg.k_hi],
             "alpha": cfg.alpha,
-            "distribution": cfg.distribution,
+            "distribution": "uniform",
         },
         "regime": res.regime.value,
         "citation": res.citation,
@@ -307,9 +306,7 @@ def _ratio_band_experiment(cfg: ExperimentConfig, kind: str) -> ExperimentResult
     pts = []
     for m in range(cfg.m_lo, cfg.m_hi + 1):
         for i in range(cfg.samples):
-            f = random_step(
-                derive_seed(cfg.seed, m, i), cfg.d, m, cfg.distribution
-            )
+            f = random_step(derive_seed(cfg.seed, m, i), cfg.d, m)
             prof = approximation_profile(f, cfg.p)
             a = a_norm_from_profile(prof, prm)
             if kind == "equivalence":

@@ -138,7 +138,7 @@ def nested_family(spec: NestedSpec) -> SparseStepFunction:
         for cube, s, e in zip(spec.cubes, signs, logs)
         if s != 0
     ]
-    return SparseStepFunction(spec.d, atoms, atoms_disjoint=len(atoms) <= 1)
+    return SparseStepFunction(spec.d, atoms)
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,7 @@ class SpikePair:
     @property
     def f(self) -> SparseStepFunction:
         cube = DyadicCube(self.d, self.m, (0,) * self.d)
-        return SparseStepFunction(
-            self.d, [SparseAtom(cube, 1, float(self.m * self.d))], atoms_disjoint=True
-        )
+        return SparseStepFunction(self.d, [SparseAtom(cube, 1, float(self.m * self.d))])
 
     def g(self, k: int) -> SparseStepFunction:
         """Even-block partial sum g_{2k} = sum_{l=0..2k} (-1)^l 2^{ld} 1_{chain[l]}."""
@@ -302,7 +300,7 @@ def scattered(spec: ScatteredSpec) -> SparseStepFunction:
     atoms = [
         SparseAtom(cube, 1, float(e)) for cube, e in zip(spec.atom_cubes(), logs)
     ]
-    return SparseStepFunction(spec.d, atoms, atoms_disjoint=True)
+    return SparseStepFunction(spec.d, atoms)
 
 
 @dataclass(frozen=True)
@@ -428,7 +426,7 @@ def tensor_spike_pair(k: int, d: int, prm: BesovParams) -> TensorSpikeResult:
     p, q, s = prm.p, prm.q, prm.s
 
     corner = DyadicCube(d, k, (0,) * d)
-    f = SparseStepFunction(d, [SparseAtom(corner, 1, 0.0)], atoms_disjoint=True)
+    f = SparseStepFunction(d, [SparseAtom(corner, 1, 0.0)])
     theta = ((1 << (k - 1)) + 1,) + (1,) * (d - 1)
 
     inner = 2.0 ** (-k * d)

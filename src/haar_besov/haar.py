@@ -114,7 +114,7 @@ def haar_function(idx: HaarIndex) -> SparseStepFunction:
     """The Haar function as a sparse step function with unit atoms."""
     if idx.level == 0:
         atoms = [SparseAtom(DyadicCube.root(idx.d), 1, 0.0)]
-        return SparseStepFunction(idx.d, atoms, atoms_disjoint=True)
+        return SparseStepFunction(idx.d, atoms)
     d = idx.d
     atoms = []
     for bits_int in range(1 << d):
@@ -122,7 +122,7 @@ def haar_function(idx: HaarIndex) -> SparseStepFunction:
         atoms.append(
             SparseAtom(idx.parent.child(bits), _pattern_sign(idx.pattern, bits_int), 0.0)
         )
-    return SparseStepFunction(d, atoms, atoms_disjoint=True)
+    return SparseStepFunction(d, atoms)
 
 
 def _sign_matrix(d: int) -> np.ndarray:
@@ -458,16 +458,14 @@ def rank_one_project(f: DyadicStepFunction, n: Sequence[int]) -> DyadicStepFunct
     return DyadicStepFunction(f.d, top, lam * theta.values)
 
 
-def tensor_block_order(block: int, d: int = 2) -> list[tuple[int, int]]:
-    """Schauder ordering of tensor block ``block`` for d=2.
+def tensor_block_order(block: int) -> list[tuple[int, int]]:
+    """Schauder ordering of tensor block ``block`` (d = 2, the only explicit one).
 
     Block 0 is [(1, 1)].  Block b >= 1 lists first the indices with a new
     first factor {(2^k + i, n): i = 1..2^k, n = 1..2^(k+1)} and then those
     with a new second factor {(n, 2^k + i): i = 1..2^k, n = 1..2^k}, each
     lexicographic in (i, n), where k = b - 1.
     """
-    if d != 2:
-        raise ValueError("explicit tensor ordering is only defined for d = 2")
     if block < 0:
         raise ValueError("block must be nonnegative")
     if block == 0:

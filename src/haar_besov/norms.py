@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import product
 
 import numpy as np
@@ -344,6 +344,30 @@ def approximation_profile(f, p: float) -> ApproxProfile:
     return ApproxProfile(p, lp_quasinorm(f, p), e)
 
 
+def _raises_on_overflow(route: str):
+    """Make the decorated route raise a ``ValueError`` naming ``route`` when
+    its arithmetic overflows: numpy raises inside it, as Python's float
+    powers and ``math.fsum`` do, and a total that rounded to inf raises too.
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                with np.errstate(over="raise"):
+                    total = fn(*args, **kwargs)
+            except (OverflowError, FloatingPointError):
+                total = math.inf
+            if total == math.inf:
+                raise ValueError(f"the {route} overflows double range")
+            return total
+
+        return run
+
+    return decorate
+
+
+@_raises_on_overflow("approximation-route sum")
 def a_norm_from_profile(profile: ApproxProfile, prm: BesovParams) -> float:
     if not prm.q_finite:
         raise ValueError("the approximation norm needs finite q")
@@ -384,14 +408,14 @@ def _offset_diff_ppow_sum(V: np.ndarray, offsets, p: float) -> float:
     return float(np.sum(np.abs(diff) ** p))
 
 
-def _difference_table(V: np.ndarray, p: float, nmax: int) -> np.ndarray:
-    """D[n] = _offset_diff_ppow_sum(V, n, p) for every |n|_inf <= nmax.
+def _difference_table(V: np.ndarray, p: float) -> np.ndarray:
+    """D[n] = _offset_diff_ppow_sum(V, n, p) for every |n|_inf <= len(V).
 
     The offset -n pairs the same cells as n with negated differences in the
     same order, so D[-n] == D[n] bit for bit: only the offsets after the
     centre in C order are summed, and reversing the flat table mirrors them.
     """
-    d = V.ndim
+    d, nmax = V.ndim, V.shape[0]
     table = np.zeros((2 * nmax + 1,) * d)
     flat = table.reshape(-1)
     centre = flat.size // 2
@@ -451,7 +475,13 @@ class ModulusTable:
 
     @cached_property
     def _table(self) -> np.ndarray:
-        return _difference_table(self.f.values, self.p, 1 << self.f.level)
+        return _difference_table(self.f.values, self.p)
+
+    def _box_ppow(self, half: int) -> float:
+        """omega^p over the shifts |n|_inf <= half cells: the table's box maximum."""
+        nmax = 1 << self.f.level
+        box = self._table[(slice(nmax - half, nmax + half + 1),) * self.f.d]
+        return float(box.max()) * self.f.cell_measure
 
     @cached_property
     def _near(self) -> dict[tuple[int, ...], float]:
@@ -466,9 +496,7 @@ class ModulusTable:
         if j not in self._scales:
             m = self.f.level
             if j <= m:
-                nmax, half = 1 << m, 1 << (m - j)
-                box = self._table[(slice(nmax - half, nmax + half + 1),) * self.f.d]
-                self._scales[j] = float(box.max()) * self.f.cell_measure
+                self._scales[j] = self._box_ppow(1 << (m - j))
             else:
                 phi = 2.0**-j / 2.0**-m
                 self._scales[j] = _corner_shift_max(self._near, phi, 2.0**-m, self.f.d)
@@ -477,6 +505,7 @@ class ModulusTable:
     def omega(self, j: int) -> float:
         return self.omega_ppow(j) ** (1.0 / self.p)
 
+    @_raises_on_overflow("modulus-route scale sum")
     def b_norm(self, prm: BesovParams) -> float:
         """Modulus-route quasi-norm reusing this table's cached values."""
         if not prm.q_finite:
@@ -511,17 +540,15 @@ def modulus(f: DyadicStepFunction, t: float, p: float) -> float:
     """First-order L_p modulus omega(t, f)_p for a grid-aligned bound t.
 
     t must be a positive multiple of the cell width 2^-m, at most 1; the
-    supremum is then exactly a maximum over integer grid shifts.
+    supremum is then exactly a maximum over integer grid shifts, read from
+    the box |n|_inf <= t 2^m of the same table as :class:`ModulusTable`.
     """
-    if not (p > 0) or math.isinf(p):
-        raise ValueError("p must be a positive finite exponent")
-    m = f.level
-    r = t * (1 << m)
+    table = ModulusTable(f, p)
+    r = t * (1 << f.level)
     n = round(r)
     if not (0.0 < t <= 1.0) or n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
         raise ValueError("t must be a multiple of the cell width in (0, 1]")
-    table = _difference_table(f.values, p, n)
-    return (float(table.max()) * f.cell_measure) ** (1.0 / p)
+    return table._box_ppow(n) ** (1.0 / p)
 
 
 def b_norm_modulus(f, prm: BesovParams) -> float:
@@ -541,6 +568,7 @@ def b_norm_modulus(f, prm: BesovParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_raises_on_overflow("square-function sum")
 def square_function_norm(f, p: float) -> float:
     """L_p norm of (sum_h lambda_h^2 1_{supp h})^{1/2}, scaling term included.
 
@@ -559,6 +587,7 @@ def square_function_norm(f, p: float) -> float:
     return lp_quasinorm(DyadicStepFunction(f.d, f.level, np.sqrt(acc)), p)
 
 
+@_raises_on_overflow("b0221 sum")
 def b0_221_weighted_sum(f) -> float:
     """(sum_k sum_{h in block k} (k+1) mu(supp h) lambda_h^2)^{1/2}."""
     f = densify(f)

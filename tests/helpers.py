@@ -154,6 +154,17 @@ def random_sparse(rng, d, n_atoms, max_level=4):
     return hb.SparseStepFunction.from_terms(d, terms)
 
 
+def nesting_free_oracle(atoms):
+    """True when no atom cube contains another, by pairwise ``contains``.
+
+    A cube contains itself, so a repeated cube counts as nesting.
+    """
+    cubes = [a.cube for a in atoms]
+    return not any(
+        a.contains(b) for i, a in enumerate(cubes) for j, b in enumerate(cubes) if i != j
+    )
+
+
 def direction_difference_sums(values, p):
     """{n: sum over valid cells of |V[i + n] - V[i]|^p} for n in {-1,0,1}^d minus 0."""
     V = np.asarray(values, dtype=float)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import haar_besov as hb
 from haar_besov.dyadic import logsumexp2, signed_log2_sum, stable_sum
 
-from helpers import random_sparse
+from helpers import nesting_free_oracle, random_sparse
 
 
 def cube(d, level, *idx):
@@ -110,7 +110,8 @@ class TestLpQuasinorm:
             hb.SparseAtom(cube(1, 2000, 0), 1, 2000.0),
             hb.SparseAtom(cube(1, 3000, 1 << 2999), 1, 3000.0),
         ]
-        f = hb.SparseStepFunction(1, atoms, atoms_disjoint=True)
+        f = hb.SparseStepFunction(1, atoms)
+        assert f.nesting_free
         # each term: 2^{-level} * (2^{level})^p -> 2^{level(p-1)}
         p = 0.5
         expected = (2.0 ** (2000 * (p - 1)) + 2.0 ** (3000 * (p - 1))) ** (1 / p)
@@ -120,12 +121,33 @@ class TestLpQuasinorm:
         # a norm of 2^1960 has no double: the error names it, as the atom's
         # value names the atom
         atom = hb.SparseAtom(cube(1, 20, 3), 1, 2000.0)
-        f = hb.SparseStepFunction(1, [atom], atoms_disjoint=True)
+        f = hb.SparseStepFunction(1, [atom])
         with pytest.raises(ValueError, match=r"2\*\*1960\.0, beyond double range"):
             hb.lp_quasinorm(f, 0.5)
         with pytest.raises(ValueError, match=r"level 20, index \(3,\) has log2 magnitude 2000\.0"):
             atom.value
         assert hb.SparseAtom(cube(1, 20, 3), -1, 1023.0).value == -(2.0**1023)
+
+    def test_nesting_p_powers_beyond_double_range_raise_value_error(self):
+        # the histogram path sums |value|^p in doubles: 2^2000 has no double,
+        # though the norm (about 2^999) does; the error names the norm's log2
+        atoms = [
+            hb.SparseAtom(cube(1, 2, 0), 1, 1000.0),
+            hb.SparseAtom(cube(1, 20, 0), 1, 1000.0),
+        ]
+        f = hb.SparseStepFunction(1, atoms)
+        assert not f.nesting_free
+        with pytest.raises(ValueError, match=r"L_2\.0 norm is 2\*\*999\.0.*beyond double range"):
+            hb.lp_quasinorm(f, 2.0)
+        assert hb.lp_quasinorm(f, 0.5) == pytest.approx(
+            2.0 ** (1000 - 2 * 2) * (1 + 2.0 ** (2 - 20) * (2**0.5 - 1)) ** 2, rel=1e-12
+        )
+
+    def test_dense_p_powers_beyond_double_range_raise_value_error(self):
+        f = hb.DyadicStepFunction(1, 2, [1e300, -1e300, 1e300, -1e300])
+        with pytest.raises(ValueError, match=r"L_2\.0 norm is 2\*\*996\.57.*beyond double range"):
+            hb.lp_quasinorm(f, 2.0)
+        assert hb.lp_quasinorm(f, 0.5) == pytest.approx(1e300, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0, 1.5, 2.0])
     def test_refinement_invariance(self, p):
@@ -182,6 +204,73 @@ class TestAverageProject:
             assert block == pytest.approx(2.0 ** (spec.k * spec.d) * i**-0.5, rel=1e-12)
         # cells outside the marked set stay zero
         assert np.count_nonzero(out.values) == spec.n_atoms
+
+    def test_average_beyond_double_range_raises_value_error(self):
+        f = hb.SparseStepFunction(1, [hb.SparseAtom(cube(1, 20, 3), 1, 2000.0)])
+        with pytest.raises(ValueError, match=r"level 20, index \(3,\) averages to 2\*\*1985\.0"):
+            hb.average_project(f, 5)
+        # the same average a double can hold
+        g = hb.SparseStepFunction(1, [hb.SparseAtom(cube(1, 20, 3), -1, 1000.0)])
+        out = hb.average_project(g, 5)
+        assert out.values[0] == -(2.0**985) and np.count_nonzero(out.values) == 1
+
+
+class TestNestingFree:
+    """``nesting_free`` is computed from the atoms' (level, index) keys and
+    must agree with a pairwise ``DyadicCube.contains`` check."""
+
+    @staticmethod
+    def _check(f):
+        expect = nesting_free_oracle(f.atoms)
+        assert f.nesting_free == expect
+        back = hb.function_from_json(hb.function_to_json(f))
+        assert back.nesting_free == expect
+        return expect
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_sparse(self, d):
+        rng = np.random.default_rng(70 + d)
+        seen = set()
+        for n in range(1, 40):
+            f = random_sparse(rng, d, 1 + n % 9, max_level=6 if d < 3 else 4)
+            seen.add(self._check(f))
+            # the same atoms with one cube repeated nest
+            dup = hb.SparseStepFunction(d, f.atoms + f.atoms[-1:])
+            assert self._check(dup) is False
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nested_chains(self, d):
+        rng = np.random.default_rng(80 + d)
+        assert self._check(hb.nested_family(hb.NestedSpec(d, 0))) is True
+        for m in (1, 2, 5):
+            chain = [hb.DyadicCube.root(d)]
+            for _ in range(m):
+                chain.append(chain[-1].child(tuple(int(b) for b in rng.integers(0, 2, d))))
+            spec = hb.NestedSpec(d, m, chain=tuple(chain))
+            assert self._check(hb.nested_family(spec)) is False
+            # one nonzero coefficient leaves one atom, which nests with nothing
+            alone = hb.NestedSpec(d, m, rule=(0.0,) * m + (3.0,), chain=tuple(chain))
+            assert self._check(hb.nested_family(alone)) is True
+
+    def test_family_generators(self):
+        fs = [hb.spike_pair(m, d).f for d in (1, 2) for m in (0, 3, 7)]
+        fs += [hb.scattered(hb.ScatteredSpec(k, 1, 0.5)) for k in range(1, 8)]
+        fs += [hb.scattered(hb.ScatteredSpec(k, 2, 0.5)) for k in range(1, 4)]
+        fs += [
+            hb.tensor_spike_pair(k, d, hb.BesovParams(0.5, 1.0, 1.0, d)).f
+            for k, d in [(1, 2), (4, 2), (2, 3)]
+        ]
+        for f in fs:
+            assert self._check(f) is True
+        for k in range(3):
+            assert self._check(hb.spike_pair(4, 1).g(k)) is (k == 0)
+
+    def test_haar_functions(self):
+        for d in (1, 2, 3):
+            for k in range(3):
+                for idx in hb.level_indices(d, k):
+                    assert self._check(hb.haar_function(idx)) is True
 
 
 class TestValueHistogram:

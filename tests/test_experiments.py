@@ -299,6 +299,46 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "routes,name",
+        [
+            ([], "approximation-route sum"),  # the default routes, lp and a
+            (["modulus"], "modulus-route scale sum"),
+            (["square"], "square-function sum"),
+            (["b0221"], "b0221 sum"),
+        ],
+    )
+    def test_route_total_beyond_double_range_exits_one(
+        self, routes, name, tmp_path, capsys
+    ):
+        fpath = tmp_path / "big.json"
+        fpath.write_text(json.dumps({"d": 1, "m": 2, "values": [1e300, -1e300] * 2}))
+        args = ["norm", "--input", str(fpath), "--p", "0.5", "--q", "0.05", "--s", "0"]
+        for route in routes:
+            args += ["--route", route]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: the {name} overflows double range\n"
+
+    def test_lqlp_and_nesting_lp_beyond_double_range_exit_one(self, tmp_path, capsys):
+        # 128 finest coefficients of 1e300 at p = 0.25: the lqlp norm is
+        # 2^{-0.08} 2^28 1e300, past the largest double
+        fpath = tmp_path / "fine.json"
+        fpath.write_text(json.dumps({"d": 1, "m": 8, "values": [1e300, -1e300] * 128}))
+        args = ["norm", "--input", str(fpath), "--p", "0.25", "--q", "1", "--s", "3.99"]
+        assert cli_main(args + ["--route", "lqlp"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the lqlp norm overflows double range\n"
+        # two nesting atoms: |value|^2 overflows, the L_2 norm is about 2^999
+        atoms = [
+            {"level": lev, "index": [0], "sign": 1, "log2mag": 1000.0} for lev in (2, 20)
+        ]
+        fpath.write_text(json.dumps({"kind": "sparse", "d": 1, "atoms": atoms}))
+        args = ["norm", "--input", str(fpath), "--p", "2", "--route", "lp"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the L_2.0 norm is 2**999.0") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "flags,field", [(["--samples", "0"], "samples"), (["--m", "0"], "m_hi")]
     )
     def test_empty_experiment_range_exits_one(self, flags, field, capsys):

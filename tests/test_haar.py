@@ -324,7 +324,3 @@ class TestTensorBlockOrder:
         for b in range(4):
             for n in hb.tensor_block_order(b):
                 assert hb.tensor_block_level(n) == b
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            hb.tensor_block_order(1, d=3)

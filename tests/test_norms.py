@@ -568,7 +568,7 @@ class TestModulus:
         r = np.random.default_rng(55 + d)
         V = r.normal(size=(1 << m,) * d)
         nmax = 1 << m
-        table = _difference_table(V, p, nmax)
+        table = _difference_table(V, p)
         assert np.array_equal(table, np.flip(table))
         for pos in np.ndindex(table.shape):
             n = tuple(o - nmax for o in pos)
@@ -583,6 +583,22 @@ class TestModulus:
         tab = ModulusTable(f, p)
         for j in range(m + 1):
             assert hb.modulus(f, 2.0**-j, p) == tab.omega(j), j
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("d,m", [(1, 4), (2, 3)])
+    def test_modulus_at_every_multiple_is_offset_maximum(self, d, m, p):
+        # t = n 2^-m for every n, dyadic or not: the largest difference sum
+        # over the integer offsets |n'|_inf <= n, summed offset by offset
+        r = np.random.default_rng(57 + d)
+        V = r.normal(size=(1 << m,) * d)
+        f = hb.DyadicStepFunction(d, m, V)
+        for n in range(1, (1 << m) + 1):
+            best = max(
+                _offset_diff_ppow_sum(V, off, p)
+                for off in itertools.product(range(-n, n + 1), repeat=d)
+            )
+            expect = (best * f.cell_measure) ** (1.0 / p)
+            assert hb.modulus(f, n / (1 << m), p) == expect, n
 
 
     @settings(max_examples=40)
@@ -613,8 +629,8 @@ class TestModulus:
         d, m = grid
         axis %= d
         V = np.random.default_rng(seed).normal(size=(1 << m,) * d)
-        table = _difference_table(V, p, 1 << m)
-        flipped = _difference_table(np.flip(V, axis), p, 1 << m)
+        table = _difference_table(V, p)
+        flipped = _difference_table(np.flip(V, axis), p)
         np.testing.assert_allclose(flipped, np.flip(table, axis), rtol=1e-12, atol=0)
         if d == 1:
             np.testing.assert_allclose(flipped, table, rtol=1e-12, atol=0)
@@ -750,3 +766,32 @@ class TestWeightedCoefficientSum:
             f = hb.DyadicStepFunction(1, 4, r.uniform(-1, 1, 16))
             ratios.append(hb.b0_221_weighted_sum(f) / hb.a_norm(f, prm))
         assert max(ratios) / min(ratios) <= 10.0
+
+
+class TestRoutesBeyondDoubleRange:
+    """Finite cells whose route totals leave double range raise a ValueError
+    naming the route; the same cells scaled down give the scaled norms."""
+
+    CELLS = [1e300, -1e300, 1e300, -1e300]
+
+    @pytest.mark.parametrize("q", [0.05, 2.0])
+    def test_a_and_modulus_routes(self, q):
+        # q = 0.05 overflows in the final power, q = 2 already in ||f||_p^q
+        f = hb.DyadicStepFunction(1, 2, self.CELLS)
+        prm = hb.BesovParams(0.5, q, 0.0, 1)
+        with pytest.raises(ValueError, match="approximation-route sum overflows double range"):
+            hb.a_norm(f, prm)
+        with pytest.raises(ValueError, match="modulus-route scale sum overflows double range"):
+            hb.b_norm_modulus(f, prm)
+        small = hb.DyadicStepFunction(1, 2, np.array(self.CELLS) * 1e-300)
+        assert math.isfinite(hb.a_norm(small, prm))
+        assert math.isfinite(hb.b_norm_modulus(small, prm))
+
+    def test_square_function_and_b0221(self):
+        f = hb.DyadicStepFunction(1, 2, self.CELLS)
+        with pytest.raises(ValueError, match="square-function sum overflows double range"):
+            hb.square_function_norm(f, 0.5)
+        with pytest.raises(ValueError, match="b0221 sum overflows double range"):
+            hb.b0_221_weighted_sum(f)
+        small = hb.DyadicStepFunction(1, 2, np.array(self.CELLS) * 1e-300)
+        assert hb.square_function_norm(small, 0.5) == pytest.approx(1.0, rel=1e-12)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import haar_besov as hb
-from haar_besov.sequences import CoefficientBlockView
 
 
 class TestLqLpNorm:
@@ -114,27 +113,56 @@ class TestCriticalLineFailure:
         assert slope > 0.05
 
 
-class TestBlockView:
-    def test_block_length_validation(self):
-        with pytest.raises(ValueError):
-            CoefficientBlockView(1, [np.zeros(2)])  # level 0 must hold 1 entry
-        CoefficientBlockView(2, [np.zeros(1), np.zeros(3), np.zeros(12)])
+class TestLog2Domain:
+    @staticmethod
+    def _levels_at_1e300(levels):
+        # levels 1..K each full of coefficients 1e300 (about 2^996.6)
+        c = hb.HaarCoefficients.zeros(1, levels)
+        for b in c.blocks:
+            b[...] = 1e300
+        return c
 
-    def test_log_domain_blocks_beyond_double_range(self):
-        # per-level log2 magnitudes around 2^{5000}: the log2 entry point
-        # stays finite while the plain value saturates to inf
-        view = CoefficientBlockView(1, [np.array([-math.inf]), np.array([5000.0])])
-        prm = hb.BesovParams(0.5, 1.0, 1.5, 1)
-        lg = hb.lqlp_norm_log2(view, prm)
-        assert lg == pytest.approx(1 * (1.5 - 1 / 0.5) + 5000.0, rel=1e-9)
-        assert hb.lqlp_norm(view, prm) == math.inf
+    def test_norm_beyond_double_range_raises_value_error(self):
+        # every level near 2^997 and q = 0.05: the l_q sum of four
+        # comparable levels lift the norm by about 4^20 = 2^40; its log2
+        # stays exact and its value raises
+        c = self._levels_at_1e300(4)
+        prm = hb.BesovParams(1.0, 0.05, 0.9, 1)
+        lg = hb.lqlp_norm_log2(c, prm)
+        inner = [(k - 1) + k * (0.9 - 1) + math.log2(1e300) for k in range(1, 5)]
+        expect = math.log2(math.fsum(2.0 ** (0.05 * (x - 996)) for x in inner)) / 0.05 + 996
+        assert lg == pytest.approx(expect, rel=1e-12) and lg > 1024
+        with pytest.raises(ValueError, match="the lqlp norm overflows double range"):
+            hb.lqlp_norm(c, prm)
+        # one level holds a double
+        assert hb.lqlp_norm(self._levels_at_1e300(1), prm) == pytest.approx(
+            2.0**-0.1 * 1e300, rel=1e-12
+        )
 
-    def test_view_matches_coefficients(self):
+    def test_sup_beyond_double_range_raises_value_error(self):
+        c = self._levels_at_1e300(3)
+        # level k is 2^{9k} 2^{k-1} 1e300: a double up to k = 2
+        prm = hb.BesovParams(1.0, hb.INF, 10.0, 1)
+        with pytest.raises(ValueError, match="the linflp norm overflows double range"):
+            hb.linf_lp_norm(c, prm)
+
+    def test_levels_match_direct_sums(self):
         r = np.random.default_rng(8)
         f = hb.DyadicStepFunction(2, 3, r.normal(size=(8, 8)))
         c = hb.analyze(f)
-        view = CoefficientBlockView.from_coefficients(c)
-        prm = hb.BesovParams(1.2, 0.7, 0.4, 2)
-        assert hb.lqlp_norm(view, prm) == pytest.approx(
-            hb.lqlp_norm(c, prm), rel=1e-12
+        p, q, s = 1.2, 0.7, 0.4
+        terms = [abs(c.scaling) ** q]
+        for k in range(1, 4):
+            inner = 2.0 ** (k * (s * p - 2)) * np.sum(np.abs(c.blocks[k - 1]) ** p)
+            terms.append(inner ** (q / p))
+        expect = math.fsum(terms) ** (1.0 / q)
+        assert hb.lqlp_norm(c, hb.BesovParams(p, q, s, 2)) == pytest.approx(
+            expect, rel=1e-12
         )
+
+    def test_rejects_other_inputs(self):
+        # the norms take HaarCoefficients, whose blocks are shape-checked
+        with pytest.raises(ValueError, match="block 1 has shape"):
+            hb.HaarCoefficients(1, 1, 0.0, [np.zeros(2)])
+        with pytest.raises(TypeError):
+            hb.lqlp_norm([np.zeros(1)], hb.BesovParams(1.0, 1.0, 0.5, 1))
