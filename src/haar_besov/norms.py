@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
-from itertools import product
+from functools import cached_property, lru_cache, wraps
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -105,8 +105,10 @@ class BesovParams:
 # ---------------------------------------------------------------------------
 
 
-#: Group counts of the pruning stages in :func:`_enum_best`; up to the first
-#: one, every candidate is enumerated directly.
+#: Distinct values up to which :func:`_enum_best` evaluates every candidate
+#: directly; below about this many, bounding them costs more than it saves.
+_ENUM_DIRECT = 128
+#: Group counts of the pruning stages in :func:`_enum_best`.
 _PRUNE_GROUPS = (64, 512)
 #: Cells per block of candidate rows (sizes the temporaries, not the bits:
 #: every row is summed on its own).
@@ -124,7 +126,7 @@ def _enum_best(v: np.ndarray, w: np.ndarray, p: float) -> tuple[int, float]:
     """First minimizer i of e_i = sum_j w_j |v_i - v_j|^p and its error e_i.
 
     ``v`` must be strictly increasing and finite, ``w`` positive and finite.
-    Up to ``_PRUNE_GROUPS[0]`` values every row is evaluated.  Above it a
+    Up to ``_ENUM_DIRECT`` values every row is evaluated.  Above it a
     branch-and-bound keeps the same answer bit for bit: an upper bound U is
     the computed error of the few candidates around the weighted median;
     for G consecutive groups of values (total weight W_g, range
@@ -149,7 +151,7 @@ def _enum_best(v: np.ndarray, w: np.ndarray, p: float) -> tuple[int, float]:
     rounds upwards only, and U = inf drops nothing.
     """
     n = v.size
-    if n <= _PRUNE_GROUPS[0]:
+    if n <= _ENUM_DIRECT:
         errs = _enum_errs(v, w, p, slice(None))
         j = int(errs.argmin())
         return j, float(errs[j])
@@ -198,7 +200,7 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
     Returns (minimizer, minimal p-th power error).  For p <= 1 the objective
     is concave between data values, so the minimum sits on a data value:
     :func:`_enum_best` finds the first minimizing value, pruning candidates
-    by certified bounds above 64 values, and the error is recomputed there
+    by certified bounds above 128 values, and the error is recomputed there
     with ``fsum``.  p = 1 uses the weighted median, p = 2 the weighted mean,
     and other p > 1 a monotone-derivative bisection.  Ties resolve to the
     smallest minimizing value.
@@ -244,7 +246,7 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
     equal values has error exactly 0.0, so the work scales with the rows on
     which the values vary.  Rows of 256 cells or more go one by one through
     :func:`_enum_best` on their distinct values weighted by counts, which
-    prunes candidates by certified bounds above 64 distinct values; shorter
+    prunes candidates by certified bounds above 128 distinct values; shorter
     rows are enumerated together in chunks, O(cells^2) per row.
     """
     ncubes, nvals = rows.shape
@@ -394,63 +396,98 @@ def a_norm(f, prm: BesovParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _offset_diff_ppow_sum(V: np.ndarray, offsets, p: float) -> float:
-    """sum over valid cells of |V[i + offsets] - V[i]|^p (unit weights)."""
-    size = V.shape[0]
-    src, dst = [], []
-    for nj in offsets:
-        lo, hi = max(0, -nj), size - max(0, nj)
-        if hi <= lo:
-            return 0.0
-        src.append(slice(lo, hi))
-        dst.append(slice(lo + nj, hi + nj))
-    diff = V[tuple(dst)] - V[tuple(src)]
-    return float(np.sum(np.abs(diff) ** p))
+@lru_cache(maxsize=16)
+def _leading_pairs(d: int, size: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Leading-axis cell pairs of the offsets from the centre on, in C order.
+
+    Rows index the grid reshaped to (size^(d-1), size).  For each leading
+    offset n' = (n_0, ..., n_{d-2}) from the centre to the end of C order, the
+    valid leading cells i (i and i + n' both in the grid) give the rows
+    dst = i + n' and src = i, in C order of i.  Returns dst, src and the
+    start of each offset's run of pairs, with the end appended.  The pairs
+    number N^{2(d-1)} over all offsets, so a cache of them stays small.
+    """
+    rows = np.arange(size ** (d - 1)).reshape((size,) * (d - 1))
+    offsets = list(product(range(-size, size + 1), repeat=d - 1))
+    dst, src = [], []
+    for n in offsets[len(offsets) // 2 :]:
+        dst.append(rows[tuple(slice(max(0, k), size + min(0, k)) for k in n)].ravel())
+        src.append(rows[tuple(slice(max(0, -k), size - max(0, k)) for k in n)].ravel())
+    starts = list(accumulate((r.size for r in src), initial=0))
+    return np.concatenate(dst), np.concatenate(src), starts
 
 
 def _difference_table(V: np.ndarray, p: float) -> np.ndarray:
-    """D[n] = _offset_diff_ppow_sum(V, n, p) for every |n|_inf <= len(V).
+    """D[n] = sum over valid cells i of |V[i + n] - V[i]|^p, |n|_inf <= len(V).
 
     The offset -n pairs the same cells as n with negated differences in the
     same order, so D[-n] == D[n] bit for bit: only the offsets after the
     centre in C order are summed, and reversing the flat table mirrors them.
+    They are built one last-axis offset b at a time: the p-th powers of every
+    leading offset's cell pairs come from one expression, and each offset's
+    run of them, contiguous and in the C order of its cells, is reduced on
+    its own, so every entry is the pairwise sum of the offset's own
+    difference array, with the same length and order.
     """
-    d, nmax = V.ndim, V.shape[0]
-    table = np.zeros((2 * nmax + 1,) * d)
+    d, size = V.ndim, V.shape[0]
+    width = 2 * size + 1
+    table = np.zeros((width,) * d)
+    rows = table.reshape(-1, width)  # leading offset by last-axis offset
+    centre = rows.shape[0] // 2
+    dst, src, starts = _leading_pairs(d, size)
+    grid = V.reshape(-1, size)
+    ahead, behind = grid.take(dst, axis=0), grid.take(src, axis=0)
+    for b in range(1 - size, size):  # |b| = size pairs no cells: D = 0
+        first = 0 if b > 0 else 1  # the centre's own run lies after it for b > 0
+        if first == len(starts) - 1:
+            continue  # d = 1: the centre is the only leading offset
+        lo, hi = max(0, -b), size - max(0, b)
+        top = starts[first]
+        ppow = np.abs(ahead[top:, lo + b : hi + b] - behind[top:, lo:hi]) ** p
+        flat = ppow.reshape(-1)
+        ends = [(s - top) * (hi - lo) for s in starts[first:]]
+        for k, (i, j) in enumerate(zip(ends, ends[1:]), start=first):
+            rows[centre + k, size + b] = np.add.reduce(flat[i:j])
     flat = table.reshape(-1)
-    centre = flat.size // 2
-    for i, n in enumerate(product(range(-nmax, nmax + 1), repeat=d)):
-        if i > centre:
-            flat[i] = _offset_diff_ppow_sum(V, n, p)
-    flat[:centre] = flat[:centre:-1]
+    half = flat.size // 2
+    flat[:half] = flat[:half:-1]
     return table
 
 
-def _corner_shift_max(near: dict, phi: float, delta: float, d: int) -> float:
-    """Largest p-power difference integral over the corner shifts {-t, 0, t}^d.
+#: Sub-cell scale levels that :meth:`ModulusTable.omega_ppow` evaluates per call.
+_SCALE_BLOCK = 128
+
+
+def _corner_shift_max(near: dict, levels: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Largest p-power difference integral over the corner shifts {-t, 0, t}^d,
+    for t = 2^-j at every level j > m in ``levels``.
 
     With t = phi * delta below the cell width delta, a cell shifted by t on
     one axis overlaps offsets 0 and 1 for 1 - phi and phi of a cell, and one
     shifted by -t offsets -1 and 0 for 1 - (1 - phi) and 1 - phi (as the
     floor split of -phi rounds them).  Each corner is the weighted sum of the
     table's entries ``near`` over its offset combinations, weights multiplied
-    in axis order and zero weights skipped.  The zero shift is among the
+    in axis order, terms added in combination order and zero weights
+    skipped, elementwise over the levels.  The zero shift is among the
     corners; it gives D[0] = 0 and moves no maximum.
     """
+    delta = 2.0**-m
+    phi = np.ldexp(1.0, -levels) / delta
     rows = (
         ((-1, (1.0 - (1.0 - phi)) * delta), (0, (1.0 - phi) * delta)),
         ((0, delta),),
         ((0, (1.0 - phi) * delta), (1, phi * delta)),
     )
-    best = 0.0
+    best = np.zeros(phi.shape)
     for corner in product(rows, repeat=d):
-        total = 0.0
+        total = np.zeros(phi.shape)
         for combo in product(*corner):
             offsets, weights = zip(*combo)
             weight = math.prod(weights)
-            if weight > 0.0:
-                total += weight * near[offsets]
-        best = max(best, total)
+            # a skipped term is +0.0, which leaves the nonnegative total as it is
+            term = np.zeros(phi.shape)
+            total += np.multiply(weight, near[offsets], out=term, where=weight > 0.0)
+        best = np.maximum(best, total)
     return best
 
 
@@ -463,7 +500,10 @@ class ModulusTable:
     width that is a box maximum over the integer-offset difference table D;
     below it, a maximum over the 3^d - 1 corner shifts, each a weighted sum
     of the table's entries on {-1, 0, 1}^d, evaluated exactly.  Both kinds of
-    scale are cached in one dict by j.
+    scale are cached in one dict by j; the sub-cell levels are evaluated in
+    blocks of ``_SCALE_BLOCK`` consecutive levels from m + 1, a block at its
+    first read, in one vectorised call that gives each level the value of
+    its own scalar sum.
     """
 
     def __init__(self, f: DyadicStepFunction, p: float):
@@ -498,8 +538,10 @@ class ModulusTable:
             if j <= m:
                 self._scales[j] = self._box_ppow(1 << (m - j))
             else:
-                phi = 2.0**-j / 2.0**-m
-                self._scales[j] = _corner_shift_max(self._near, phi, 2.0**-m, self.f.d)
+                start = j - (j - m - 1) % _SCALE_BLOCK  # blocks m+1.., m+129.., ...
+                levels = np.arange(start, start + _SCALE_BLOCK)
+                scales = _corner_shift_max(self._near, levels, m, self.f.d)
+                self._scales.update(zip(levels.tolist(), scales.tolist()))
         return self._scales[j]
 
     def omega(self, j: int) -> float:
@@ -554,10 +596,12 @@ def modulus(f: DyadicStepFunction, t: float, p: float) -> float:
 def b_norm_modulus(f, prm: BesovParams) -> float:
     """Modulus-route quasi-norm with the scale integral discretized dyadically.
 
-    (||f||_p^q + sum_j (2^{js} omega(2^-j, f)_p)^q)^{1/q}; scales below the
-    grid are evaluated exactly via fractional shifts, as weighted sums of the
-    difference table's entries on the offsets {-1, 0, 1}^d, and the sum stops
-    once three consecutive terms drop below 1e-9 of the running total.
+    (||f||_p^q + sum_j (2^{js} omega(2^-j, f)_p)^q)^{1/q}; scales at or above
+    the cell width are box maxima of the integer-offset difference table,
+    built one last-axis offset at a time; scales below the grid are evaluated
+    exactly via fractional shifts, as weighted sums of the table's entries on
+    the offsets {-1, 0, 1}^d, in blocks of levels; and the sum stops once
+    three consecutive terms drop below 1e-9 of the running total.
     """
     f = densify(f)
     return ModulusTable(f, prm.p).b_norm(prm)

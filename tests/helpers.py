@@ -3,11 +3,12 @@
 The oracles are deliberately independent of the library's computational
 paths: best constants come from candidate grids or, for p < 1, from the
 full enumeration of every candidate's error, coefficients from direct
-quadrature, projections and errors from densified arrays, shift differences
-from sliced cell values (for any real shift, as weighted sums of the
-library's own integer-offset sums, so that comparison is bit for bit),
-sparse errors from a rescan of every atom per cube, random words one
-xoshiro step at a time.
+quadrature, projections and errors from densified arrays, difference-table
+entries one offset at a time from sliced cell values, shift differences for
+any real shift as weighted sums of those entries, sub-cell scales one level
+at a time in Python floats (both so that comparison is bit for bit), sparse
+errors from a rescan of every atom per cube, random words one xoshiro step
+at a time.
 The clauses at the end are the acceptance checks for the norm equivalences
 (criteria 6 and 7) and the projector growth (criterion 10), kept here so
 their negative controls test the same code.
@@ -20,7 +21,7 @@ import numpy as np
 
 import haar_besov as hb
 from haar_besov.experiments import fit_log2_slope
-from haar_besov.norms import ApproxProfile, _offset_diff_ppow_sum, a_norm_from_profile
+from haar_besov.norms import ApproxProfile, a_norm_from_profile
 from haar_besov.rng import RandomStream
 
 
@@ -178,6 +179,51 @@ def direction_difference_sums(values, p):
     return out
 
 
+def offset_diff_ppow_sum(V, offsets, p):
+    """sum over valid cells of |V[i + offsets] - V[i]|^p (unit weights).
+
+    One offset at a time, as one difference array summed by ``np.sum``: the
+    oracle for every entry of the library's difference table.
+    """
+    size = V.shape[0]
+    src, dst = [], []
+    for nj in offsets:
+        lo, hi = max(0, -nj), size - max(0, nj)
+        if hi <= lo:
+            return 0.0
+        src.append(slice(lo, hi))
+        dst.append(slice(lo + nj, hi + nj))
+    diff = V[tuple(dst)] - V[tuple(src)]
+    return float(np.sum(np.abs(diff) ** p))
+
+
+def corner_shift_max(near, phi, delta, d):
+    """One sub-cell scale: the largest corner-shift sum for t = phi * delta.
+
+    The corner weights of a shift by t, -t or 0 per axis (offsets 0 and 1
+    for 1 - phi and phi of a cell, -1 and 0 for 1 - (1 - phi) and 1 - phi),
+    multiplied in axis order and summed over the offset combinations of
+    every corner of {-t, 0, t}^d with zero weights skipped, one Python float
+    at a time: the oracle for the library's scales evaluated over blocks of
+    levels.
+    """
+    rows = (
+        ((-1, (1.0 - (1.0 - phi)) * delta), (0, (1.0 - phi) * delta)),
+        ((0, delta),),
+        ((0, (1.0 - phi) * delta), (1, phi * delta)),
+    )
+    best = 0.0
+    for corner in product(rows, repeat=d):
+        total = 0.0
+        for combo in product(*corner):
+            offsets, weights = zip(*combo)
+            weight = math.prod(weights)
+            if weight > 0.0:
+                total += weight * near[offsets]
+        best = max(best, total)
+    return best
+
+
 def shift_difference_ppow(f, y, p):
     """Exact integral of |f(x+y) - f(x)|^p over {x : x, x+y in [0,1)^d}.
 
@@ -200,7 +246,7 @@ def shift_difference_ppow(f, y, p):
         offsets, weights = zip(*combo)
         weight = math.prod(weights)
         if weight > 0.0:
-            total += weight * _offset_diff_ppow_sum(f.values, offsets, p)
+            total += weight * offset_diff_ppow_sum(f.values, offsets, p)
     return total
 
 

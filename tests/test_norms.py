@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
+from haar_besov.experiments import random_step
 from haar_besov.norms import (
     _PRUNE_GROUPS,
     ModulusTable,
     _difference_table,
     _enum_best,
-    _offset_diff_ppow_sum,
     _row_best_err_ppow,
 )
 
@@ -21,8 +22,10 @@ from helpers import (
     a_norm_grid,
     approx_error_grid,
     approx_error_sparse_rescan,
+    corner_shift_max,
     enum_best_oracle,
     grid_best_constant_err,
+    offset_diff_ppow_sum,
     random_sparse,
     row_best_err_oracle,
     shift_difference_ppow,
@@ -155,8 +158,9 @@ def _hard_candidates(n, seed):
     yield "underflow", u * 1e-300, w * 1e-20
 
 
-#: distinct-value counts on both sides of each pruning stage (64 and 512 groups)
-ENUM_SIZES = (2, 7, 63, 64, 65, 66, 70, 100, 129, 511, 512, 513, 1000)
+#: distinct-value counts on both sides of the direct enumeration's limit
+#: (128) and of each pruning stage (64 and 512 groups)
+ENUM_SIZES = (2, 7, 63, 64, 65, 66, 70, 100, 127, 128, 129, 130, 511, 512, 513, 1000)
 ENUM_PS = (0.05, 0.3, 0.8, 0.999)
 
 
@@ -175,7 +179,10 @@ class TestEnumBest:
 
     # (distinct values, cells per row): rows of 256 cells or more take the
     # per-row kernel on their distinct values, weighted by counts
-    @pytest.mark.parametrize("n, cells", [(64, 256), (65, 256), (200, 256), (700, 1024), (2048, 2048)])
+    @pytest.mark.parametrize(
+        "n, cells",
+        [(64, 256), (65, 256), (128, 256), (129, 256), (200, 256), (700, 1024), (2048, 2048)],
+    )
     def test_dense_rows_match_full_enumeration(self, n, cells):
         r = np.random.default_rng(n + cells)
         for kind, v, _ in _hard_candidates(n, seed=cells):
@@ -562,18 +569,38 @@ class TestModulus:
                         best = max(best, shift_difference_ppow(f, y, p))
                 assert tab.omega_ppow(j) == best, j
 
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("d,m", [(1, 4), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "d,m", [(1, 4), (2, 2), (3, 1), (1, 5), (2, 4), (2, 5), (3, 3)]
+    )
     def test_difference_table_is_symmetric(self, d, m, p):
+        # every entry equals its offset's own difference array summed by
+        # np.sum, on white noise and on a grid of few repeated values
         r = np.random.default_rng(55 + d)
-        V = r.normal(size=(1 << m,) * d)
         nmax = 1 << m
-        table = _difference_table(V, p)
-        assert np.array_equal(table, np.flip(table))
-        for pos in np.ndindex(table.shape):
-            n = tuple(o - nmax for o in pos)
-            expect = _offset_diff_ppow_sum(V, n, p) if any(n) else 0.0
-            assert table[pos] == expect, n
+        for V in (r.normal(size=(nmax,) * d), r.integers(-2, 3, size=(nmax,) * d) / 2.0):
+            table = _difference_table(V, p)
+            assert np.array_equal(table, np.flip(table))
+            for pos in np.ndindex(table.shape):
+                n = tuple(o - nmax for o in pos)
+                expect = offset_diff_ppow_sum(V, n, p) if any(n) else 0.0
+                assert table[pos] == expect, n
+
+    @pytest.mark.parametrize("p", [0.3, 0.8, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d,m", [(1, 3), (1, 5), (2, 2), (2, 4), (3, 1), (3, 2)])
+    def test_block_scales_equal_scalar_oracle(self, d, m, p):
+        # j - m runs past 53, where 1 - phi rounds to 1, and past 1074,
+        # where phi underflows to 0; one table reads the levels deepest
+        # first, so each of its blocks is filled from its last level's read
+        r = np.random.default_rng(58 + d)
+        f = hb.DyadicStepFunction(d, m, r.normal(size=(1 << m,) * d))
+        levels = range(m + 1, m + 1201)
+        up, down = ModulusTable(f, p), ModulusTable(f, p)
+        deepest_first = {j: down.omega_ppow(j) for j in levels[::-1]}
+        for j in levels:
+            phi = 2.0**-j / 2.0**-m
+            expect = corner_shift_max(up._near, phi, 2.0**-m, d)
+            assert (up.omega_ppow(j), deepest_first[j]) == (expect, expect), j
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("d,m", [(1, 4), (2, 3)])
@@ -594,7 +621,7 @@ class TestModulus:
         f = hb.DyadicStepFunction(d, m, V)
         for n in range(1, (1 << m) + 1):
             best = max(
-                _offset_diff_ppow_sum(V, off, p)
+                offset_diff_ppow_sum(V, off, p)
                 for off in itertools.product(range(-n, n + 1), repeat=d)
             )
             expect = (best * f.cell_measure) ** (1.0 / p)
@@ -638,6 +665,43 @@ class TestModulus:
         tab_flipped = ModulusTable(hb.DyadicStepFunction(d, m, np.flip(V, axis)), p)
         for j in range(m + 1):
             assert tab_flipped.omega(j) == pytest.approx(tab.omega(j), rel=1e-12)
+
+
+def modulus_fingerprint(d, m, seed, repeated):
+    """SHA-256 of the modulus route on one seeded grid, as float.hex text.
+
+    For each p: every difference-table entry, omega^p at j = 0..m+200 and
+    b_norm at three q, in that order.  ``repeated`` rounds the cells to
+    multiples of 1/2, so that many differences repeat or vanish.
+    """
+    V = random_step(seed, d, m).values
+    if repeated:
+        V = np.round(V * 2.0) / 2.0
+    f = hb.DyadicStepFunction(d, m, V)
+    h = hashlib.sha256()
+    for p in (0.3, 0.8, 1.0, 1.5, 2.0, 3.0):
+        tab = ModulusTable(f, p)
+        values = _difference_table(V, p).ravel().tolist()
+        values += [tab.omega_ppow(j) for j in range(m + 201)]
+        values += [tab.b_norm(hb.BesovParams(p, q, 0.4 / p, d)) for q in (0.5, 1.0, 2.0)]
+        h.update(" ".join(map(float.hex, values)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "d,m,seed,repeated,digest",
+    [
+        (1, 5, 11, False, "8d3776611e7e0d831e204d464445869ac2019fda955a749621c74109f51cf27f"),
+        (1, 4, 12, True, "1de86543a70b5078fb69bf0808e81eea653600da69c732b890db7c7245f73253"),
+        (2, 3, 21, False, "e1d56b9fbeec2ace063dbaf7d4af901f86f792df738b6d354cb5bcf9b04b4813"),
+        (2, 4, 22, True, "3a49f9d3dc56e0552ee401294427290e645965a247625830cd8ed171bc2002af"),
+        (3, 2, 31, False, "6225f53211239cc36d5ed966932c36e341eab9e77177e3883f7d17144896a7a7"),
+        (3, 2, 32, True, "c5318218736073e5ca8e3414b83d98d1a117af254b6d599d21af6bb561a13a0d"),
+    ],
+)
+def test_modulus_route_golden_digest(d, m, seed, repeated, digest):
+    # digests of the route as summed one offset and one level at a time
+    assert modulus_fingerprint(d, m, seed, repeated) == digest
 
 
 class TestBNormModulus:
