@@ -37,7 +37,6 @@ from .haar import (
     analyze,
     synthesize,
     tensor_analyze,
-    tensor_block_level,
     tensor_synthesize,
 )
 from .norms import (
@@ -206,13 +205,7 @@ def _cmd_transform(args) -> int:
             m = args.m if args.m is not None else c.max_level
             f = synthesize(c, m)
         else:
-            obj = json.loads(text)
-            level = max(
-                (tensor_block_level(rec["n"]) for rec in obj["entries"]), default=0
-            )
-            if args.m is not None:
-                level = max(level, args.m)
-            c = TensorHaarCoefficients.from_json(text, level)
+            c = TensorHaarCoefficients.from_json(text, args.m or 0)
             f = tensor_synthesize(c, args.m)
         _emit(function_to_json(f), args.out)
         return 0

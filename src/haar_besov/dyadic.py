@@ -244,7 +244,8 @@ class DyadicStepFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DyadicStepFunction":
-        return cls(int(obj["d"]), int(obj["m"]), obj["values"])
+        d, m = _json_field(obj, "d", int), _json_field(obj, "m", int)
+        return cls(d, m, _json_field(obj, "values", list))
 
     def __repr__(self):
         return f"DyadicStepFunction(d={self.d}, level={self.level})"
@@ -289,11 +290,12 @@ class SparseStepFunction:
     """Finite sum of coefficient * indicator atoms over dyadic cubes.
 
     Atom cubes may sit at distinct levels and may nest.  Two dyadic cubes
-    either nest or are disjoint, so whether the atoms nest follows from
-    their (level, index) keys: ``nesting_free`` computes it on first use.
+    either nest or are disjoint, so how the atoms nest follows from their
+    (level, index) keys: ``nesting_free`` and the value histograms read the
+    atoms' forest under containment, built once on first use.
     """
 
-    __slots__ = ("d", "atoms", "_nesting_free")
+    __slots__ = ("d", "atoms", "_forest")
 
     def __init__(self, d: int, atoms: Iterable[SparseAtom]):
         self.d = d
@@ -302,7 +304,7 @@ class SparseStepFunction:
             if a.cube.d != d:
                 raise ValueError("atom dimension mismatch")
         self.atoms = atoms
-        self._nesting_free = None
+        self._forest = None
 
     @classmethod
     def from_terms(cls, d: int, terms) -> "SparseStepFunction":
@@ -316,28 +318,14 @@ class SparseStepFunction:
     @property
     def nesting_free(self) -> bool:
         """True when no atom cube contains another (a repeated cube nests)."""
-        if self._nesting_free is None:
-            self._nesting_free = self._compute_nesting_free()
-        return self._nesting_free
+        forest = self._atom_forest()
+        return len(forest.keys) == len(self.atoms) and not any(forest.parent.values())
 
-    def _compute_nesting_free(self) -> bool:
-        """Level-ascending scan: each cube's ancestors at the levels seen so
-        far, and the cube itself, must not be keys seen before."""
-        seen: set[tuple] = set()
-        levels: list[int] = []
-        for a in sorted(self.atoms, key=lambda a: a.cube.level):
-            lev, idx = a.cube.level, a.cube.index
-            for up in levels:
-                if up == lev:
-                    break
-                if (up, tuple(i >> (lev - up) for i in idx)) in seen:
-                    return False
-            if (lev, idx) in seen:
-                return False
-            seen.add((lev, idx))
-            if not levels or levels[-1] != lev:
-                levels.append(lev)
-        return True
+    def _atom_forest(self) -> "_AtomForest":
+        """The atoms' (level, index) forest, built on first use."""
+        if self._forest is None:
+            self._forest = _AtomForest(self.atoms)
+        return self._forest
 
     def densify(self, m: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicStepFunction:
         """Evaluate the atom sum on the level-m grid (m >= every atom level)."""
@@ -367,14 +355,14 @@ class SparseStepFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SparseStepFunction":
-        d = int(obj["d"])
+        d = _json_field(obj, "d", int)
         atoms = [
             SparseAtom(
-                DyadicCube(d, int(rec["level"]), tuple(rec["index"])),
-                int(rec["sign"]),
-                float(rec["log2mag"]),
+                DyadicCube(d, _json_field(rec, "level", int), _json_field(rec, "index", tuple)),
+                _json_field(rec, "sign", int),
+                _json_field(rec, "log2mag", float),
             )
-            for rec in obj["atoms"]
+            for rec in _json_field(obj, "atoms", list)
         ]
         return cls(d, atoms)
 
@@ -393,8 +381,20 @@ def function_to_json(f) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _json_field(obj, name: str, kind):
+    """``kind(obj[name])``, or a ValueError naming a missing or malformed field."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"expected a JSON object with field {name!r}")
+    try:
+        return kind(obj[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"JSON field {name!r} is malformed: {exc}") from None
+
+
 def function_from_json(text: str):
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a step function is a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind", "dense" if "values" in obj else "sparse")
     if kind == "dense":
         return DyadicStepFunction.from_json_dict(obj)
@@ -558,7 +558,8 @@ def average_project(f, k: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicSt
 
 
 def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
-    """Exact (value, measure) multiset of f restricted to ``cube``."""
+    """Exact (value, measure) multiset of f restricted to ``cube``; a sparse
+    f's is read from its atom cubes inside and containing ``cube``."""
     if cube.d != f.d:
         raise ValueError("dimension mismatch")
     if isinstance(f, DyadicStepFunction):
@@ -572,86 +573,74 @@ def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
         return ValueHistogram.from_pairs(zip(vals.tolist(), w.tolist()))
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
-    return _sparse_histogram(f.atoms, cube)
+    forest = f._atom_forest()
+    k, idx = cube.level, cube.index
+    inside = [(u, j) for u, j in forest.keys if u > k and tuple(i >> (u - k) for i in j) == idx]
+    return forest.histogram(cube, inside)
 
 
 def _level_histograms(f: SparseStepFunction, k: int) -> list[ValueHistogram]:
-    """Histograms of f on the level-k cubes where f may vary, by cube index.
-
-    Those cubes are the level-k ancestors of the atoms deeper than k.  One
-    pass buckets the deep atoms by that ancestor and the others by their own
-    cube; each histogram then reads its bucket plus the shallow atoms that
-    contain its cube, in the order of ``f.atoms``, so the sums are the same
-    floats as a scan of every atom.
-    """
-    deep: dict[tuple, list[int]] = {}
-    shallow: dict[tuple, list[int]] = {}
-    for pos, a in enumerate(f.atoms):
-        c = a.cube
-        shift = c.level - k
-        if shift > 0:
-            deep.setdefault(tuple(i >> shift for i in c.index), []).append(pos)
-        else:
-            shallow.setdefault((c.level, c.index), []).append(pos)
-    levels = sorted({lev for lev, _ in shallow})
-    out = []
-    for idx in sorted(deep):
-        pos = list(deep[idx])
-        for lev in levels:
-            pos += shallow.get((lev, tuple(i >> (k - lev) for i in idx)), ())
-        atoms = [f.atoms[i] for i in sorted(pos)]
-        out.append(_sparse_histogram(atoms, DyadicCube(f.d, k, idx)))
-    return out
+    """Histograms of f on the level-k cubes where f may vary, by cube index."""
+    forest = f._atom_forest()
+    groups: dict[tuple, list[tuple]] = {}
+    for lev, idx in forest.keys:
+        if lev > k:
+            groups.setdefault(tuple(i >> (lev - k) for i in idx), []).append((lev, idx))
+    return [forest.histogram(DyadicCube(f.d, k, i), keys) for i, keys in sorted(groups.items())]
 
 
-def _sparse_histogram(atoms: Sequence[SparseAtom], cube: DyadicCube) -> ValueHistogram:
-    """Histogram on ``cube`` of the sum of the atoms that meet it.
+class _AtomForest:
+    """The atoms' distinct (level, index) keys under containment, built
+    without evaluating any atom value.  ``keys`` ascend by level, ties in
+    first-atom order; ``positions`` maps a key to its atoms' positions, and
+    ``parent`` to the deepest key strictly containing it, or None."""
 
-    Atoms that neither contain ``cube`` nor lie inside it are skipped, so any
-    atom sequence holding the ones that meet it, in the same order, gives the
-    same floats.  Cubes are compared as (level, index) keys by index shifts.
-    """
-    lev, idx = cube.level, cube.index
-    base = 0.0
-    inner: dict[tuple, float] = {}
-    for a in atoms:
-        c = a.cube
-        shift = c.level - lev
-        if shift <= 0:
-            if all(j == i >> -shift for i, j in zip(idx, c.index)):
-                base += a.value
-        elif all(i >> shift == j for i, j in zip(c.index, idx)):
-            key = (c.level, c.index)
-            inner[key] = inner.get(key, 0.0) + a.value
+    def __init__(self, atoms: tuple):
+        self.atoms = atoms
+        self.positions: dict[tuple, list[int]] = {}
+        for pos, a in enumerate(atoms):
+            self.positions.setdefault((a.cube.level, a.cube.index), []).append(pos)
+        self.keys = sorted(self.positions, key=lambda c: c[0])
+        self.levels = sorted({lev for lev, _ in self.keys}, reverse=True)
+        self.parent = {c: self.container(c[0] - 1, *c) for c in self.keys}
 
-    if not inner:
-        return ValueHistogram.from_pairs([(base, cube.measure)])
+    def container(self, at_most: int, lev: int, idx: tuple) -> tuple | None:
+        """The deepest key at level <= ``at_most`` containing cube (lev, idx)."""
+        for up in self.levels:
+            if up <= at_most:
+                key = (up, tuple(i >> (lev - up) for i in idx))
+                if key in self.positions:
+                    return key
+        return None
 
-    # each inner cube's parent is the deepest inner cube strictly containing it
-    nodes = sorted(inner, key=lambda c: c[0])
-    levels = sorted({c[0] for c in nodes}, reverse=True)
-    parent: dict[tuple, tuple | None] = {}
-    for c in nodes:
-        parent[c] = None
-        for up in levels:
-            if up < c[0]:
-                anc = (up, tuple(i >> (c[0] - up) for i in c[1]))
-                if anc in inner:
-                    parent[c] = anc
-                    break
+    def value(self, keys) -> float:
+        """Sum of the atoms of ``keys`` in atom order, from 0.0."""
+        total = 0.0
+        for i in sorted(i for c in keys for i in self.positions[c]):
+            total += self.atoms[i].value
+        return total
 
-    covered: dict[tuple | None, float] = {}
-    for c in nodes:
-        covered[parent[c]] = covered.get(parent[c], 0.0) + 2.0 ** (-c[0] * cube.d)
-
-    chain_value: dict[tuple | None, float] = {None: base}
-    pairs = []
-    for c in nodes:  # level-ascending, parents precede children
-        chain_value[c] = chain_value[parent[c]] + inner[c]
-        region = 2.0 ** (-c[0] * cube.d) - covered.get(c, 0.0)
-        if region > 0:
-            pairs.append((chain_value[c], region))
-    root_region = cube.measure - covered.get(None, 0.0)
-    if root_region > 0:
-        pairs.append((base, root_region))
-    return ValueHistogram.from_pairs(pairs)
+    def histogram(self, cube: DyadicCube, inside: list) -> ValueHistogram:
+        """Histogram on ``cube`` of the keys ``inside`` it on top of the chain
+        of keys containing it.  Floats are added as a scan of every atom adds
+        them: the chain's atoms in atom order, then key by key."""
+        k = cube.level
+        top = self.parent[inside[0]] if inside else self.container(k, k, cube.index)
+        chain = [top]
+        while chain[-1] is not None:
+            chain.append(self.parent[chain[-1]])
+        value = {top: self.value(chain[:-1])}
+        covered: dict[tuple | None, float] = {}
+        for c in inside:
+            up = self.parent[c]  # ``top`` when outside the cube
+            covered[up] = covered.get(up, 0.0) + 2.0 ** (-c[0] * cube.d)
+        pairs = []
+        for c in inside:  # level-ascending, parents precede children
+            value[c] = value[self.parent[c]] + self.value([c])
+            region = 2.0 ** (-c[0] * cube.d) - covered.get(c, 0.0)
+            if region > 0:
+                pairs.append((value[c], region))
+        root_region = cube.measure - covered.get(top, 0.0)
+        if root_region > 0:
+            pairs.append((value[top], root_region))
+        return ValueHistogram.from_pairs(pairs)

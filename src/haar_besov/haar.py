@@ -27,6 +27,8 @@ from .dyadic import (
     DyadicStepFunction,
     SparseAtom,
     SparseStepFunction,
+    _check_budget,
+    _json_field,
     cube_blocks,
     densify,
     stable_sum,
@@ -219,19 +221,22 @@ class HaarCoefficients:
     @classmethod
     def from_json(cls, text: str) -> "HaarCoefficients":
         obj = json.loads(text)
-        d, kmax = int(obj["d"]), int(obj["K"])
+        d, kmax = _json_field(obj, "d", int), _json_field(obj, "K", int)
+        _check_budget(d, kmax, DEFAULT_CELL_BUDGET)
         out = cls.zeros(d, kmax)
         scaling = 0.0
-        for level in obj["levels"]:
-            k = int(level["k"])
-            for rec in level["entries"]:
+        for level in _json_field(obj, "levels", list):
+            k = _json_field(level, "k", int)
+            if not 0 <= k <= kmax:
+                raise ValueError(f"level k={k} lies outside 0..K={kmax}")
+            for rec in _json_field(level, "entries", list):
+                value = _json_field(rec, "value", float)
                 if k == 0:
-                    scaling = float(rec["value"])
-                else:
-                    pidx = tuple(int(i) for i in rec["parent"])
-                    out.blocks[k - 1][pidx + (int(rec["pattern"]) - 1,)] = float(
-                        rec["value"]
-                    )
+                    scaling = value
+                    continue
+                parent = _json_field(rec, "parent", lambda v: DyadicCube(d, k - 1, v))
+                pattern = HaarIndex.wavelet(parent, _json_field(rec, "pattern", int)).pattern
+                out.blocks[k - 1][parent.index + (pattern - 1,)] = value
         return cls(d, kmax, scaling, out.blocks)
 
 
@@ -385,11 +390,22 @@ class TensorHaarCoefficients:
 
     @classmethod
     def from_json(cls, text: str, level: int) -> "TensorHaarCoefficients":
+        """Parse ``to_json`` output on the level-``level`` grid, or the coarsest
+        finer one holding every entry; a missing or malformed field raises
+        ``ValueError`` naming it."""
         obj = json.loads(text)
-        d = int(obj["d"])
+        d = _json_field(obj, "d", int)
+        entries = []
+        for rec in _json_field(obj, "entries", list):
+            n = _json_field(rec, "n", lambda v: tuple(int(i) for i in v))
+            if len(n) != d:
+                raise ValueError(f"tensor index {list(n)} needs {d} components")
+            level = max(level, tensor_block_level(n))
+            entries.append((n, _json_field(rec, "value", float)))
+        _check_budget(d, level, DEFAULT_CELL_BUDGET)
         arr = np.zeros(((1 << level),) * d)
-        for rec in obj["entries"]:
-            arr[tuple(int(i) - 1 for i in rec["n"])] = float(rec["value"])
+        for n, value in entries:
+            arr[tuple(i - 1 for i in n)] = value
         return cls(d, level, arr)
 
 

@@ -308,9 +308,9 @@ def approx_error(f, k: int, p: float) -> float:
     them rather than with the grid, and on cubes with many distinct values
     it evaluates only the candidates that certified lower bounds cannot rule
     out, with the same result bit for bit.  For sparse inputs
-    the cubes are the level-k ancestors of the deeper atoms, found in one
-    pass that buckets the atoms by ancestor, so the cost is proportional to
-    atom count times depth rather than to the grid size.
+    the cubes are the level-k ancestors of the deeper atoms, and each
+    histogram is read from f's cached atom forest, so the cost follows the
+    atom count rather than the grid size.
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")

@@ -7,8 +7,8 @@ quadrature, projections and errors from densified arrays, difference-table
 entries one offset at a time from sliced cell values, shift differences for
 any real shift as weighted sums of those entries, sub-cell scales one level
 at a time in Python floats (both so that comparison is bit for bit), sparse
-errors from a rescan of every atom per cube, random words one xoshiro step
-at a time.
+histograms and errors from a rescan of every atom per cube, random words one
+xoshiro step at a time.
 The clauses at the end are the acceptance checks for the norm equivalences
 (criteria 6 and 7) and the projector growth (criterion 10), kept here so
 their negative controls test the same code.
@@ -79,16 +79,69 @@ def approx_error_grid(f, k, p, coarse=4_000):
     return math.fsum(total) ** (1.0 / p)
 
 
+def sparse_histogram_rescan(atoms, cube):
+    """Histogram on ``cube`` of the sum of the atoms that meet it.
+
+    Atoms that neither contain ``cube`` nor lie inside it are skipped, so any
+    atom sequence holding the ones that meet it, in the same order, gives the
+    same floats.  Cubes are compared as (level, index) keys by index shifts.
+    """
+    lev, idx = cube.level, cube.index
+    base = 0.0
+    inner: dict[tuple, float] = {}
+    for a in atoms:
+        c = a.cube
+        shift = c.level - lev
+        if shift <= 0:
+            if all(j == i >> -shift for i, j in zip(idx, c.index)):
+                base += a.value
+        elif all(i >> shift == j for i, j in zip(c.index, idx)):
+            key = (c.level, c.index)
+            inner[key] = inner.get(key, 0.0) + a.value
+
+    if not inner:
+        return hb.ValueHistogram.from_pairs([(base, cube.measure)])
+
+    # each inner cube's parent is the deepest inner cube strictly containing it
+    nodes = sorted(inner, key=lambda c: c[0])
+    levels = sorted({c[0] for c in nodes}, reverse=True)
+    parent: dict[tuple, tuple | None] = {}
+    for c in nodes:
+        parent[c] = None
+        for up in levels:
+            if up < c[0]:
+                anc = (up, tuple(i >> (c[0] - up) for i in c[1]))
+                if anc in inner:
+                    parent[c] = anc
+                    break
+
+    covered: dict[tuple | None, float] = {}
+    for c in nodes:
+        covered[parent[c]] = covered.get(parent[c], 0.0) + 2.0 ** (-c[0] * cube.d)
+
+    chain_value: dict[tuple | None, float] = {None: base}
+    pairs = []
+    for c in nodes:  # level-ascending, parents precede children
+        chain_value[c] = chain_value[parent[c]] + inner[c]
+        region = 2.0 ** (-c[0] * cube.d) - covered.get(c, 0.0)
+        if region > 0:
+            pairs.append((chain_value[c], region))
+    root_region = cube.measure - covered.get(None, 0.0)
+    if root_region > 0:
+        pairs.append((base, root_region))
+    return hb.ValueHistogram.from_pairs(pairs)
+
+
 def approx_error_sparse_rescan(f, k, p):
     """E_k of a sparse f, each candidate cube's histogram rescanning every atom.
 
     The candidates are the level-k ancestors of the atoms deeper than k, in
-    index order; each goes through ``value_histogram`` over all of f's atoms
-    and ``best_constant_error``, and the errors are fsummed.
+    index order; each goes through ``sparse_histogram_rescan`` over all of
+    f's atoms and ``best_constant_error``, and the errors are fsummed.
     """
     cands = {a.cube.ancestor(k) for a in f.atoms if a.cube.level > k}
     terms = [
-        hb.best_constant_error(hb.value_histogram(f, cube), p)[1]
+        hb.best_constant_error(sparse_histogram_rescan(f.atoms, cube), p)[1]
         for cube in sorted(cands, key=lambda c: c.index)
     ]
     return math.fsum(terms) ** (1.0 / p) if terms else 0.0

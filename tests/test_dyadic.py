@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import haar_besov as hb
 from haar_besov.dyadic import logsumexp2, signed_log2_sum, stable_sum
 
-from helpers import nesting_free_oracle, random_sparse
+from helpers import nesting_free_oracle, random_sparse, sparse_histogram_rescan
 
 
 def cube(d, level, *idx):
@@ -309,6 +309,61 @@ class TestValueHistogram:
                 for (v1, w1), (v2, w2) in zip(hs.entries, hd.entries):
                     assert v1 == pytest.approx(v2, abs=1e-12)
                     assert w1 == pytest.approx(w2, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sparse_matches_rescan(self, d):
+        """Entries equal a rescan of every atom, bit for bit, on cubes that
+        contain an atom, lie inside one, equal one or miss them all."""
+        rng = np.random.default_rng(90 + d)
+        kinds = set()
+        for n in range(8):
+            f = random_sparse(rng, d, 3 + n, max_level=4 if d < 3 else 3)
+            atoms = tuple(a for a in f.atoms if a.cube.level > 0)
+            atoms += atoms[:1]  # a repeated key
+            if n % 2:
+                atoms += (hb.SparseAtom.from_value(hb.DyadicCube.root(d), 0.75),)
+            f = hb.SparseStepFunction(d, atoms)
+            cubes = set()
+            for lev in range(f.max_level + 3):
+                cubes.add(hb.DyadicCube(d, lev, tuple(rng.integers(0, 1 << lev, size=d))))
+                for a in f.atoms:
+                    c = a.cube
+                    shift = lev - c.level
+                    if shift <= 0:
+                        cubes.add(c.ancestor(lev))
+                    else:
+                        top = (1 << shift) - 1
+                        for corner in (0, top):
+                            idx = [(i << shift) + corner for i in c.index]
+                            cubes.add(hb.DyadicCube(d, lev, idx))
+            cs = [a.cube for a in f.atoms]
+            for c in cubes:
+                kinds |= {
+                    "equal" if b == c else "contains" if c.contains(b) else "inside"
+                    for b in cs
+                    if b.contains(c) or c.contains(b)
+                } or {"disjoint"}
+                got = hb.value_histogram(f, c).entries
+                want = sparse_histogram_rescan(f.atoms, c).entries
+                assert [tuple(map(float.hex, e)) for e in got] == [
+                    tuple(map(float.hex, e)) for e in want
+                ], c
+        assert kinds == {"equal", "contains", "inside", "disjoint"}
+
+    def test_atom_values_are_read_lazily(self):
+        # a value beyond double range raises only where a histogram needs it
+        f = hb.SparseStepFunction(
+            1,
+            [
+                hb.SparseAtom(cube(1, 1, 0), 1, 0.0),
+                hb.SparseAtom(cube(1, 2, 0), -1, 1.0),
+                hb.SparseAtom(cube(1, 3, 5), 1, 5000.0),
+            ],
+        )
+        assert f.nesting_free is False
+        assert hb.value_histogram(f, cube(1, 1, 0)).entries == ((-1.0, 0.25), (1.0, 0.25))
+        with pytest.raises(ValueError, match=r"level 3, index \(5,\) has log2 magnitude 5000"):
+            hb.value_histogram(f, hb.DyadicCube.root(1))
 
     def test_below_resolution_is_constant(self):
         f = hb.DyadicStepFunction(1, 1, [2.0, 5.0])

@@ -246,6 +246,13 @@ class TestCli:
         )
         g = hb.function_from_json(back.read_text())
         np.testing.assert_allclose(g.values, f.values, atol=1e-12)
+        tensor = ["--system", "tensor"]
+        assert cli_main(["transform", "--input", str(fpath), "--out", str(cpath)] + tensor) == 0
+        for m in ([], ["--m", "4"]):
+            args = ["transform", "--input", str(cpath), "--inverse", "--out", str(back)]
+            assert cli_main(args + tensor + m) == 0
+            g = hb.function_from_json(back.read_text())
+            np.testing.assert_allclose(g.values, f.refine(g.level).values, atol=1e-12)
 
     def test_generate_families(self, tmp_path, capsys):
         for fam in ("nested", "spike", "scattered", "tensor-spike"):
@@ -259,12 +266,51 @@ class TestCli:
         # default basis-fail window is pre-asymptotic: threshold failure
         assert cli_main(["experiment", "basis-fail"]) == 2
 
-    def test_usage_errors_exit_one(self, capsys):
+    def test_usage_errors_exit_one(self, tmp_path, capsys):
         assert cli_main(["experiment", "basis-fail", "--q", "0.5"]) == 1
         assert cli_main(["classify", "--p", "0", "--q", "1", "--s", "0", "--d", "1"]) == 1
         assert cli_main(["norm", "--input", "/nonexistent", "--p", "2"]) == 1
         assert cli_main(["frobnicate"]) == 1
         capsys.readouterr()
+        # malformed JSON input names the bad field instead of a traceback
+        atom = {"level": 1, "index": [0], "sign": 1}
+        entry = {"parent": [0], "pattern": 1, "value": 1.0}
+        cases = [
+            (["norm", "--p", "2"], {"kind": "dense", "values": [1, 2]}, "'d'"),
+            (["norm", "--p", "2"], [1, 2], "got list"),
+            (["norm", "--p", "2"], {"kind": "sparse", "d": 1, "atoms": [atom]}, "'log2mag'"),
+            (["norm", "--p", "2"], {"kind": "sparse", "d": 1, "atoms": 3}, "'atoms'"),
+            (["transform", "--inverse"], {"d": 1, "levels": []}, "'K'"),
+            (
+                ["transform", "--inverse"],
+                {"d": 1, "K": 1, "levels": [{"k": 1, "entries": [{**entry, "parent": [1]}]}]},
+                "'parent'",
+            ),
+            # numpy would wrap a negative parent index or pattern 0 silently
+            (
+                ["transform", "--inverse"],
+                {"d": 1, "K": 2, "levels": [{"k": 2, "entries": [{**entry, "parent": [-1]}]}]},
+                "'parent'",
+            ),
+            (
+                ["transform", "--inverse"],
+                {"d": 1, "K": 1, "levels": [{"k": 1, "entries": [{**entry, "pattern": 0}]}]},
+                "pattern",
+            ),
+            (["transform", "--inverse", "--system", "tensor"], {"d": 1}, "'entries'"),
+            (
+                ["transform", "--inverse", "--system", "tensor"],
+                {"d": 2, "entries": [{"n": [1], "value": 1.0}]},
+                "needs 2 components",
+            ),
+        ]
+        fpath = tmp_path / "bad.json"
+        for args, obj, field in cases:
+            fpath.write_text(json.dumps(obj))
+            assert cli_main(args + ["--input", str(fpath)]) == 1, obj
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err, err
+            assert "Traceback" not in err
 
     def test_capacity_error_exits_one(self, tmp_path, capsys):
         assert cli_main(["generate", "random", "--d", "3", "--m", "12"]) == 1

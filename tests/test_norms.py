@@ -319,7 +319,7 @@ def _random_chain(rng, d, m):
 
 
 class TestSparseBucketing:
-    """The one-pass, ancestor-bucketed sparse E_k equals a rescan of every
+    """The sparse E_k, read from the atom forest, equals a rescan of every
     atom per candidate cube, bit for bit, on each best-constant branch."""
 
     PS = (0.5, 1.0, 1.5, 2.0)
@@ -349,6 +349,57 @@ class TestSparseBucketing:
     @pytest.mark.parametrize("k, d", [(2, 1), (4, 1), (6, 1), (1, 2), (2, 2), (3, 2), (1, 3)])
     def test_scattered(self, k, d):
         self._assert_equal_to_rescan(hb.scattered(hb.ScatteredSpec(k, d, 0.45)))
+
+
+def sparse_path_fingerprint(f):
+    """SHA-256 of the sparse path on f, as float.hex text: for each p, every
+    E_k of ``approximation_profile`` and then ``lp_quasinorm``."""
+    h = hashlib.sha256()
+    for p in (0.5, 0.8, 1.0, 1.5, 2.0):
+        prof = hb.approximation_profile(f, p)
+        values = prof.e_values.tolist() + [prof.lp_norm]
+        h.update(" ".join(map(float.hex, values)).encode())
+    return h.hexdigest()
+
+
+def _sparse_digest_input(name):
+    kind, *args = name.split("-")
+    if kind == "scattered":
+        k, d = map(int, args)
+        return hb.scattered(hb.ScatteredSpec(k, d, 0.45))
+    if kind == "nested":
+        d, m, rule = int(args[0]), int(args[1]), "-".join(args[2:])
+        rng = np.random.default_rng(100 * d + m)
+        chain = _random_chain(rng, d, m)
+        if rule == "explicit":
+            rule = tuple(rng.uniform(-2, 2, m + 1))
+        return hb.nested_family(hb.NestedSpec(d, m, rule=rule, chain=chain))
+    d, seed = map(int, args)
+    return random_sparse(np.random.default_rng(seed), d, 16, max_level=5)
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("scattered-6-1", "f5ec86987fa6d77c91d379ddc292acacd96490794ba5d5d65cd6b2ca2b7d5d4d"),
+        ("scattered-3-2", "e8c6ca08b0cb22cc3bf75811a5b7ceffac5c3a59a72bf6fb5327a2abf8512a27"),
+        ("nested-1-64-trivial-dual", "46c8c450fd70279aabd99b84a60e25e57879fc2e7a7340276e6475c47f67bf91"),
+        ("nested-1-64-alternating", "33f27991d03f3e95316896fcfe25329edcc46f6bcc15ec794093cb84686c022f"),
+        ("nested-1-64-explicit", "ee73c9bb9c18f9282c1873c2ebb68a7fac86ccdaf358f3879dba31012b717a60"),
+        ("nested-2-32-trivial-dual", "34997ce482c9e94f66b77393624d0661487fe1a0599445d344d4e2d200d15c69"),
+        ("nested-2-32-alternating", "7167b889a5a36343f286462dde2b0224f3d4b62a657fa7f02432064627b853a3"),
+        ("nested-2-32-explicit", "1bc8da80f576e88c3963d3f1f5121fe34487c192f4c51c9a06ab8fbb51f18f7f"),
+        ("random-1-91", "7b8346d55996864e2b1976f7bc1de3310ff9c0d54495c2e817d97f6b559eb6ab"),
+        ("random-2-92", "a56ccfab19118d46d7c98b7424a6b058ac1e97bf81d4ab0d2936fc500cc52372"),
+        ("random-3-93", "dfe245dafbf935393b3a709a12136ee4aff4014d786d2e8e302add582f413c45"),
+    ],
+)
+def test_sparse_path_golden_digest(name, digest):
+    # digests of the sparse path as it rescanned every atom per histogram
+    f = _sparse_digest_input(name)
+    if name.startswith("random"):
+        assert not f.nesting_free
+    assert sparse_path_fingerprint(f) == digest
 
 
 class TestHomogeneity:
