@@ -71,7 +71,6 @@ from .families import (
 )
 from .experiments import (
     ExperimentConfig,
-    GrowthReport,
     default_config,
     fit_log2_slope,
     random_step,

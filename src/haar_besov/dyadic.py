@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,12 +45,12 @@ __all__ = [
     "value_histogram",
 ]
 
-#: Default ceiling on the number of cells any dense grid may hold (2**26).
+#: Ceiling on the number of cells any dense grid may hold (2**26).
 DEFAULT_CELL_BUDGET = 1 << 26
 
 
 class CapacityError(RuntimeError):
-    """A dense grid would exceed the configured cell budget."""
+    """A dense grid would exceed the cell budget."""
 
     def __init__(self, required_cells: int, budget: int):
         self.required_cells = required_cells
@@ -64,10 +65,10 @@ class CapacityError(RuntimeError):
         )
 
 
-def _check_budget(d: int, level: int, max_cells: int) -> None:
+def _check_budget(d: int, level: int) -> None:
     cells = 1 << (level * d)
-    if cells > max_cells:
-        raise CapacityError(cells, max_cells)
+    if cells > DEFAULT_CELL_BUDGET:
+        raise CapacityError(cells, DEFAULT_CELL_BUDGET)
 
 
 def stable_sum(values) -> float:
@@ -218,13 +219,13 @@ class DyadicStepFunction:
         """Values in row-major multi-index order."""
         return self.values.ravel()
 
-    def refine(self, m: int, max_cells: int = DEFAULT_CELL_BUDGET) -> "DyadicStepFunction":
+    def refine(self, m: int) -> "DyadicStepFunction":
         """Re-express on the finer level-m grid by value replication."""
         if m < self.level:
             raise ValueError("refinement level below current level")
         if m == self.level:
             return self
-        _check_budget(self.d, m, max_cells)
+        _check_budget(self.d, m)
         out = np.empty((1 << m,) * self.d)
         cube_blocks(out, self.level)[...] = self.values[(...,) + (None,) * self.d]
         return DyadicStepFunction(self.d, m, out)
@@ -244,7 +245,7 @@ class DyadicStepFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DyadicStepFunction":
-        d, m = _json_field(obj, "d", int), _json_field(obj, "m", int)
+        d, m = _json_field(obj, "d"), _json_field(obj, "m")
         return cls(d, m, _json_field(obj, "values", list))
 
     def __repr__(self):
@@ -327,15 +328,11 @@ class SparseStepFunction:
             self._forest = _AtomForest(self.atoms)
         return self._forest
 
-    def densify(self, m: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicStepFunction:
+    def densify(self, m: int) -> DyadicStepFunction:
         """Evaluate the atom sum on the level-m grid (m >= every atom level)."""
         if m < self.max_level and self.atoms:
             raise ValueError("densification level below the deepest atom")
-        _check_budget(self.d, m, max_cells)
-        out = np.zeros(((1 << m),) * self.d)
-        for a in self.atoms:
-            out[a.cube.grid_slices(m)] += a.value
-        return DyadicStepFunction(self.d, m, out)
+        return average_project(self, m)
 
     # -- serialization ----------------------------------------------------
 
@@ -355,11 +352,11 @@ class SparseStepFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SparseStepFunction":
-        d = _json_field(obj, "d", int)
+        d = _json_field(obj, "d")
         atoms = [
             SparseAtom(
-                DyadicCube(d, _json_field(rec, "level", int), _json_field(rec, "index", tuple)),
-                _json_field(rec, "sign", int),
+                DyadicCube(d, _json_field(rec, "level"), _json_field(rec, "index", _indices)),
+                _json_field(rec, "sign"),
                 _json_field(rec, "log2mag", float),
             )
             for rec in _json_field(obj, "atoms", list)
@@ -381,14 +378,21 @@ def function_to_json(f) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _json_field(obj, name: str, kind):
-    """``kind(obj[name])``, or a ValueError naming a missing or malformed field."""
+def _json_field(obj, name: str, kind=operator.index):
+    """``kind(obj[name])``, or a ValueError naming a missing or malformed field.
+    Fields are integers by default, read by ``operator.index``: 2.9 or "2"
+    is malformed, not truncated or parsed."""
     if not isinstance(obj, dict) or name not in obj:
         raise ValueError(f"expected a JSON object with field {name!r}")
     try:
         return kind(obj[name])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"JSON field {name!r} is malformed: {exc}") from None
+
+
+def _indices(v) -> tuple:
+    """A JSON list of integers as a tuple, read by ``operator.index``."""
+    return tuple(map(operator.index, v))
 
 
 def function_from_json(text: str):
@@ -465,17 +469,15 @@ def cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
     return values.reshape(shape).transpose(coarse + fine)
 
 
-def densify(
-    f, m: int | None = None, max_cells: int = DEFAULT_CELL_BUDGET
-) -> DyadicStepFunction:
+def densify(f, m: int | None = None) -> DyadicStepFunction:
     """Dense level-m view of either representation.
 
     m defaults to the finest level of f itself (``f.level`` for a dense
     input, ``f.max_level`` for a sparse one).
     """
     if isinstance(f, DyadicStepFunction):
-        return f.refine(f.level if m is None else m, max_cells)
-    return f.densify(f.max_level if m is None else m, max_cells)
+        return f.refine(f.level if m is None else m)
+    return f.densify(f.max_level if m is None else m)
 
 
 def lp_quasinorm(f, p: float) -> float:
@@ -523,7 +525,7 @@ def lp_quasinorm(f, p: float) -> float:
         ) from None
 
 
-def average_project(f, k: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicStepFunction:
+def average_project(f, k: int) -> DyadicStepFunction:
     """Replace f by its average on every level-k cube (L_2 orthoprojection
     onto the level-k step functions).  For k at or above the resolution of a
     dense input the function is returned unchanged (re-expressed at level k).
@@ -532,12 +534,12 @@ def average_project(f, k: int, max_cells: int = DEFAULT_CELL_BUDGET) -> DyadicSt
         raise ValueError("level must be nonnegative")
     if isinstance(f, DyadicStepFunction):
         if k >= f.level:
-            return f.refine(k, max_cells)
+            return f.refine(k)
         fine = tuple(range(f.d, 2 * f.d))
         return DyadicStepFunction(f.d, k, cube_blocks(f.values, k).mean(axis=fine))
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
-    _check_budget(f.d, k, max_cells)
+    _check_budget(f.d, k)
     out = np.zeros(((1 << k),) * f.d)
     for a in f.atoms:
         c = a.cube

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DEFAULT_CELL_BUDGET, DyadicStepFunction, _check_budget
+from .dyadic import DyadicStepFunction, _check_budget
 from .families import (
     ALTERNATING,
     NestedSpec,
@@ -45,7 +45,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
-    "GrowthReport",
     "default_config",
     "fit_log2_slope",
     "random_step",
@@ -55,20 +54,14 @@ __all__ = [
 CSV_COLUMNS = ("experiment", "p", "q", "s", "d", "scale", "value", "log2_value")
 
 
-def random_step(
-    seed: int,
-    d: int,
-    m: int,
-    distribution: str = "uniform",
-    max_cells: int = DEFAULT_CELL_BUDGET,
-) -> DyadicStepFunction:
+def random_step(seed: int, d: int, m: int, distribution: str = "uniform") -> DyadicStepFunction:
     """Seed-determined random level-m step function.
 
     ``distribution`` is "uniform" (values on [-1, 1)) or "normal" (standard
     normal); cell values are drawn in row-major order from the xoshiro
     stream of the seed.
     """
-    _check_budget(d, m, max_cells)
+    _check_budget(d, m)
     cells = 1 << (m * d)
     stream = RandomStream(seed)
     if distribution == "uniform":
@@ -108,44 +101,6 @@ def fit_log2_slope(points) -> tuple[float, float, float]:
     if np.any(y <= 0):
         raise ValueError("y values must be positive")
     return _fit_line(x, np.log2(y))
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Measured growth against a theoretical log2 slope.
-
-    ``rows`` hold (scale, value, log2 value); the fit uses all rows with
-    scale >= 2, and the deviation is |fitted - theoretical| / |theoretical|.
-    """
-
-    rows: tuple
-    slope: float
-    intercept: float
-    r2: float
-    theoretical_slope: float
-    relative_deviation: float
-
-    @classmethod
-    def from_measurements(cls, scales, values, theoretical_slope: float) -> "GrowthReport":
-        rows = tuple(
-            (float(k), float(v), math.log2(v)) for k, v in zip(scales, values)
-        )
-        fit_pts = [(k, v) for k, v, _ in rows if k >= 2]
-        slope, intercept, r2 = fit_log2_slope(fit_pts)
-        if theoretical_slope != 0.0:
-            dev = abs(slope - theoretical_slope) / abs(theoretical_slope)
-        else:
-            dev = math.inf if slope != 0.0 else 0.0
-        return cls(rows, slope, intercept, r2, theoretical_slope, dev)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "theoretical_slope": self.theoretical_slope,
-            "relative_deviation": self.relative_deviation,
-        }
 
 
 @dataclass(frozen=True)
@@ -263,9 +218,13 @@ def _row(cfg: ExperimentConfig, scale, value) -> dict:
     }
 
 
-def _base_summary(cfg: ExperimentConfig, system: System = System.ISOTROPIC) -> dict:
+def _result(
+    cfg: ExperimentConfig, rows: list, passed: bool, system: System = System.ISOTROPIC, **fields
+) -> ExperimentResult:
+    """The run's result; its summary holds the config, the regime, the row
+    count, ``fields`` and the verdict."""
     res = classify(cfg.params(), system)
-    out = {
+    summary = {
         "schema": 1,
         "experiment": cfg.experiment,
         "params": {
@@ -282,8 +241,11 @@ def _base_summary(cfg: ExperimentConfig, system: System = System.ISOTROPIC) -> d
         },
         "regime": res.regime.value,
         "citation": res.citation,
+        "rows": len(rows),
+        **fields,
+        "pass": passed,
     }
-    return out
+    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +281,14 @@ def _ratio_band_experiment(cfg: ExperimentConfig, kind: str) -> ExperimentResult
     ratios = np.array([r for _, r in pts])
     band = float(ratios.max() / ratios.min())
     slope, _, _ = fit_log2_slope(pts)
-    passed = band <= band_limit and abs(slope) <= slope_limit
-    summary = _base_summary(cfg)
-    summary.update(
-        {
-            "rows": len(rows),
-            "band": {"min": float(ratios.min()), "max": float(ratios.max()), "max_over_min": band},
-            "fits": {"log_ratio_slope_vs_m": slope},
-            "thresholds": {"max_over_min": band_limit, "abs_slope": slope_limit},
-            "pass": passed,
-        }
+    return _result(
+        cfg,
+        rows,
+        band <= band_limit and abs(slope) <= slope_limit,
+        band={"min": float(ratios.min()), "max": float(ratios.max()), "max_over_min": band},
+        fits={"log_ratio_slope_vs_m": slope},
+        thresholds={"max_over_min": band_limit, "abs_slope": slope_limit},
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 def _trivial_dual(cfg: ExperimentConfig) -> ExperimentResult:
@@ -347,18 +305,14 @@ def _trivial_dual(cfg: ExperimentConfig) -> ExperimentResult:
         a_vals.append(norms.a_norm)
         l1_ratios.append(norms.l1_norm / math.log(m + 2))
     band = max(a_vals) / min(a_vals)
-    passed = band <= 2.0 and 0.2 <= min(l1_ratios) and max(l1_ratios) <= 5.0
-    summary = _base_summary(cfg)
-    summary.update(
-        {
-            "rows": len(rows),
-            "band": {"a_norm_max_over_min": band},
-            "l1_over_log": {"min": min(l1_ratios), "max": max(l1_ratios), "values": l1_ratios},
-            "thresholds": {"a_norm_max_over_min": 2.0, "l1_over_log": [0.2, 5.0]},
-            "pass": passed,
-        }
+    return _result(
+        cfg,
+        rows,
+        band <= 2.0 and 0.2 <= min(l1_ratios) and max(l1_ratios) <= 5.0,
+        band={"a_norm_max_over_min": band},
+        l1_over_log={"min": min(l1_ratios), "max": max(l1_ratios), "values": l1_ratios},
+        thresholds={"a_norm_max_over_min": 2.0, "l1_over_log": [0.2, 5.0]},
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 def _uncond_fail(cfg: ExperimentConfig) -> ExperimentResult:
@@ -380,18 +334,14 @@ def _uncond_fail(cfg: ExperimentConfig) -> ExperimentResult:
     x = np.array([float(k) for k, _ in growth_pts])
     y = np.array([v for _, v in growth_pts])
     slope, intercept, r2 = _fit_line(x, y)
-    passed = spike_band <= 2.0 and slope > 0.0 and r2 > 0.9
-    summary = _base_summary(cfg)
-    summary.update(
-        {
-            "rows": len(rows),
-            "band": {"spike_a_norm_max_over_min": spike_band},
-            "fits": {"a_norm_pow_q_slope": slope, "intercept": intercept, "r2": r2},
-            "thresholds": {"spike_band": 2.0, "slope": "> 0", "r2": 0.9},
-            "pass": passed,
-        }
+    return _result(
+        cfg,
+        rows,
+        spike_band <= 2.0 and slope > 0.0 and r2 > 0.9,
+        band={"spike_a_norm_max_over_min": spike_band},
+        fits={"a_norm_pow_q_slope": slope, "intercept": intercept, "r2": r2},
+        thresholds={"spike_band": 2.0, "slope": "> 0", "r2": 0.9},
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 def _growth_experiment(
@@ -402,23 +352,31 @@ def _growth_experiment(
     system: System = System.ISOTROPIC,
     **extra,
 ) -> ExperimentResult:
-    """Fit the log2 growth of ratio_at(k), k = k_lo..k_hi, against ``theo``."""
+    """Fit the log2 growth of ratio_at(k) against ``theo``: every k =
+    k_lo..k_hi is a row, and the fit reads the rows with k >= 2."""
     scales = list(range(cfg.k_lo, cfg.k_hi + 1))
     ratios = [ratio_at(k) for k in scales]
-    rows = [_row(cfg, k, r) for k, r in zip(scales, ratios)]
-    growth = GrowthReport.from_measurements(scales, ratios, theo)
-    passed = growth.relative_deviation <= 0.2
-    summary = _base_summary(cfg, system)
-    summary.update(
-        {
-            "rows": len(rows),
-            **extra,
-            "fits": {fit_key: growth.to_json_dict()},
-            "thresholds": {"relative_deviation": 0.2},
-            "pass": passed,
-        }
+    slope, intercept, r2 = fit_log2_slope([(k, r) for k, r in zip(scales, ratios) if k >= 2])
+    if theo != 0.0:
+        dev = abs(slope - theo) / abs(theo)
+    else:
+        dev = math.inf if slope != 0.0 else 0.0
+    fit = {
+        "slope": slope,
+        "intercept": intercept,
+        "r2": r2,
+        "theoretical_slope": theo,
+        "relative_deviation": dev,
+    }
+    return _result(
+        cfg,
+        [_row(cfg, k, r) for k, r in zip(scales, ratios)],
+        dev <= 0.2,
+        system,
+        **extra,
+        fits={fit_key: fit},
+        thresholds={"relative_deviation": 0.2},
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 def _basis_fail(cfg: ExperimentConfig) -> ExperimentResult:
@@ -491,19 +449,15 @@ def _classify_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                             code = 0
                         if code > 0:
                             rows.append(_row(cfg, idx, code))
-    passed = examples_ok and unclassified == 0 and idx >= 10_000
-    summary = _base_summary(cfg)
-    summary.update(
-        {
-            "rows": len(rows),
-            "lattice_points": idx,
-            "unclassified": unclassified,
-            "examples_ok": examples_ok,
-            "regime_codes": {r.value: i for r, i in _REGIME_ORDINAL.items()},
-            "pass": passed,
-        }
+    return _result(
+        cfg,
+        rows,
+        examples_ok and unclassified == 0 and idx >= 10_000,
+        lattice_points=idx,
+        unclassified=unclassified,
+        examples_ok=examples_ok,
+        regime_codes={r.value: i for r, i in _REGIME_ORDINAL.items()},
     )
-    return ExperimentResult(cfg, tuple(rows), summary, passed)
 
 
 _BODIES: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {

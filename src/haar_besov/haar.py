@@ -22,12 +22,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import (
-    DEFAULT_CELL_BUDGET,
     DyadicCube,
     DyadicStepFunction,
     SparseAtom,
     SparseStepFunction,
     _check_budget,
+    _indices,
     _json_field,
     cube_blocks,
     densify,
@@ -221,12 +221,12 @@ class HaarCoefficients:
     @classmethod
     def from_json(cls, text: str) -> "HaarCoefficients":
         obj = json.loads(text)
-        d, kmax = _json_field(obj, "d", int), _json_field(obj, "K", int)
-        _check_budget(d, kmax, DEFAULT_CELL_BUDGET)
+        d, kmax = _json_field(obj, "d"), _json_field(obj, "K")
+        _check_budget(d, kmax)
         out = cls.zeros(d, kmax)
         scaling = 0.0
         for level in _json_field(obj, "levels", list):
-            k = _json_field(level, "k", int)
+            k = _json_field(level, "k")
             if not 0 <= k <= kmax:
                 raise ValueError(f"level k={k} lies outside 0..K={kmax}")
             for rec in _json_field(level, "entries", list):
@@ -234,8 +234,8 @@ class HaarCoefficients:
                 if k == 0:
                     scaling = value
                     continue
-                parent = _json_field(rec, "parent", lambda v: DyadicCube(d, k - 1, v))
-                pattern = HaarIndex.wavelet(parent, _json_field(rec, "pattern", int)).pattern
+                parent = _json_field(rec, "parent", lambda v: DyadicCube(d, k - 1, _indices(v)))
+                pattern = HaarIndex.wavelet(parent, _json_field(rec, "pattern")).pattern
                 out.blocks[k - 1][parent.index + (pattern - 1,)] = value
         return cls(d, kmax, scaling, out.blocks)
 
@@ -259,9 +259,7 @@ def analyze(f: DyadicStepFunction) -> HaarCoefficients:
     return HaarCoefficients(d, m, float(a.reshape(())), blocks)
 
 
-def synthesize(
-    c: HaarCoefficients, m: int, max_cells: int = DEFAULT_CELL_BUDGET
-) -> DyadicStepFunction:
+def synthesize(c: HaarCoefficients, m: int) -> DyadicStepFunction:
     """Evaluate sum(lambda_h * h) on the level-m grid (m >= K)."""
     if m < c.max_level:
         raise ValueError("synthesis level below the coefficient depth")
@@ -271,14 +269,11 @@ def synthesize(
     for k in range(1, c.max_level + 1):
         coef = np.concatenate([a[..., None], c.blocks[k - 1]], axis=-1)
         a = _merge_children(coef @ M, d)
-    return DyadicStepFunction(d, c.max_level, a).refine(m, max_cells)
+    return DyadicStepFunction(d, c.max_level, a).refine(m)
 
 
 def partial_sum_subset(
-    f,
-    indices: Iterable[HaarIndex],
-    signs: Sequence[int] | None = None,
-    max_cells: int = DEFAULT_CELL_BUDGET,
+    f, indices: Iterable[HaarIndex], signs: Sequence[int] | None = None
 ) -> DyadicStepFunction:
     """sum over h in J of theta_h * lambda_h(f) * h, for a finite index set J.
 
@@ -296,7 +291,7 @@ def partial_sum_subset(
         raise ValueError("signs must be +/-1")
     src_level = f.level if isinstance(f, DyadicStepFunction) else f.max_level
     top = max([src_level] + [idx.level for idx in J])
-    fd = densify(f, top, max_cells)
+    fd = densify(f, top)
     c = analyze(fd)
     out = HaarCoefficients.zeros(c.d, c.max_level)
     for idx, s in zip(J, signs):
@@ -305,7 +300,7 @@ def partial_sum_subset(
         else:
             pos = idx.parent.index + (idx.pattern - 1,)
             out.blocks[idx.level - 1][pos] = s * c.blocks[idx.level - 1][pos]
-    return synthesize(out, top, max_cells)
+    return synthesize(out, top)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +389,15 @@ class TensorHaarCoefficients:
         finer one holding every entry; a missing or malformed field raises
         ``ValueError`` naming it."""
         obj = json.loads(text)
-        d = _json_field(obj, "d", int)
+        d = _json_field(obj, "d")
         entries = []
         for rec in _json_field(obj, "entries", list):
-            n = _json_field(rec, "n", lambda v: tuple(int(i) for i in v))
+            n = _json_field(rec, "n", _indices)
             if len(n) != d:
                 raise ValueError(f"tensor index {list(n)} needs {d} components")
             level = max(level, tensor_block_level(n))
             entries.append((n, _json_field(rec, "value", float)))
-        _check_budget(d, level, DEFAULT_CELL_BUDGET)
+        _check_budget(d, level)
         arr = np.zeros(((1 << level),) * d)
         for n, value in entries:
             arr[tuple(i - 1 for i in n)] = value
@@ -445,15 +440,13 @@ def tensor_analyze(f: DyadicStepFunction) -> TensorHaarCoefficients:
     return TensorHaarCoefficients(f.d, f.level, a)
 
 
-def tensor_synthesize(
-    c: TensorHaarCoefficients, m: int | None = None, max_cells: int = DEFAULT_CELL_BUDGET
-) -> DyadicStepFunction:
+def tensor_synthesize(c: TensorHaarCoefficients, m: int | None = None) -> DyadicStepFunction:
     a = np.array(c.array, dtype=float)
     for axis in range(c.d):
         a = np.moveaxis(_dwt_inverse_axis(np.moveaxis(a, axis, 0)), 0, axis)
     out = DyadicStepFunction(c.d, c.level, a)
     if m is not None and m != c.level:
-        out = out.refine(m, max_cells)
+        out = out.refine(m)
     return out
 
 

@@ -53,6 +53,13 @@ def test_small_task_list_passes_every_check(workload, seed):
     assert chk.failed == 0, chk.failures
 
 
+@pytest.mark.parametrize("workload", sorted(workloads.BUILDERS))
+def test_warm_up_runs(workload):
+    # the benchmark's setup path calls the library directly; a signature it
+    # relies on that goes missing fails here, not only as a failed bench run
+    workloads.warm_up(workload)
+
+
 def test_full_fine_grid_p_below_one_profiles_pass():
     # every pool member of the full p < 1 profiles: rows of 256 to 4,096
     # distinct values, which take the pruned enumeration

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,20 +60,55 @@ class TestDensify:
         assert hb.densify(f, 1).flat().tolist() == [3.0, 1.0]
 
     def test_budget_error_names_cell_count(self):
+        # 2^28 cells, over the fixed 2^26-cell budget
         f = hb.SparseStepFunction.from_terms(2, [(cube(2, 1, 0, 0), 1.0)])
-        with pytest.raises(hb.CapacityError, match=r"2\*\*20"):
-            hb.densify(f, 10, max_cells=1 << 19)
-        err = None
-        try:
-            hb.densify(f, 10, max_cells=1 << 19)
-        except hb.CapacityError as e:
-            err = e
-        assert err.required_cells == 1 << 20
+        with pytest.raises(hb.CapacityError, match=r"2\*\*28") as err:
+            hb.densify(f, 14)
+        assert err.value.required_cells == 1 << 28
+        assert err.value.budget == hb.DEFAULT_CELL_BUDGET == 1 << 26
 
     def test_level_below_atom_rejected(self):
         f = hb.SparseStepFunction.from_terms(1, [(cube(1, 3, 1), 1.0)])
         with pytest.raises(ValueError):
             hb.densify(f, 2)
+
+
+_LEVEL0 = hb.DyadicStepFunction(1, 0, [1.0])
+_ATOM = hb.SparseStepFunction.from_terms(1, [(cube(1, 1, 0), 1.0)])
+
+# every entry point that builds a dense grid, asked for level 27 at d = 1
+_OVER_BUDGET = {
+    "random_step": lambda: hb.random_step(0, 1, 27),
+    "refine": lambda: _LEVEL0.refine(27),
+    "SparseStepFunction.densify": lambda: _ATOM.densify(27),
+    "densify": lambda: hb.densify(_ATOM, 27),
+    "average_project": lambda: hb.average_project(_ATOM, 27),
+    "synthesize": lambda: hb.synthesize(hb.analyze(_LEVEL0), 27),
+    "partial_sum_subset": lambda: hb.partial_sum_subset(
+        _LEVEL0, [hb.HaarIndex.wavelet(cube(1, 26, 0), 1)]
+    ),
+    "tensor_synthesize": lambda: hb.tensor_synthesize(hb.tensor_analyze(_LEVEL0), 27),
+    "HaarCoefficients.from_json": lambda: hb.HaarCoefficients.from_json(
+        '{"d": 1, "K": 27, "levels": []}'
+    ),
+    "TensorHaarCoefficients.from_json": lambda: hb.TensorHaarCoefficients.from_json(
+        '{"d": 1, "entries": []}', 27
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OVER_BUDGET))
+def test_grid_over_the_cell_budget_raises_before_allocating(entry):
+    # 2^27 doubles would take 1 GiB; the budget is checked first
+    tracemalloc.start()
+    try:
+        with pytest.raises(hb.CapacityError, match=r"2\*\*27 cells") as err:
+            _OVER_BUDGET[entry]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.required_cells, err.value.budget) == (1 << 27, hb.DEFAULT_CELL_BUDGET)
+    assert peak < 1 << 20
 
 
 class TestLpQuasinorm:

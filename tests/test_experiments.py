@@ -1,15 +1,16 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import haar_besov as hb
+from haar_besov import experiments
 from haar_besov.cli import main as cli_main
 from haar_besov.experiments import (
     CSV_COLUMNS,
-    GrowthReport,
     default_config,
     fit_log2_slope,
     random_step,
@@ -66,8 +67,9 @@ class TestRandomStep:
         assert vals.size > 100_000 and -0.02 < vals.mean() < 0.02
 
     def test_budget(self):
-        with pytest.raises(hb.CapacityError):
-            random_step(0, 2, 16, max_cells=1 << 20)
+        # 2^28 cells, over the fixed 2^26-cell budget
+        with pytest.raises(hb.CapacityError, match=r"2\*\*28"):
+            random_step(0, 2, 14)
 
     def test_distributions(self):
         u = random_step(3, 1, 5, "uniform")
@@ -103,14 +105,26 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_log2_slope([(0, 1.0), (1, -2.0), (2, 3.0)])
 
-    def test_growth_report_uses_scales_from_two(self):
-        # scale-1 row is excluded from the fit
-        scales = [1, 2, 3, 4]
-        values = [1e6, 2.0**2, 2.0**3, 2.0**4]
-        rep = GrowthReport.from_measurements(scales, values, 1.0)
-        assert rep.slope == pytest.approx(1.0, abs=1e-12)
-        assert rep.relative_deviation == pytest.approx(0.0, abs=1e-12)
-        assert len(rep.rows) == 4
+    def test_growth_fit_uses_scales_from_two(self, monkeypatch):
+        # the k = 1 row is reported, and left out of the fit
+        cfg = default_config("tensor-fail", k_lo=1, k_hi=6)
+        res = run_experiment(cfg)
+        rows = [(r["scale"], r["value"]) for r in res.rows]
+        assert [k for k, _ in rows] == [1, 2, 3, 4, 5, 6] and res.summary["rows"] == 6
+        fit = res.summary["fits"]["rank_one_ratio"]
+        slope, intercept, r2 = fit_log2_slope(rows[1:])
+        assert (fit["slope"], fit["intercept"], fit["r2"]) == (slope, intercept, r2)
+        assert fit_log2_slope(rows)[1] != intercept
+        # an outlier at k = 1 leaves the fit and the verdict alone
+        real = experiments.tensor_spike_pair
+        monkeypatch.setattr(
+            experiments,
+            "tensor_spike_pair",
+            lambda k, d, prm: SimpleNamespace(ratio=1e6 if k == 1 else real(k, d, prm).ratio),
+        )
+        spiked = run_experiment(cfg)
+        assert spiked.rows[0]["value"] == 1e6
+        assert spiked.summary["fits"] == res.summary["fits"] and spiked.passed
 
 
 class TestRunExperiment:
@@ -303,6 +317,30 @@ class TestCli:
                 {"d": 2, "entries": [{"n": [1], "value": 1.0}]},
                 "needs 2 components",
             ),
+        ]
+        # a non-integer in an integer field is malformed, not truncated or parsed
+        norm, haar = ["norm", "--p", "2"], ["transform", "--inverse"]
+        tensor = haar + ["--system", "tensor"]
+        atom = {**atom, "level": 2, "index": [1], "log2mag": 0.0}
+        level = lambda k, rec: [{"k": k, "entries": [{**entry, **rec}]}]
+        cases += [
+            (args, obj, f"JSON field '{name}' is malformed")
+            for args, obj, name in [
+                (norm, {"d": 1, "atoms": [{**atom, "level": 2.9}]}, "level"),
+                (norm, {"d": 1, "atoms": [{**atom, "index": [1.7]}]}, "index"),
+                (norm, {"d": 1, "atoms": [{**atom, "sign": 0.5}]}, "sign"),
+                (norm, {"d": 1.5, "atoms": [atom]}, "d"),
+                (norm, {"d": 1.5, "m": 1, "values": [1, 2]}, "d"),
+                (norm, {"d": "2", "m": 1, "values": [1, 2, 3, 4]}, "d"),
+                (norm, {"d": 1, "m": 1.5, "values": [1, 2]}, "m"),
+                (haar, {"d": 1, "K": 2.5, "levels": []}, "K"),
+                (haar, {"d": 1.5, "K": 1, "levels": []}, "d"),
+                (haar, {"d": 1, "K": 1, "levels": level(1.5, {})}, "k"),
+                (haar, {"d": 1, "K": 2, "levels": level(2, {"parent": [0.5]})}, "parent"),
+                (haar, {"d": 1, "K": 1, "levels": level(1, {"pattern": 1.5})}, "pattern"),
+                (tensor, {"d": 2, "entries": [{"n": [1.5, 2], "value": 1.0}]}, "n"),
+                (tensor, {"d": 2.0, "entries": []}, "d"),
+            ]
         ]
         fpath = tmp_path / "bad.json"
         for args, obj, field in cases:
