@@ -71,6 +71,11 @@ def _check_budget(d: int, level: int) -> None:
         raise CapacityError(cells, DEFAULT_CELL_BUDGET)
 
 
+def _check_exponent(p: float) -> None:
+    if not (p > 0) or math.isinf(p):
+        raise ValueError("p must be a positive finite exponent")
+
+
 def stable_sum(values) -> float:
     """Fixed-order, exactly rounded sum (Shewchuk accumulation via fsum).
 
@@ -124,7 +129,8 @@ class DyadicCube:
     """Half-open dyadic cube prod_j [i_j * 2**-k, (i_j+1) * 2**-k) in [0,1)^d.
 
     ``index`` components are plain Python integers, so cubes at levels in the
-    thousands (as the scattered family needs) are exact.
+    thousands (as the scattered family needs) are exact.  They are read by
+    ``operator.index``: a float or a string is rejected, not truncated.
     """
 
     d: int
@@ -136,7 +142,10 @@ class DyadicCube:
             raise ValueError("dimension must be a positive integer")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-        idx = tuple(int(i) for i in self.index)
+        try:
+            idx = _indices(self.index)
+        except TypeError:
+            raise ValueError(f"index components must be integers, got {self.index!r}") from None
         object.__setattr__(self, "index", idx)
         if len(idx) != self.d:
             raise ValueError("index length must equal the dimension")
@@ -391,7 +400,7 @@ def _json_field(obj, name: str, kind=operator.index):
 
 
 def _indices(v) -> tuple:
-    """A JSON list of integers as a tuple, read by ``operator.index``."""
+    """A sequence of integers as a tuple, read by ``operator.index``."""
     return tuple(map(operator.index, v))
 
 
@@ -489,8 +498,7 @@ def lp_quasinorm(f, p: float) -> float:
     Dense grids and histograms sum the p-th powers in doubles; a sum that
     overflows raises ``ValueError`` naming the norm's log2.
     """
-    if not (p > 0) or math.isinf(p):
-        raise ValueError("p must be a positive finite exponent")
+    _check_exponent(p)
     if isinstance(f, DyadicStepFunction):
         v, w = f.values, f.cell_measure
         ppow = lambda: stable_sum(np.abs(v) ** p) * w

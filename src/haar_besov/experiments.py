@@ -134,28 +134,15 @@ class ExperimentConfig:
         return BesovParams(self.p, self.q, self.s, self.d)
 
 
-_BASE_DEFAULTS = {
-    "equivalence": dict(p=2.0, q=2.0, s=0.25, d=1, m_lo=1, m_hi=5, samples=50),
-    "modulus-vs-approx": dict(p=2.0, q=2.0, s=0.25, d=1, m_lo=1, m_hi=5, samples=50),
-    "trivial-dual": dict(p=0.6, q=2.0, s=None, d=1, m_lo=4, m_hi=16),
-    "uncond-fail": dict(p=0.8, q=0.8, s=None, d=1, m_lo=5, m_hi=16, k_lo=2, k_hi=8),
-    "basis-fail": dict(p=0.7, q=1.0, s=None, d=1, k_lo=2, k_hi=8),
-    "tensor-fail": dict(p=0.5, q=1.0, s=1.0, d=2, k_lo=2, k_hi=10),
-    "classify-sweep": dict(p=1.0, q=1.0, s=0.0, d=1),
-}
-
-EXPERIMENTS = tuple(_BASE_DEFAULTS)
-
-
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Config with the experiment's documented defaults, then overrides.
 
     Experiments pinned to the critical smoothness fill s = d(1/p - 1) when
     s is omitted (pass s=None explicitly to re-derive it after changing p).
     """
-    if experiment not in EXPERIMENTS:
+    if experiment not in _REGISTRY:
         raise ValueError(f"unknown experiment {experiment!r}")
-    merged = dict(_BASE_DEFAULTS[experiment])
+    merged = dict(_REGISTRY[experiment][2])
     merged.update({k: v for k, v in overrides.items() if v is not None})
     if merged.get("s") is None:
         merged["s"] = critical_smoothness(merged["p"], merged["d"])
@@ -218,12 +205,10 @@ def _row(cfg: ExperimentConfig, scale, value) -> dict:
     }
 
 
-def _result(
-    cfg: ExperimentConfig, rows: list, passed: bool, system: System = System.ISOTROPIC, **fields
-) -> ExperimentResult:
-    """The run's result; its summary holds the config, the regime, the row
-    count, ``fields`` and the verdict."""
-    res = classify(cfg.params(), system)
+def _result(cfg: ExperimentConfig, rows: list, passed: bool, **fields) -> ExperimentResult:
+    """The run's result; its summary holds the config, the regime in the
+    experiment's Haar system, the row count, ``fields`` and the verdict."""
+    res = classify(cfg.params(), _REGISTRY[cfg.experiment][1])
     summary = {
         "schema": 1,
         "experiment": cfg.experiment,
@@ -253,9 +238,10 @@ def _result(
 # ---------------------------------------------------------------------------
 
 
-def _ratio_band_experiment(cfg: ExperimentConfig, kind: str) -> ExperimentResult:
+def _ratio_band_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     prm = cfg.params()
-    if kind == "equivalence":
+    equivalence = cfg.experiment == "equivalence"
+    if equivalence:
         lo = max(critical_smoothness(cfg.p, cfg.d), 0.0)
         if not (lo < cfg.s < 1.0 / cfg.p and cfg.p > (cfg.d - 1) / cfg.d):
             raise ValueError(
@@ -271,7 +257,7 @@ def _ratio_band_experiment(cfg: ExperimentConfig, kind: str) -> ExperimentResult
             f = random_step(derive_seed(cfg.seed, m, i), cfg.d, m)
             prof = approximation_profile(f, cfg.p)
             a = a_norm_from_profile(prof, prm)
-            if kind == "equivalence":
+            if equivalence:
                 other = lqlp_norm(analyze(f), prm)
             else:
                 other = b_norm_modulus(f, prm)
@@ -349,7 +335,6 @@ def _growth_experiment(
     ratio_at: Callable[[int], float],
     theo: float,
     fit_key: str,
-    system: System = System.ISOTROPIC,
     **extra,
 ) -> ExperimentResult:
     """Fit the log2 growth of ratio_at(k) against ``theo``: every k =
@@ -357,10 +342,7 @@ def _growth_experiment(
     scales = list(range(cfg.k_lo, cfg.k_hi + 1))
     ratios = [ratio_at(k) for k in scales]
     slope, intercept, r2 = fit_log2_slope([(k, r) for k, r in zip(scales, ratios) if k >= 2])
-    if theo != 0.0:
-        dev = abs(slope - theo) / abs(theo)
-    else:
-        dev = math.inf if slope != 0.0 else 0.0
+    dev = abs(slope - theo) / theo
     fit = {
         "slope": slope,
         "intercept": intercept,
@@ -372,7 +354,6 @@ def _growth_experiment(
         cfg,
         [_row(cfg, k, r) for k, r in zip(scales, ratios)],
         dev <= 0.2,
-        system,
         **extra,
         fits={fit_key: fit},
         thresholds={"relative_deviation": 0.2},
@@ -403,7 +384,6 @@ def _tensor_fail(cfg: ExperimentConfig) -> ExperimentResult:
         lambda k: tensor_spike_pair(k, cfg.d, prm).ratio,
         (1.0 / cfg.p - 1.0) * (cfg.d - 1),
         "rank_one_ratio",
-        System.TENSOR,
     )
 
 
@@ -460,22 +440,31 @@ def _classify_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-_BODIES: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "equivalence": lambda cfg: _ratio_band_experiment(cfg, "equivalence"),
-    "modulus-vs-approx": lambda cfg: _ratio_band_experiment(cfg, "modulus"),
-    "trivial-dual": _trivial_dual,
-    "uncond-fail": _uncond_fail,
-    "basis-fail": _basis_fail,
-    "tensor-fail": _tensor_fail,
-    "classify-sweep": _classify_sweep,
+# name -> (body, Haar system, defaults over ExperimentConfig's); s=None is d(1/p - 1)
+_REGISTRY: dict[str, tuple[Callable[[ExperimentConfig], ExperimentResult], System, dict]] = {
+    "equivalence": (_ratio_band_experiment, System.ISOTROPIC, dict(p=2.0, q=2.0, s=0.25, d=1)),
+    "modulus-vs-approx": (
+        _ratio_band_experiment, System.ISOTROPIC, dict(p=2.0, q=2.0, s=0.25, d=1)
+    ),
+    "trivial-dual": (
+        _trivial_dual, System.ISOTROPIC, dict(p=0.6, q=2.0, s=None, d=1, m_lo=4, m_hi=16)
+    ),
+    "uncond-fail": (
+        _uncond_fail, System.ISOTROPIC, dict(p=0.8, q=0.8, s=None, d=1, m_lo=5, m_hi=16, k_hi=8)
+    ),
+    "basis-fail": (_basis_fail, System.ISOTROPIC, dict(p=0.7, q=1.0, s=None, d=1, k_hi=8)),
+    "tensor-fail": (_tensor_fail, System.TENSOR, dict(p=0.5, q=1.0, s=1.0, d=2, k_hi=10)),
+    "classify-sweep": (_classify_sweep, System.ISOTROPIC, dict(p=1.0, q=1.0, s=0.0, d=1)),
 }
+
+EXPERIMENTS = tuple(_REGISTRY)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one experiment; writes report files when cfg.out is set."""
-    if cfg.experiment not in _BODIES:
+    if cfg.experiment not in _REGISTRY:
         raise ValueError(f"unknown experiment {cfg.experiment!r}")
-    result = _BODIES[cfg.experiment](cfg)
+    result = _REGISTRY[cfg.experiment][0](cfg)
     if cfg.out:
         result.write(cfg.out, cfg.fmt)
     return result

@@ -27,6 +27,7 @@ from .dyadic import (
     DyadicStepFunction,
     SparseStepFunction,
     ValueHistogram,
+    _check_exponent,
     _level_histograms,
     cube_blocks,
     densify,
@@ -205,8 +206,7 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
     and other p > 1 a monotone-derivative bisection.  Ties resolve to the
     smallest minimizing value.
     """
-    if not (p > 0) or math.isinf(p):
-        raise ValueError("p must be a positive finite exponent")
+    _check_exponent(p)
     if not hist.entries:
         raise ValueError("empty histogram")
     v = hist.values
@@ -312,8 +312,7 @@ def approx_error(f, k: int, p: float) -> float:
     histogram is read from f's cached atom forest, so the cost follows the
     atom count rather than the grid size.
     """
-    if not (p > 0) or math.isinf(p):
-        raise ValueError("p must be a positive finite exponent")
+    _check_exponent(p)
     if not isinstance(k, numbers.Integral):
         raise ValueError(f"level must be an integer, got {k!r}")
     k = int(k)
@@ -507,8 +506,7 @@ class ModulusTable:
     """
 
     def __init__(self, f: DyadicStepFunction, p: float):
-        if not (p > 0) or math.isinf(p):
-            raise ValueError("p must be a positive finite exponent")
+        _check_exponent(p)
         self.f = f
         self.p = p
         self._scales: dict[int, float] = {}
@@ -619,8 +617,7 @@ def square_function_norm(f, p: float) -> float:
     The square function of a step function is itself a step function and is
     evaluated exactly; at p = 2 this reproduces the Parseval identity.
     """
-    if not (p > 0) or math.isinf(p):
-        raise ValueError("p must be a positive finite exponent")
+    _check_exponent(p)
     f = densify(f)
     c = analyze(f)
     acc = np.full(f.values.shape, c.scaling**2)

@@ -10,8 +10,8 @@ at a time in Python floats (both so that comparison is bit for bit), sparse
 histograms and errors from a rescan of every atom per cube, random words one
 xoshiro step at a time.
 The clauses at the end are the acceptance checks for the norm equivalences
-(criteria 6 and 7) and the projector growth (criterion 10), kept here so
-their negative controls test the same code.
+(criteria 6 and 7), kept here so their negative controls test the same
+code, and the level window on which criterion 10 runs ``basis-fail``.
 """
 
 import math
@@ -193,10 +193,6 @@ class StepwiseStream(RandomStream):
         return np.concatenate([np.zeros(0, dtype=np.uint64), *words])[:n]
 
 
-def dense_from_grid(d, m, values):
-    return hb.DyadicStepFunction(d, m, values)
-
-
 def random_sparse(rng, d, n_atoms, max_level=4):
     """Random sparse function with possibly nesting atoms (test fixture)."""
     terms = []
@@ -361,13 +357,3 @@ def projector_window(d):
     """
     return range(-(-4 // d), 14 // d + 1)
 
-
-#: Criterion 10: largest relative deviation of the fitted growth rate.
-GROWTH_TOLERANCE = 0.2
-
-
-def growth_clause(points, theo):
-    """(slope, dev, ok): fitted log2-slope, |slope - theo| / theo, within tolerance."""
-    slope, _, _ = fit_log2_slope(points)
-    dev = abs(slope - theo) / theo
-    return slope, dev, dev <= GROWTH_TOLERANCE

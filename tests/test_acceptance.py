@@ -1,5 +1,10 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
+Criteria 8-12 run the experiments that state them (``trivial-dual``,
+``uncond-fail``, ``basis-fail``, ``tensor-fail``, ``classify-sweep``) and
+read their verdicts and printed numbers from the summary, so each claim is
+computed once.
+
 Criteria 6, 7 and 10 check asymptotic claims on finite windows, so each
 states its window in the terms where the claim has settled:
 
@@ -9,15 +14,14 @@ states its window in the terms where the claim has settled:
   m = 1..5 by the 2^{-msq} saturation of the level sums (and, for the
   modulus, the 2^-m boundary slab), so its slope is printed as a
   diagnostic only (see test_norm_equivalence_controls.py).
-* 10 fits the projector growth on the levels whose scattered family holds
-  2^3..2^13 atoms, the same atom range at every d; the closed form's
-  finite-N corrections dominate below it.
+* 10 runs ``basis-fail`` on the levels whose scattered family holds
+  2^3..2^13 atoms (``helpers.projector_window``), the same atom range at
+  every d; the closed form's finite-N corrections dominate below it.
 """
 
 import json
 import math
 import time
-from itertools import product
 
 import numpy as np
 import pytest
@@ -26,15 +30,13 @@ import haar_besov as hb
 from haar_besov.experiments import default_config, fit_log2_slope, random_step, run_experiment
 from haar_besov.norms import ModulusTable, a_norm_from_profile, approximation_profile
 from haar_besov.rng import derive_seed
-from haar_besov.regimes import Regime, System, classify, critical_smoothness
+from haar_besov.regimes import critical_smoothness
 
 from helpers import (
     FINEST_SLOPE_LIMIT,
-    GROWTH_TOLERANCE,
     block_l1_ppow_sum,
     finest_scale_terms,
     grid_best_constant_err,
-    growth_clause,
     level_slope_clause,
     projector_window,
 )
@@ -317,15 +319,8 @@ def test_criterion_08_trivial_dual_family():
     for d in (1, 2):
         sc = critical_smoothness(0.6, d)
         for q, s in ((1.0, sc / 2.0), (2.0, sc)):
-            prm = hb.BesovParams(0.6, q, s, d)
-            a_vals, l1_ratio = [], []
-            for m in range(4, 17):
-                norms = hb.nested_closed_form(hb.NestedSpec(d, m), prm)
-                a_vals.append(norms.a_norm)
-                l1_ratio.append(norms.l1_norm / math.log(m + 2))
-            band = max(a_vals) / min(a_vals)
-            assert band <= 2.0, (d, q, s, band)
-            assert 0.2 <= min(l1_ratio) and max(l1_ratio) <= 5.0, (d, q, s)
+            res = run_experiment(default_config("trivial-dual", q=q, s=s, d=d))
+            assert res.passed, (d, q, s, res.summary["band"], res.summary["l1_over_log"])
     _report(8, True, "bounded quasi-norms with logarithmic L1 growth, both d, both (q, s)")
 
 
@@ -333,24 +328,10 @@ def test_criterion_08_trivial_dual_family():
 
 
 def test_criterion_09_conditional_basis_family():
-    p = q = 0.8
-    d, s = 1, 0.25
-    assert s == critical_smoothness(p, d)
-    prm = hb.BesovParams(p, q, s, d)
-    spike_vals = [hb.spike_closed_form(m, d, prm).a_norm for m in range(5, 17)]
-    band = max(spike_vals) / min(spike_vals)
-    assert band <= 2.0, band
-    ys = []
-    for k in range(2, 9):
-        norms = hb.nested_closed_form(hb.NestedSpec(d, 2 * k, rule="alternating"), prm)
-        ys.append((k, norms.a_norm**q))
-    x = np.array([k for k, _ in ys], dtype=float)
-    y = np.array([v for _, v in ys])
-    mx, my = x.mean(), y.mean()
-    slope = float(((x - mx) * (y - my)).sum() / ((x - mx) ** 2).sum())
-    resid = y - (my + slope * (x - mx))
-    r2 = 1.0 - float((resid**2).sum() / ((y - my) ** 2).sum())
-    assert slope > 0.0 and r2 > 0.9, (slope, r2)
+    res = run_experiment(default_config("uncond-fail"))
+    band = res.summary["band"]["spike_a_norm_max_over_min"]
+    r2 = res.summary["fits"]["r2"]
+    assert res.passed, res.summary
     _report(9, True, f"spike band {band:.3f} <= 2; rearranged sums grow linearly (r2={r2:.3f})")
 
 
@@ -359,21 +340,16 @@ def test_criterion_09_conditional_basis_family():
 
 @pytest.mark.parametrize("p,q,d", [(0.7, 1.0, 1), (0.8, 1.0, 2)])
 def test_criterion_10_projector_growth(p, q, d):
-    s = critical_smoothness(p, d)
-    prm = hb.BesovParams(p, q, s, d)
-    alpha = 1.0 / (2.0 * q)
     window = projector_window(d)
-    pts = []
-    for k in window:
-        norms = hb.scattered_closed_norms(hb.ScatteredSpec(k, d, alpha), prm)
-        pts.append((k, norms.ratio))
-    theo = d * (1.0 / p - 1.0 / q)
-    slope, dev, ok = growth_clause(pts, theo)
-    _report(10, ok, f"(p={p}, q={q}, d={d}): fitted {slope:.4f} vs {theo:.4f} (dev {dev:.1%})")
-    assert ok, (
+    cfg = default_config("basis-fail", p=p, q=q, d=d, k_lo=window.start, k_hi=window.stop - 1)
+    res = run_experiment(cfg)
+    fit = res.summary["fits"]["projector_ratio"]
+    slope, theo, dev = fit["slope"], fit["theoretical_slope"], fit["relative_deviation"]
+    _report(10, res.passed, f"(p={p}, q={q}, d={d}): fitted {slope:.4f} vs {theo:.4f} (dev {dev:.1%})")
+    assert res.passed, (
         f"fitted slope {slope:.4f} vs theoretical {theo:.4f} over "
         f"k={window.start}..{window.stop - 1} (2^3..2^13 atoms): deviation "
-        f"{dev:.1%} exceeds {GROWTH_TOLERANCE:.0%}"
+        f"{dev:.1%} exceeds {res.summary['thresholds']['relative_deviation']:.0%}"
     )
 
 
@@ -381,31 +357,19 @@ def test_criterion_10_projector_growth(p, q, d):
 
 
 def test_criterion_11_tensor_projection_growth():
-    p, d = 0.5, 2
-    prm = hb.BesovParams(p, 1.0, 1.0, d)
-    pts = [(k, hb.tensor_spike_pair(k, d, prm).ratio) for k in range(2, 11)]
-    slope, _, _ = fit_log2_slope(pts)
-    theo = (1.0 / p - 1.0) * (d - 1)
-    dev = abs(slope - theo) / theo
-    ok = dev <= 0.2
-    _report(11, ok, f"fitted {slope:.4f} vs {theo:.4f} (dev {dev:.1%})")
-    assert ok
+    res = run_experiment(default_config("tensor-fail"))
+    fit = res.summary["fits"]["rank_one_ratio"]
+    slope, theo, dev = fit["slope"], fit["theoretical_slope"], fit["relative_deviation"]
+    _report(11, res.passed, f"fitted {slope:.4f} vs {theo:.4f} (dev {dev:.1%})")
+    assert res.passed
 
 
 # -- 12 ---------------------------------------------------------------------
 
 
 def test_criterion_12_regime_classifier():
-    examples = [
-        ((0.8, 0.8, 0.25, 1), System.ISOTROPIC, Regime.CONDITIONAL_BASIS, False),
-        ((0.5, 2.0, 2.0, 2), System.ISOTROPIC, Regime.NOT_BASIS_TRIVIAL_DUAL, True),
-        ((0.5, 1.0, 1.0, 2), System.TENSOR, Regime.NOT_BASIS_TENSOR, False),
-        ((2.0, 0.7, 0.3, 3), System.ISOTROPIC, Regime.UNCONDITIONAL_BASIS, False),
-    ]
-    for (p, q, s, d), system, expected, allow in examples:
-        prm = hb.BesovParams(p, q, s, d, allow_degenerate=allow)
-        assert classify(prm, system).regime is expected, (p, q, s, d)
     res = run_experiment(default_config("classify-sweep"))
+    assert res.summary["examples_ok"]
     assert res.summary["lattice_points"] >= 10_000
     assert res.summary["unclassified"] == 0
     assert res.passed

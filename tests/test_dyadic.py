@@ -26,6 +26,15 @@ class TestDyadicCube:
         with pytest.raises(ValueError):
             cube(2, 1, 0)  # wrong index length
 
+    @pytest.mark.parametrize("index", [(1.7,), ("3",)])
+    def test_non_integer_index_raises(self, index):
+        with pytest.raises(ValueError, match="index components must be integers"):
+            hb.DyadicCube(1, 2, index)
+
+    def test_numpy_integer_index_is_a_python_int(self):
+        c = hb.DyadicCube(1, 2, (np.int64(3),))
+        assert c == cube(1, 2, 3) and type(c.index[0]) is int
+
     def test_nesting(self):
         parent = cube(1, 1, 0)
         child = cube(1, 3, 3)

@@ -11,17 +11,22 @@ These controls separate that probe artifact from a genuine calibration bug:
 
 The acceptance criteria therefore test flatness on the finest-scale terms
 (``helpers.finest_scale_terms``).  The last controls pin the one correction
-those terms need at d >= 2 and show that the acceptance clauses of criteria
-6, 7 and 10 still reject deliberately biased inputs.
+those terms need at d >= 2 and show that the acceptance checks of criteria
+6, 7, 8, 10 and 11 still reject deliberately biased inputs.  Criteria 8, 10
+and 11 are the verdicts of ``trivial-dual``, ``basis-fail`` and
+``tensor-fail``, so their controls bias the closed forms those experiments
+read.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import haar_besov as hb
-from haar_besov.experiments import fit_log2_slope, random_step
+from haar_besov import experiments
+from haar_besov.experiments import default_config, fit_log2_slope, random_step, run_experiment
 from haar_besov.norms import ModulusTable, a_norm_from_profile, approximation_profile
 from haar_besov.regimes import critical_smoothness
 from haar_besov.rng import RandomStream, derive_seed
@@ -29,7 +34,6 @@ from haar_besov.rng import RandomStream, derive_seed
 from helpers import (
     direction_difference_sums,
     finest_scale_terms,
-    growth_clause,
     level_slope_clause,
     projector_window,
 )
@@ -151,16 +155,63 @@ def test_finest_slope_clause_rejects_level_bias(d, p):
 # lands at 18.4% and stays inside the 20% tolerance; upward biases there are
 # caught from about 27% on
 @pytest.mark.parametrize("p,q,d,sign", [(0.7, 1.0, 1, -1), (0.8, 1.0, 2, 1), (0.8, 1.0, 2, -1)])
-def test_projector_growth_clause_rejects_shifted_slope(p, q, d, sign):
-    # criterion 10: scattered ratios whose slope is shifted by 25% of the
-    # theoretical rate must fail the window fit that the true ratios pass
-    prm = hb.BesovParams(p, q, critical_smoothness(p, d), d)
+def test_projector_growth_clause_rejects_shifted_slope(p, q, d, sign, monkeypatch):
+    # criterion 10: basis-fail on the window must fail when the scattered
+    # ratios' slope is shifted by 25% of the theoretical rate, and pass on
+    # the true ratios
+    window = projector_window(d)
+    cfg = default_config("basis-fail", p=p, q=q, d=d, k_lo=window.start, k_hi=window.stop - 1)
+    assert run_experiment(cfg).passed
     theo = d * (1.0 / p - 1.0 / q)
-    pts = [
-        (k, hb.scattered_closed_norms(hb.ScatteredSpec(k, d, 1.0 / (2.0 * q)), prm).ratio)
-        for k in projector_window(d)
-    ]
-    assert growth_clause(pts, theo)[2]
-    shifted = [(k, r * 2.0 ** (sign * 0.25 * theo * k)) for k, r in pts]
-    slope, dev, ok = growth_clause(shifted, theo)
-    assert not ok, (slope, dev)
+    true_norms = experiments.scattered_closed_norms
+
+    def shifted(spec, prm):
+        norms = true_norms(spec, prm)
+        log2_proj = norms.log2_proj_a_norm + sign * 0.25 * theo * spec.k
+        return dataclasses.replace(norms, log2_proj_a_norm=log2_proj)
+
+    monkeypatch.setattr(experiments, "scattered_closed_norms", shifted)
+    res = run_experiment(cfg)
+    assert not res.passed, res.summary["fits"]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tensor_growth_rejects_shifted_slope(sign, monkeypatch):
+    # criterion 11: tensor-fail must fail when the rank-one ratios' slope is
+    # shifted by 25% of the theoretical rate
+    cfg = default_config("tensor-fail")
+    assert run_experiment(cfg).passed
+    theo = (1.0 / cfg.p - 1.0) * (cfg.d - 1)
+    true_pair = experiments.tensor_spike_pair
+
+    def shifted(k, d, prm):
+        res = true_pair(k, d, prm)
+        bias = 2.0 ** (sign * 0.25 * theo * k)
+        return dataclasses.replace(res, a_projection=res.a_projection * bias)
+
+    monkeypatch.setattr(experiments, "tensor_spike_pair", shifted)
+    res = run_experiment(cfg)
+    assert not res.passed
+    assert res.summary["fits"]["rank_one_ratio"]["relative_deviation"] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("critical", [False, True])
+def test_trivial_dual_rejects_growing_a_norms(d, critical, monkeypatch):
+    # criterion 8: a-norms that grow like 2^{0.1m} over m = 4..16 must leave
+    # the band of 2 that the closed-form a-norms stay in
+    sc = critical_smoothness(0.6, d)
+    q, s = (2.0, sc) if critical else (1.0, sc / 2.0)
+    cfg = default_config("trivial-dual", q=q, s=s, d=d)
+    res = run_experiment(cfg)
+    assert res.passed and res.summary["band"]["a_norm_max_over_min"] < 1.5
+    true_form = experiments.nested_closed_form
+
+    def grown(spec, prm):
+        norms = true_form(spec, prm)
+        return dataclasses.replace(norms, a_norm=norms.a_norm * 2.0 ** (0.1 * spec.m))
+
+    monkeypatch.setattr(experiments, "nested_closed_form", grown)
+    res = run_experiment(cfg)
+    assert not res.passed
+    assert res.summary["band"]["a_norm_max_over_min"] > 2.0

@@ -910,3 +910,20 @@ class TestRoutesBeyondDoubleRange:
             hb.b0_221_weighted_sum(f)
         small = hb.DyadicStepFunction(1, 2, np.array(self.CELLS) * 1e-300)
         assert hb.square_function_norm(small, 0.5) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, p: hb.lp_quasinorm(f, p),
+        lambda f, p: hb.best_constant_error(hb.ValueHistogram.from_pairs([(1.0, 1.0)]), p),
+        lambda f, p: hb.approx_error(f, 0, p),
+        lambda f, p: ModulusTable(f, p),
+        lambda f, p: hb.square_function_norm(f, p),
+    ],
+    ids=["lp_quasinorm", "best_constant_error", "approx_error", "ModulusTable", "square_function_norm"],
+)
+def test_every_exponent_entry_rejects_bad_p(entry, p):
+    with pytest.raises(ValueError, match="p must be a positive finite exponent"):
+        entry(random_step(1, 1, 2), p)

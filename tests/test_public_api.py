@@ -4,7 +4,8 @@ module-level function or class must be exported or used.
 A stale ``__all__`` entry breaks ``from haar_besov.<module> import *`` while
 every direct import keeps working, so nothing else would notice it; a
 private helper that nothing calls is dead code that nothing would notice
-either.
+either.  The same holds for the shared test helpers: every top-level
+definition in ``tests/helpers.py`` must be named by some test module.
 """
 
 import ast
@@ -59,3 +60,16 @@ def test_every_definition_is_exported_or_used(name):
         if isinstance(node, defs) and node.name not in exported and node.name not in USED
     ]
     assert not dead, f"haar_besov.{name} defines {dead}, which nothing exports or names"
+
+
+def test_every_test_helper_is_used():
+    tests = Path(__file__).parent
+    helpers = ast.parse((tests / "helpers.py").read_text())
+    used = {n for p in tests.glob("test_*.py") for n in _names_used(ast.parse(p.read_text()))}
+    defined = [
+        node.name for node in helpers.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ] + [
+        t.id for node in helpers.body if isinstance(node, ast.Assign) for t in node.targets
+    ]
+    dead = [name for name in defined if name not in used]
+    assert not dead, f"tests/helpers.py defines {dead}, which no test names"
