@@ -138,7 +138,10 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_classify(args) -> int:
     prm = BesovParams(args.p, args.q, args.s, args.d, allow_degenerate=args.allow_degenerate)
     res = classify(prm, System(args.system))
-    _emit(json.dumps(res.to_json_dict(), sort_keys=True), None)
+    obj = {"regime": res.regime.value, "citation": res.citation}
+    if res.note:
+        obj["note"] = res.note
+    _emit(json.dumps(obj, sort_keys=True), None)
     return 0
 
 
@@ -229,12 +232,11 @@ def _cmd_experiment(args) -> int:
         k_hi=args.kmax,
         samples=args.samples,
         alpha=args.alpha,
-        out=args.out,
-        fmt=args.format,
     )
     try:
-        cfg = default_config(args.name, **overrides)
-        result = run_experiment(cfg)
+        result = run_experiment(default_config(args.name, **overrides))
+        if args.out:
+            result.write(args.out, args.format)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sys.stdout.write(result.json_text())

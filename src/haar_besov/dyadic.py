@@ -129,8 +129,9 @@ class DyadicCube:
     """Half-open dyadic cube prod_j [i_j * 2**-k, (i_j+1) * 2**-k) in [0,1)^d.
 
     ``index`` components are plain Python integers, so cubes at levels in the
-    thousands (as the scattered family needs) are exact.  They are read by
-    ``operator.index``: a float or a string is rejected, not truncated.
+    thousands (as the scattered family needs) are exact.  They, ``d`` and
+    ``level`` are read by ``operator.index``: a float or a string is
+    rejected, not truncated.
     """
 
     d: int
@@ -138,6 +139,12 @@ class DyadicCube:
     index: tuple
 
     def __post_init__(self):
+        for name in ("d", "level"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                value = getattr(self, name)
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.d < 1:
             raise ValueError("dimension must be a positive integer")
         if self.level < 0:
@@ -228,34 +235,13 @@ class DyadicStepFunction:
         """Values in row-major multi-index order."""
         return self.values.ravel()
 
-    def refine(self, m: int) -> "DyadicStepFunction":
-        """Re-express on the finer level-m grid by value replication."""
-        if m < self.level:
-            raise ValueError("refinement level below current level")
-        if m == self.level:
-            return self
-        _check_budget(self.d, m)
-        out = np.empty((1 << m,) * self.d)
-        cube_blocks(out, self.level)[...] = self.values[(...,) + (None,) * self.d]
-        return DyadicStepFunction(self.d, m, out)
-
     def restrict(self, cube: DyadicCube) -> np.ndarray:
         """Cell values of the restriction to ``cube`` (dense sub-block)."""
         if cube.d != self.d:
             raise ValueError("dimension mismatch")
         if cube.level > self.level:
-            raise ValueError("cube finer than the grid; refine first")
+            raise ValueError("cube finer than the grid; densify first")
         return self.values[cube.grid_slices(self.level)]
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "m": self.level, "values": self.flat().tolist()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DyadicStepFunction":
-        d, m = _json_field(obj, "d"), _json_field(obj, "m")
-        return cls(d, m, _json_field(obj, "values", list))
 
     def __repr__(self):
         return f"DyadicStepFunction(d={self.d}, level={self.level})"
@@ -337,41 +323,6 @@ class SparseStepFunction:
             self._forest = _AtomForest(self.atoms)
         return self._forest
 
-    def densify(self, m: int) -> DyadicStepFunction:
-        """Evaluate the atom sum on the level-m grid (m >= every atom level)."""
-        if m < self.max_level and self.atoms:
-            raise ValueError("densification level below the deepest atom")
-        return average_project(self, m)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "atoms": [
-                {
-                    "level": a.cube.level,
-                    "index": list(a.cube.index),
-                    "sign": a.sign,
-                    "log2mag": a.log2mag,
-                }
-                for a in self.atoms
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SparseStepFunction":
-        d = _json_field(obj, "d")
-        atoms = [
-            SparseAtom(
-                DyadicCube(d, _json_field(rec, "level"), _json_field(rec, "index", _indices)),
-                _json_field(rec, "sign"),
-                _json_field(rec, "log2mag", float),
-            )
-            for rec in _json_field(obj, "atoms", list)
-        ]
-        return cls(d, atoms)
-
     def __repr__(self):
         return f"SparseStepFunction(d={self.d}, atoms={len(self.atoms)})"
 
@@ -379,9 +330,18 @@ class SparseStepFunction:
 def function_to_json(f) -> str:
     """Serialize either representation to a JSON string."""
     if isinstance(f, DyadicStepFunction):
-        obj = {"kind": "dense", **f.to_json_dict()}
+        obj = {"kind": "dense", "d": f.d, "m": f.level, "values": f.flat().tolist()}
     elif isinstance(f, SparseStepFunction):
-        obj = {"kind": "sparse", **f.to_json_dict()}
+        atoms = [
+            {
+                "level": a.cube.level,
+                "index": list(a.cube.index),
+                "sign": a.sign,
+                "log2mag": a.log2mag,
+            }
+            for a in f.atoms
+        ]
+        obj = {"kind": "sparse", "d": f.d, "atoms": atoms}
     else:
         raise TypeError("expected a step function")
     return json.dumps(obj, sort_keys=True)
@@ -410,9 +370,17 @@ def function_from_json(text: str):
         raise ValueError(f"a step function is a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind", "dense" if "values" in obj else "sparse")
     if kind == "dense":
-        return DyadicStepFunction.from_json_dict(obj)
+        d, m = _json_field(obj, "d"), _json_field(obj, "m")
+        return DyadicStepFunction(d, m, _json_field(obj, "values", list))
     if kind == "sparse":
-        return SparseStepFunction.from_json_dict(obj)
+        d = _json_field(obj, "d")
+        atoms = []
+        for rec in _json_field(obj, "atoms", list):
+            level = _json_field(rec, "level")
+            cube = _json_field(rec, "index", lambda v: DyadicCube(d, level, v))
+            sign, log2mag = _json_field(rec, "sign"), _json_field(rec, "log2mag", float)
+            atoms.append(SparseAtom(cube, sign, log2mag))
+        return SparseStepFunction(d, atoms)
     raise ValueError(f"unknown step-function kind {kind!r}")
 
 
@@ -479,14 +447,15 @@ def cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def densify(f, m: int | None = None) -> DyadicStepFunction:
-    """Dense level-m view of either representation.
+    """Dense level-m view of either representation, ``average_project(f, m)``.
 
     m defaults to the finest level of f itself (``f.level`` for a dense
-    input, ``f.max_level`` for a sparse one).
+    input, ``f.max_level`` for a sparse one) and must not lie below it.
     """
-    if isinstance(f, DyadicStepFunction):
-        return f.refine(f.level if m is None else m)
-    return f.densify(f.max_level if m is None else m)
+    finest = f.level if isinstance(f, DyadicStepFunction) else f.max_level
+    if m is not None and m < finest:
+        raise ValueError(f"densify level {m} lies below the finest level {finest} of f")
+    return average_project(f, finest if m is None else m)
 
 
 def lp_quasinorm(f, p: float) -> float:
@@ -536,15 +505,21 @@ def lp_quasinorm(f, p: float) -> float:
 def average_project(f, k: int) -> DyadicStepFunction:
     """Replace f by its average on every level-k cube (L_2 orthoprojection
     onto the level-k step functions).  For k at or above the resolution of a
-    dense input the function is returned unchanged (re-expressed at level k).
+    dense input the function is returned unchanged (re-expressed at level k
+    by value replication).
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
     if isinstance(f, DyadicStepFunction):
-        if k >= f.level:
-            return f.refine(k)
-        fine = tuple(range(f.d, 2 * f.d))
-        return DyadicStepFunction(f.d, k, cube_blocks(f.values, k).mean(axis=fine))
+        if k == f.level:
+            return f
+        if k < f.level:
+            fine = tuple(range(f.d, 2 * f.d))
+            return DyadicStepFunction(f.d, k, cube_blocks(f.values, k).mean(axis=fine))
+        _check_budget(f.d, k)
+        out = np.empty((1 << k,) * f.d)
+        cube_blocks(out, f.level)[...] = f.values[(...,) + (None,) * f.d]
+        return DyadicStepFunction(f.d, k, out)
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
     _check_budget(f.d, k)

@@ -119,8 +119,6 @@ class ExperimentConfig:
     k_hi: int = 7
     samples: int = 50
     alpha: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.samples < 1:
@@ -461,10 +459,7 @@ EXPERIMENTS = tuple(_REGISTRY)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment; writes report files when cfg.out is set."""
+    """Run one experiment; ``result.write(base, fmt)`` writes its report."""
     if cfg.experiment not in _REGISTRY:
         raise ValueError(f"unknown experiment {cfg.experiment!r}")
-    result = _REGISTRY[cfg.experiment][0](cfg)
-    if cfg.out:
-        result.write(cfg.out, cfg.fmt)
-    return result
+    return _REGISTRY[cfg.experiment][0](cfg)

@@ -234,7 +234,7 @@ class HaarCoefficients:
                 if k == 0:
                     scaling = value
                     continue
-                parent = _json_field(rec, "parent", lambda v: DyadicCube(d, k - 1, _indices(v)))
+                parent = _json_field(rec, "parent", lambda v: DyadicCube(d, k - 1, v))
                 pattern = HaarIndex.wavelet(parent, _json_field(rec, "pattern")).pattern
                 out.blocks[k - 1][parent.index + (pattern - 1,)] = value
         return cls(d, kmax, scaling, out.blocks)
@@ -269,7 +269,7 @@ def synthesize(c: HaarCoefficients, m: int) -> DyadicStepFunction:
     for k in range(1, c.max_level + 1):
         coef = np.concatenate([a[..., None], c.blocks[k - 1]], axis=-1)
         a = _merge_children(coef @ M, d)
-    return DyadicStepFunction(d, c.max_level, a).refine(m)
+    return densify(DyadicStepFunction(d, c.max_level, a), m)
 
 
 def partial_sum_subset(
@@ -444,16 +444,13 @@ def tensor_synthesize(c: TensorHaarCoefficients, m: int | None = None) -> Dyadic
     a = np.array(c.array, dtype=float)
     for axis in range(c.d):
         a = np.moveaxis(_dwt_inverse_axis(np.moveaxis(a, axis, 0)), 0, axis)
-    out = DyadicStepFunction(c.d, c.level, a)
-    if m is not None and m != c.level:
-        out = out.refine(m)
-    return out
+    return densify(DyadicStepFunction(c.d, c.level, a), m)
 
 
 def tensor_coefficient(f: DyadicStepFunction, n: Sequence[int]) -> float:
     """<f, theta> / <theta, theta> by direct quadrature (no full transform)."""
     top = max(f.level, tensor_block_level(n))
-    fd = f.refine(top)
+    fd = densify(f, top)
     theta = tensor_haar_function(f.d, n, top)
     num = stable_sum(fd.values * theta.values) * fd.cell_measure
     return num / _tensor_support_measure(n)

@@ -250,8 +250,6 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
     rows are enumerated together in chunks, O(cells^2) per row.
     """
     ncubes, nvals = rows.shape
-    if nvals == 1:
-        return np.zeros(ncubes)
     if p == 2.0:
         mu = rows.mean(axis=1, keepdims=True)
         return ((rows - mu) ** 2).sum(axis=1)
@@ -561,6 +559,9 @@ class ModulusTable:
         while True:
             w = self.omega(j)
             if w == 0.0 and j >= self.f.level:
+                if self.f.values.min() < self.f.values.max():
+                    # omega^p underflowed: the tail it drops need not be small
+                    raise ValueError(f"the modulus-route scale sum underflows at j = {j}")
                 break  # constant function: all further scales vanish
             term = (2.0 ** (j * s) * w) ** q
             total += term
@@ -571,8 +572,6 @@ class ModulusTable:
             else:
                 consec = 0
             j += 1
-            if j > 100_000:
-                raise RuntimeError("modulus-norm scale sum failed to settle")
         return total ** (1.0 / q)
 
 
@@ -599,7 +598,8 @@ def b_norm_modulus(f, prm: BesovParams) -> float:
     built one last-axis offset at a time; scales below the grid are evaluated
     exactly via fractional shifts, as weighted sums of the table's entries on
     the offsets {-1, 0, 1}^d, in blocks of levels; and the sum stops once
-    three consecutive terms drop below 1e-9 of the running total.
+    three consecutive terms drop below 1e-9 of the running total.  If omega^p
+    of a non-constant f underflows to 0 first, it raises ``ValueError``.
     """
     f = densify(f)
     return ModulusTable(f, prm.p).b_norm(prm)

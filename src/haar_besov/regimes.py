@@ -40,12 +40,6 @@ class RegimeResult:
     citation: str
     note: str | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {"regime": self.regime.value, "citation": self.citation}
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 def critical_smoothness(p: float, d: int) -> float:
     """The critical line d(1/p - 1); negative for p > 1."""

@@ -163,7 +163,7 @@ def analyze_direct(f):
     out = {}
     for k in range(f.level + 1):
         for idx in hb.level_indices(f.d, k):
-            h = hb.haar_function(idx).densify(f.level)
+            h = hb.densify(hb.haar_function(idx), f.level)
             num = math.fsum((f.values * h.values).ravel()) * f.cell_measure
             out[idx] = num / idx.support.measure
     return out

@@ -382,8 +382,7 @@ def test_criterion_12_regime_classifier():
 def test_criterion_13_deterministic_reports(tmp_path):
     paths = []
     for tag in ("run1", "run2"):
-        cfg = default_config("basis-fail", seed=99, out=str(tmp_path / tag))
-        run_experiment(cfg)
+        run_experiment(default_config("basis-fail", seed=99)).write(str(tmp_path / tag))
         paths.append(tmp_path / tag)
     csv_a = (paths[0].with_suffix(".csv")).read_bytes()
     csv_b = (paths[1].with_suffix(".csv")).read_bytes()

@@ -35,6 +35,18 @@ class TestDyadicCube:
         c = hb.DyadicCube(1, 2, (np.int64(3),))
         assert c == cube(1, 2, 3) and type(c.index[0]) is int
 
+    @pytest.mark.parametrize(
+        "d, level, index, name",
+        [(1, 2.0, (1,), "level"), (2, "3", (1, 1), "level"), (1.0, 2, (1,), "d")],
+    )
+    def test_non_integer_dimension_or_level_raises(self, d, level, index, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            hb.DyadicCube(d, level, index)
+
+    def test_numpy_integer_level_is_a_python_int(self):
+        c = hb.DyadicCube(np.int64(1), np.int64(2), (3,))
+        assert c == cube(1, 2, 3) and type(c.d) is int and type(c.level) is int
+
     def test_nesting(self):
         parent = cube(1, 1, 0)
         child = cube(1, 3, 3)
@@ -78,8 +90,14 @@ class TestDensify:
 
     def test_level_below_atom_rejected(self):
         f = hb.SparseStepFunction.from_terms(1, [(cube(1, 3, 1), 1.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below the finest level 3"):
             hb.densify(f, 2)
+
+    def test_level_below_dense_grid_rejected(self):
+        f = hb.DyadicStepFunction(1, 3, np.arange(8.0))
+        with pytest.raises(ValueError, match="below the finest level 3"):
+            hb.densify(f, 2)
+        assert hb.densify(f) is f and hb.densify(f, 3) is f
 
 
 _LEVEL0 = hb.DyadicStepFunction(1, 0, [1.0])
@@ -88,9 +106,8 @@ _ATOM = hb.SparseStepFunction.from_terms(1, [(cube(1, 1, 0), 1.0)])
 # every entry point that builds a dense grid, asked for level 27 at d = 1
 _OVER_BUDGET = {
     "random_step": lambda: hb.random_step(0, 1, 27),
-    "refine": lambda: _LEVEL0.refine(27),
-    "SparseStepFunction.densify": lambda: _ATOM.densify(27),
     "densify": lambda: hb.densify(_ATOM, 27),
+    "densify-dense": lambda: hb.densify(_LEVEL0, 27),
     "average_project": lambda: hb.average_project(_ATOM, 27),
     "synthesize": lambda: hb.synthesize(hb.analyze(_LEVEL0), 27),
     "partial_sum_subset": lambda: hb.partial_sum_subset(
@@ -201,7 +218,7 @@ class TestLpQuasinorm:
             f = hb.DyadicStepFunction(d, m, rng.normal(size=(1 << m,) * d))
             base = hb.lp_quasinorm(f, p)
             for mm in (m + 1, m + 2):
-                assert hb.lp_quasinorm(f.refine(mm), p) == pytest.approx(
+                assert hb.lp_quasinorm(hb.densify(f, mm), p) == pytest.approx(
                     base, rel=1e-12
                 )
 
@@ -218,7 +235,7 @@ class TestAverageProject:
     def test_idempotent_at_or_above_level(self):
         f = hb.DyadicStepFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
         out = hb.average_project(f, 4)
-        assert np.array_equal(out.values, f.refine(4).values)
+        assert np.array_equal(out.values, hb.densify(f, 4).values)
 
     def test_projector_algebra_exact(self):
         rng = np.random.default_rng(5)
@@ -229,7 +246,7 @@ class TestAverageProject:
             for l in range(4):
                 lhs = hb.average_project(hb.average_project(f, k), l)
                 rhs = hb.average_project(f, min(k, l))
-                assert np.array_equal(lhs.values, rhs.refine(lhs.level).values)
+                assert np.array_equal(lhs.values, hb.densify(rhs, lhs.level).values)
 
     def test_l1_contraction(self):
         rng = np.random.default_rng(6)

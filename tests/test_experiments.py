@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import haar_besov as hb
-from haar_besov import experiments
+from haar_besov import cli, experiments
 from haar_besov.cli import main as cli_main
 from haar_besov.experiments import (
     CSV_COLUMNS,
@@ -17,6 +18,13 @@ from haar_besov.experiments import (
     run_experiment,
 )
 from haar_besov.rng import RandomStream, derive_seed, splitmix64
+
+
+def _cli_choices(command: str, dest: str) -> list[str]:
+    """The choices the CLI parser offers for option ``dest`` of ``command``."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
 
 
 class TestRandomStream:
@@ -199,8 +207,8 @@ class TestRunExperiment:
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        run_experiment(default_config("uncond-fail", out=str(out1)))
-        run_experiment(default_config("uncond-fail", out=str(out2)))
+        run_experiment(default_config("uncond-fail")).write(str(out1))
+        run_experiment(default_config("uncond-fail")).write(str(out2))
         assert (out1.with_suffix(".csv")).read_bytes() == (
             out2.with_suffix(".csv")
         ).read_bytes()
@@ -210,7 +218,8 @@ class TestRunExperiment:
 
     def test_json_format_single_file(self, tmp_path):
         out = tmp_path / "r"
-        res = run_experiment(default_config("trivial-dual", out=str(out), fmt="json"))
+        res = run_experiment(default_config("trivial-dual"))
+        res.write(str(out), "json")
         blob = json.loads((out.with_suffix(".json")).read_text())
         assert "rows" in blob and "summary" in blob
         assert len(blob["rows"]) == len(res.rows)
@@ -266,7 +275,7 @@ class TestCli:
             args = ["transform", "--input", str(cpath), "--inverse", "--out", str(back)]
             assert cli_main(args + tensor + m) == 0
             g = hb.function_from_json(back.read_text())
-            np.testing.assert_allclose(g.values, f.refine(g.level).values, atol=1e-12)
+            np.testing.assert_allclose(g.values, hb.densify(f, g.level).values, atol=1e-12)
 
     def test_generate_families(self, tmp_path, capsys):
         for fam in ("nested", "spike", "scattered", "tensor-spike"):
@@ -274,6 +283,54 @@ class TestCli:
             assert rc == 0
             obj = json.loads(capsys.readouterr().out)
             assert obj["kind"] == "sparse"
+
+    @pytest.mark.parametrize("family", _cli_choices("generate", "family"))
+    def test_every_generator_prints_the_library_function(self, family, capsys):
+        assert cli_main(["generate", family, "--d", "2", "--m", "3", "--k", "1"]) == 0
+        expect = {
+            "nested": lambda: hb.nested_family(hb.NestedSpec(2, 3)),
+            "spike": lambda: hb.spike_pair(3, 2).f,
+            "spike-sums": lambda: hb.spike_pair(3, 2).g(1),
+            "scattered": lambda: hb.scattered(hb.ScatteredSpec(1, 2, 0.5)),
+            "tensor-spike": lambda: hb.tensor_spike_pair(1, 2, hb.BesovParams(0.5, 1, 0, 2)).f,
+            "random": lambda: random_step(0, 2, 3),
+        }[family]()
+        assert capsys.readouterr().out == hb.function_to_json(expect) + "\n"
+
+    @pytest.mark.parametrize("route", _cli_choices("norm", "route"))
+    def test_every_norm_route_prints_the_library_value(self, route, tmp_path, capsys):
+        f = random_step(5, 2, 3)
+        fpath = tmp_path / "f.json"
+        fpath.write_text(hb.function_to_json(f))
+        args = ["norm", "--input", str(fpath), "--p", "1.5", "--q", "2", "--s", "0.25"]
+        assert cli_main(args + ["--route", route]) == 0
+        prm = hb.BesovParams(1.5, 2.0, 0.25, 2)
+        sup = lambda: hb.linf_lp_norm(hb.analyze(f), hb.BesovParams(1.5, hb.INF, 0.25, 2))
+        expect = {
+            "lp": lambda: {"lp": hb.lp_quasinorm(f, 1.5)},
+            "a": lambda: {"a": hb.a_norm(f, prm)},
+            "modulus": lambda: {"modulus": hb.b_norm_modulus(f, prm)},
+            "lqlp": lambda: {"lqlp": hb.lqlp_norm(hb.analyze(f), prm)},
+            "linflp": lambda: {
+                "linflp": sup().value,
+                "linflp_per_level": sup().per_level.tolist(),
+            },
+            "square": lambda: {"square": hb.square_function_norm(f, 1.5)},
+            "b0221": lambda: {"b0221": hb.b0_221_weighted_sum(f)},
+        }[route]()
+        assert json.loads(capsys.readouterr().out) == expect
+        if route == "linflp":
+            assert len(expect["linflp_per_level"]) == 4
+            assert cli_main(["norm", "--input", str(fpath), "--p", "1.5", "--route", route]) == 1
+            assert capsys.readouterr().err == "error: route linflp needs --s\n"
+
+    def test_modulus_scale_sum_underflow_exits_one(self, tmp_path, capsys):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(json.dumps({"d": 1, "m": 2, "values": [0.3, -1, 0.5, 2]}))
+        args = ["norm", "--input", str(fpath), "--p", "2", "--q", "1", "--s", "0.499"]
+        assert cli_main(args + ["--route", "modulus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the modulus-route scale sum") and "Traceback" not in err
 
     def test_experiment_exit_codes(self, tmp_path):
         assert cli_main(["experiment", "trivial-dual", "--out", str(tmp_path / "t")]) == 0

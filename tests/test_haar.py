@@ -135,7 +135,7 @@ class TestPartialSums:
         for k in range(4):
             J = [i for l in range(k + 1) for i in hb.level_indices(d, l)]
             lhs = hb.partial_sum_subset(f, J)
-            rhs = hb.average_project(f, k).refine(3)
+            rhs = hb.densify(hb.average_project(f, k), 3)
             np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-12)
 
     def test_even_blocks_of_spike(self):
@@ -160,7 +160,7 @@ class TestPartialSums:
         l = 2
         lhs = hb.partial_sum_subset(hb.average_project(f, l), J)
         rhs = hb.average_project(hb.partial_sum_subset(f, J), l)
-        np.testing.assert_allclose(lhs.values, rhs.refine(lhs.level).values, atol=1e-12)
+        np.testing.assert_allclose(lhs.values, hb.densify(rhs, lhs.level).values, atol=1e-12)
 
 
 class TestOrthogonality:

@@ -276,7 +276,7 @@ class TestApproxError:
     @pytest.mark.parametrize("d, m, k", MIXED)
     def test_constant_cubes_give_exact_zero(self, d, m, k):
         r = np.random.default_rng(m + d)
-        f = hb.DyadicStepFunction(d, k, r.normal(size=(1 << k,) * d)).refine(m)
+        f = hb.densify(hb.DyadicStepFunction(d, k, r.normal(size=(1 << k,) * d)), m)
         for p in (0.3, 0.6, 0.8):
             assert hb.approx_error(f, k, p) == 0.0
             assert hb.approx_error(f, k - 1, p) > 0.0
@@ -531,7 +531,7 @@ class TestANorm:
                 for k in range(3):
                     ek = hb.approx_error(f, k, p)
                     diff = hb.DyadicStepFunction(
-                        d, 3, f.values - hb.average_project(f, k).refine(3).values
+                        d, 3, f.values - hb.densify(hb.average_project(f, k), 3).values
                     )
                     resid = hb.lp_quasinorm(diff, p)
                     assert ek <= resid * (1 + 1e-12)
@@ -557,6 +557,22 @@ class TestModulus:
         f = hb.DyadicStepFunction(1, 2, np.full(4, 7.0))
         for t in (0.25, 0.5, 1.0):
             assert hb.modulus(f, t, 1.3) == 0.0
+
+    # d = 1, m = 2: below the grid omega(2^-j)_2^2 = 2^-j D[1], a geometric
+    # tail whose exact sums at p = 2, q = 1 are 359.995 (s = 0.49) and
+    # 3590.44 (s = 0.499); omega^p underflows at j = 1075 before either settles
+    @pytest.mark.parametrize("s", [0.49, 0.499])
+    def test_underflowed_scale_sum_raises(self, s):
+        f = hb.DyadicStepFunction(1, 2, [0.3, -1.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="modulus-route scale sum underflows at j = 1075"):
+            hb.b_norm_modulus(f, hb.BesovParams(2.0, 1.0, s, 1))
+
+    def test_settled_and_constant_scale_sums_keep_their_values(self):
+        f = hb.DyadicStepFunction(1, 2, [0.3, -1.0, 0.5, 2.0])
+        got = hb.b_norm_modulus(f, hb.BesovParams(2.0, 1.0, 0.45, 1))
+        assert got == float.fromhex("0x1.2370a5ada2ecdp+6")
+        c = hb.DyadicStepFunction(1, 2, np.full(4, 0.7))
+        assert hb.b_norm_modulus(c, hb.BesovParams(2.0, 1.0, 0.499, 1)) == 0.7
 
     def test_haar_wavelet_values(self):
         f = h0_dense()
@@ -598,7 +614,7 @@ class TestModulus:
         r = np.random.default_rng(52)
         f = hb.DyadicStepFunction(2, 2, r.normal(size=(4, 4)))
         tab = ModulusTable(f, 1.4)
-        fr = f.refine(4)
+        fr = hb.densify(f, 4)
         tab_r = ModulusTable(fr, 1.4)
         for j in (3, 4):
             assert tab.omega_ppow(j) == pytest.approx(tab_r.omega_ppow(j), rel=1e-12)
