@@ -65,8 +65,22 @@ class CapacityError(RuntimeError):
         )
 
 
+def _integer(value, name: str, low: int | None) -> int:
+    """``value`` as a Python int, read by ``operator.index``: a bool, a float,
+    a string, None or a value below ``low`` raises a ValueError naming
+    ``name``, so a parameter is never truncated, parsed or stored as numpy."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        v = None
+    if v is None or isinstance(value, bool) or low is not None and v < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return v
+
+
 def _check_budget(d: int, level: int) -> None:
-    cells = 1 << (level * d)
+    cells = 1 << (_integer(level, "level", 0) * _integer(d, "d", 1))
     if cells > DEFAULT_CELL_BUDGET:
         raise CapacityError(cells, DEFAULT_CELL_BUDGET)
 
@@ -129,9 +143,9 @@ class DyadicCube:
     """Half-open dyadic cube prod_j [i_j * 2**-k, (i_j+1) * 2**-k) in [0,1)^d.
 
     ``index`` components are plain Python integers, so cubes at levels in the
-    thousands (as the scattered family needs) are exact.  They, ``d`` and
-    ``level`` are read by ``operator.index``: a float or a string is
-    rejected, not truncated.
+    thousands (as the scattered family needs) are exact.  They are read by
+    ``operator.index``, and ``d`` and ``level`` by ``_integer``: a float or a
+    string is rejected, not truncated.
     """
 
     d: int
@@ -139,16 +153,8 @@ class DyadicCube:
     index: tuple
 
     def __post_init__(self):
-        for name in ("d", "level"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                value = getattr(self, name)
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
+        object.__setattr__(self, "level", _integer(self.level, "level", 0))
         try:
             idx = _indices(self.index)
         except TypeError:
@@ -197,9 +203,6 @@ class DyadicCube:
         w = 1 << (m - self.level)
         return tuple(slice(i * w, (i + 1) * w) for i in self.index)
 
-    def __repr__(self):
-        return f"DyadicCube(d={self.d}, level={self.level}, index={self.index})"
-
 
 class DyadicStepFunction:
     """Piecewise-constant function on the uniform level-m dyadic partition."""
@@ -207,8 +210,7 @@ class DyadicStepFunction:
     __slots__ = ("d", "level", "values")
 
     def __init__(self, d: int, level: int, values):
-        if d < 1 or level < 0:
-            raise ValueError("need d >= 1 and level >= 0")
+        d, level = _integer(d, "d", 1), _integer(level, "level", 0)
         arr = np.array(values, dtype=float, order="C")
         n = 1 << level
         if arr.size != n**d:
@@ -294,7 +296,7 @@ class SparseStepFunction:
     __slots__ = ("d", "atoms", "_forest")
 
     def __init__(self, d: int, atoms: Iterable[SparseAtom]):
-        self.d = d
+        self.d = d = _integer(d, "d", 1)
         atoms = tuple(a for a in atoms if a.sign != 0)
         for a in atoms:
             if a.cube.d != d:
@@ -347,14 +349,14 @@ def function_to_json(f) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _json_field(obj, name: str, kind=operator.index):
+def _json_field(obj, name: str, kind=None):
     """``kind(obj[name])``, or a ValueError naming a missing or malformed field.
-    Fields are integers by default, read by ``operator.index``: 2.9 or "2"
+    Fields are integers by default, read by ``_integer``: 2.9, "2" or true
     is malformed, not truncated or parsed."""
     if not isinstance(obj, dict) or name not in obj:
         raise ValueError(f"expected a JSON object with field {name!r}")
     try:
-        return kind(obj[name])
+        return _integer(obj[name], name, None) if kind is None else kind(obj[name])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"JSON field {name!r} is malformed: {exc}") from None
 
@@ -453,9 +455,10 @@ def densify(f, m: int | None = None) -> DyadicStepFunction:
     input, ``f.max_level`` for a sparse one) and must not lie below it.
     """
     finest = f.level if isinstance(f, DyadicStepFunction) else f.max_level
-    if m is not None and m < finest:
+    m = finest if m is None else _integer(m, "m", 0)
+    if m < finest:
         raise ValueError(f"densify level {m} lies below the finest level {finest} of f")
-    return average_project(f, finest if m is None else m)
+    return average_project(f, m)
 
 
 def lp_quasinorm(f, p: float) -> float:
@@ -464,27 +467,18 @@ def lp_quasinorm(f, p: float) -> float:
     Sparse functions with pairwise non-nesting atoms are handled atom by
     atom in the log2 domain, so coefficients far outside double range are
     fine; nesting atom sets go through the exact value histogram instead.
-    Dense grids and histograms sum the p-th powers in doubles; a sum that
-    overflows raises ``ValueError`` naming the norm's log2.
+    Dense grids and histograms sum the p-th powers in doubles, and in the
+    log2 domain when that sum overflows; a norm beyond double range raises
+    ``ValueError`` naming its log2.
     """
     _check_exponent(p)
     if isinstance(f, DyadicStepFunction):
         v, w = f.values, f.cell_measure
         ppow = lambda: stable_sum(np.abs(v) ** p) * w
     elif isinstance(f, SparseStepFunction):
-        if not f.atoms:
-            return 0.0
-        if f.nesting_free:
-            log2_terms = np.array(
-                [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
-            )
-            log2_norm = logsumexp2(log2_terms) / p
-            try:
-                return 2.0**log2_norm
-            except OverflowError:
-                raise ValueError(
-                    f"the L_{p} norm is 2**{log2_norm}, beyond double range"
-                ) from None
+        if f.nesting_free:  # with no atoms too: the norm is 2**-inf = 0.0
+            log2_terms = [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
+            return _norm_from_log2_terms(log2_terms, p)
         hist = value_histogram(f, DyadicCube.root(f.d))
         v, w = hist.values, hist.measures
         ppow = lambda: float(math.fsum(w * np.abs(v) ** p))
@@ -495,11 +489,18 @@ def lp_quasinorm(f, p: float) -> float:
             return ppow() ** (1.0 / p)
     except (OverflowError, FloatingPointError):
         with np.errstate(divide="ignore"):  # a zero value is a -inf term
-            lg = logsumexp2(np.log2(w) + p * np.log2(np.abs(v))) / p
-        raise ValueError(
-            f"the L_{p} norm is 2**{lg}, and its sum of p-th powers is beyond "
-            "double range"
-        ) from None
+            log2_terms = np.log2(w) + p * np.log2(np.abs(v))
+    return _norm_from_log2_terms(log2_terms, p)
+
+
+def _norm_from_log2_terms(log2_terms, p: float) -> float:
+    """The L_p norm whose p-th power is the sum of 2**log2_terms; one beyond
+    double range raises ``ValueError`` naming its log2."""
+    log2_norm = logsumexp2(log2_terms) / p
+    try:
+        return 2.0**log2_norm
+    except OverflowError:
+        raise ValueError(f"the L_{p} norm is 2**{log2_norm}, beyond double range") from None
 
 
 def average_project(f, k: int) -> DyadicStepFunction:
@@ -508,8 +509,7 @@ def average_project(f, k: int) -> DyadicStepFunction:
     dense input the function is returned unchanged (re-expressed at level k
     by value replication).
     """
-    if k < 0:
-        raise ValueError("level must be nonnegative")
+    k = _integer(k, "k", 0)
     if isinstance(f, DyadicStepFunction):
         if k == f.level:
             return f

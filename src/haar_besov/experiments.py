@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DyadicStepFunction, _check_budget
+from .dyadic import DyadicStepFunction, _check_budget, _integer
 from .families import (
     ALTERNATING,
     NestedSpec,
@@ -121,8 +121,9 @@ class ExperimentConfig:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        lows = dict(d=1, seed=None, m_lo=0, m_hi=0, k_lo=0, k_hi=0, samples=1)
+        for name, low in lows.items():
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         for lo, hi in (("m_lo", "m_hi"), ("k_lo", "k_hi")):
             a, b = getattr(self, lo), getattr(self, hi)
             if b < a:

@@ -38,6 +38,7 @@ from .dyadic import (
     DyadicStepFunction,
     SparseAtom,
     SparseStepFunction,
+    _integer,
     logsumexp2,
     signed_log2_sum,
 )
@@ -93,8 +94,8 @@ class NestedSpec:
     chain: tuple | None = None
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 0:
-            raise ValueError("need d >= 1 and m >= 0")
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
+        object.__setattr__(self, "m", _integer(self.m, "m", 0))
         if isinstance(self.rule, str):
             if self.rule not in (TRIVIAL_DUAL, ALTERNATING):
                 raise ValueError(f"unknown coefficient rule {self.rule!r}")
@@ -207,8 +208,8 @@ class SpikePair:
     d: int
 
     def __post_init__(self):
-        if self.m < 0 or self.d < 1:
-            raise ValueError("need m >= 0 and d >= 1")
+        object.__setattr__(self, "m", _integer(self.m, "m", 0))
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
 
     @property
     def f(self) -> SparseStepFunction:
@@ -217,7 +218,8 @@ class SpikePair:
 
     def g(self, k: int) -> SparseStepFunction:
         """Even-block partial sum g_{2k} = sum_{l=0..2k} (-1)^l 2^{ld} 1_{chain[l]}."""
-        if k < 0 or 2 * k > self.m:
+        k = _integer(k, "k", 0)
+        if 2 * k > self.m:
             raise ValueError("need 0 <= 2k <= m")
         return nested_family(NestedSpec(self.d, 2 * k, rule=ALTERNATING))
 
@@ -262,8 +264,8 @@ class ScatteredSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.k < 1 or self.d < 1:
-            raise ValueError("need k >= 1 and d >= 1")
+        object.__setattr__(self, "k", _integer(self.k, "k", 1))
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
@@ -418,10 +420,9 @@ class TensorSpikeResult:
 
 def tensor_spike_pair(k: int, d: int, prm: BesovParams) -> TensorSpikeResult:
     """Exact norms of the corner/rectangle pair (d >= 2, p <= 1)."""
+    k, d = _integer(k, "k", 1), _integer(d, "d", 1)
     if d < 2:
         raise ValueError("the tensor failure needs d > 1")
-    if k < 1:
-        raise ValueError("need k >= 1")
     _check_closed_form_params(prm, d)
     p, q, s = prm.p, prm.q, prm.s
 

@@ -28,6 +28,7 @@ from .dyadic import (
     SparseStepFunction,
     _check_budget,
     _indices,
+    _integer,
     _json_field,
     cube_blocks,
     densify,
@@ -65,6 +66,9 @@ class HaarIndex:
     pattern: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
+        object.__setattr__(self, "level", _integer(self.level, "level", 0))
+        object.__setattr__(self, "pattern", _integer(self.pattern, "pattern", 0))
         if self.level == 0:
             if self.parent is not None or self.pattern != 0:
                 raise ValueError("scaling index must have no parent and pattern 0")
@@ -159,8 +163,8 @@ class HaarCoefficients:
     __slots__ = ("d", "max_level", "scaling", "blocks")
 
     def __init__(self, d: int, max_level: int, scaling: float, blocks):
-        self.d = d
-        self.max_level = max_level
+        self.d = d = _integer(d, "d", 1)
+        self.max_level = max_level = _integer(max_level, "max_level", 0)
         self.scaling = float(scaling)
         blocks = list(blocks)
         if len(blocks) != max_level:
@@ -310,18 +314,12 @@ def partial_sum_subset(
 
 def tensor_block_level(n: Sequence[int]) -> int:
     """Block of h_{n_1} x ... x h_{n_d}: max over axes of the univariate level."""
-    levels = []
-    for ni in n:
-        if ni < 1:
-            raise ValueError("tensor indices are positive integers")
-        levels.append((ni - 1).bit_length())
-    return max(levels)
+    return max((_integer(ni, "n", 1) - 1).bit_length() for ni in n)
 
 
 def univariate_haar_vector(n: int, m: int) -> np.ndarray:
     """Cell values of the n-th univariate Haar function on the level-m grid."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    n = _integer(n, "n", 1)
     size = 1 << m
     if n == 1:
         return np.ones(size)
@@ -368,8 +366,8 @@ class TensorHaarCoefficients:
     __slots__ = ("d", "level", "array")
 
     def __init__(self, d: int, level: int, array: np.ndarray):
-        self.d = d
-        self.level = level
+        self.d = d = _integer(d, "d", 1)
+        self.level = level = _integer(level, "level", 0)
         want = ((1 << level),) * d
         if array.shape != want:
             raise ValueError(f"expected shape {want}")
@@ -472,8 +470,7 @@ def tensor_block_order(block: int) -> list[tuple[int, int]]:
     with a new second factor {(n, 2^k + i): i = 1..2^k, n = 1..2^k}, each
     lexicographic in (i, n), where k = b - 1.
     """
-    if block < 0:
-        raise ValueError("block must be nonnegative")
+    block = _integer(block, "block", 0)
     if block == 0:
         return [(1, 1)]
     half = 1 << (block - 1)

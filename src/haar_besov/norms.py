@@ -16,7 +16,6 @@ out the module.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from itertools import accumulate, product
@@ -28,6 +27,7 @@ from .dyadic import (
     SparseStepFunction,
     ValueHistogram,
     _check_exponent,
+    _integer,
     _level_histograms,
     cube_blocks,
     densify,
@@ -73,14 +73,12 @@ class BesovParams:
     allow_degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if not (self.p > 0 and math.isfinite(self.p)):
-            raise ValueError("p must be a positive finite number")
+        _check_exponent(self.p)
         if not (self.q > 0):
             raise ValueError("q must be positive (finite or INF)")
         if not (self.s >= 0 and math.isfinite(self.s)):
             raise ValueError("s must be a nonnegative finite number")
-        if self.d < 1 or int(self.d) != self.d:
-            raise ValueError("d must be a positive integer")
+        object.__setattr__(self, "d", _integer(self.d, "d", 1))
         if self.q_finite and self.s >= 1.0 / self.p and not self.allow_degenerate:
             raise ValueError(
                 "s >= 1/p: the space degenerates to constants "
@@ -308,23 +306,30 @@ def approx_error(f, k: int, p: float) -> float:
     out, with the same result bit for bit.  For sparse inputs
     the cubes are the level-k ancestors of the deeper atoms, and each
     histogram is read from f's cached atom forest, so the cost follows the
-    atom count rather than the grid size.
+    atom count rather than the grid size.  An E_k beyond double range raises
+    ``ValueError``.
     """
     _check_exponent(p)
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"level must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    if isinstance(f, DyadicStepFunction):
-        if k >= f.level:
-            return 0.0
-        errs = _row_best_err_ppow(_cube_value_matrix(f, k), p)
-        return (stable_sum(errs) * f.cell_measure) ** (1.0 / p)
-    if not isinstance(f, SparseStepFunction):
+    k = _integer(k, "k", 0)
+    if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
         raise TypeError("expected a step function")
-    terms = [best_constant_error(h, p)[1] for h in _level_histograms(f, k)]
-    return math.fsum(terms) ** (1.0 / p) if terms else 0.0
+    try:
+        # only E_k is checked: a p < 1 candidate whose error overflows is
+        # never the minimum of a finite E_k
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(f, SparseStepFunction):
+                terms = [best_constant_error(h, p)[1] for h in _level_histograms(f, k)]
+                e = math.fsum(terms) ** (1.0 / p) if terms else 0.0
+            elif k >= f.level:
+                e = 0.0
+            else:
+                errs = _row_best_err_ppow(_cube_value_matrix(f, k), p)
+                e = (stable_sum(errs) * f.cell_measure) ** (1.0 / p)
+    except OverflowError:  # raised by fsum and by Python's float powers
+        e = math.inf
+    if not math.isfinite(e):
+        raise ValueError(f"the approximation-route error E_{k} overflows double range")
+    return e
 
 
 @dataclass(frozen=True)
@@ -527,8 +532,7 @@ class ModulusTable:
         return dict(zip(product((-1, 0, 1), repeat=self.f.d), near.ravel().tolist()))
 
     def omega_ppow(self, j: int) -> float:
-        if j < 0:
-            raise ValueError("scale index must be nonnegative")
+        j = _integer(j, "j", 0)
         if j not in self._scales:
             m = self.f.level
             if j <= m:

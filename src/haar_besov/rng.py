@@ -35,6 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dyadic import _integer
+
 __all__ = ["RandomStream", "derive_seed", "splitmix64"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -142,23 +144,17 @@ def _jump(table: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
         np.bitwise_xor.reduce(looked, axis=0, out=out[a : a + _JUMP_CHUNK])
 
 
-def _count(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got n={n!r}")
-    return int(n)
-
-
 class RandomStream:
     """xoshiro256** stream (64 splitmix64-seeded lanes, lane-major output)."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = _integer(seed, "seed", None) & 0xFFFFFFFFFFFFFFFF
         words = splitmix64(self.seed, 4 * _LANES)
         self._state = words.reshape(_LANES, 4).T.copy()
 
     def random_u64(self, n: int) -> np.ndarray:
         """The next n words of the stream."""
-        n = _count(n)
+        n = _integer(n, "n", 0)
         steps = -(-n // _LANES)
         nsub = max(1, -(-steps // _JUMP_STEPS))
         # starts[b, j] is lane j's state after b * L steps
@@ -196,7 +192,7 @@ class RandomStream:
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal variates (Box-Muller on uniform pairs)."""
-        half = (_count(n) + 1) // 2
+        half = (_integer(n, "n", 0) + 1) // 2
         u1 = self.uniform(half)
         u2 = self.uniform(half)
         r = np.sqrt(-2.0 * np.log1p(-u1))

@@ -190,26 +190,31 @@ class TestLpQuasinorm:
             atom.value
         assert hb.SparseAtom(cube(1, 20, 3), -1, 1023.0).value == -(2.0**1023)
 
-    def test_nesting_p_powers_beyond_double_range_raise_value_error(self):
+    def test_nesting_p_powers_beyond_double_range_return_the_norm(self):
         # the histogram path sums |value|^p in doubles: 2^2000 has no double,
-        # though the norm (about 2^999) does; the error names the norm's log2
+        # though the norm (about 2^999) does, so the sum is redone in log2
         atoms = [
             hb.SparseAtom(cube(1, 2, 0), 1, 1000.0),
             hb.SparseAtom(cube(1, 20, 0), 1, 1000.0),
         ]
         f = hb.SparseStepFunction(1, atoms)
         assert not f.nesting_free
-        with pytest.raises(ValueError, match=r"L_2\.0 norm is 2\*\*999\.0.*beyond double range"):
-            hb.lp_quasinorm(f, 2.0)
+        assert hb.lp_quasinorm(f, 2.0) == pytest.approx(
+            2.0**999 * (1 + 3 * 2.0**-18) ** 0.5, rel=1e-12
+        )
         assert hb.lp_quasinorm(f, 0.5) == pytest.approx(
             2.0 ** (1000 - 2 * 2) * (1 + 2.0 ** (2 - 20) * (2**0.5 - 1)) ** 2, rel=1e-12
         )
+        # -1e300 on the left half and 1e300 on the right, from nesting atoms
+        g = hb.SparseStepFunction.from_terms(1, [(cube(1, 0, 0), 1e300), (cube(1, 1, 0), -2e300)])
+        assert not g.nesting_free
+        for p in (1.5, 2.0):
+            assert hb.lp_quasinorm(g, p) == pytest.approx(1e300, rel=1e-12)
 
-    def test_dense_p_powers_beyond_double_range_raise_value_error(self):
+    def test_dense_p_powers_beyond_double_range_return_the_norm(self):
         f = hb.DyadicStepFunction(1, 2, [1e300, -1e300, 1e300, -1e300])
-        with pytest.raises(ValueError, match=r"L_2\.0 norm is 2\*\*996\.57.*beyond double range"):
-            hb.lp_quasinorm(f, 2.0)
-        assert hb.lp_quasinorm(f, 0.5) == pytest.approx(1e300, rel=1e-12)
+        for p in (0.5, 1.5, 2.0):
+            assert hb.lp_quasinorm(f, p) == pytest.approx(1e300, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0, 1.5, 2.0])
     def test_refinement_invariance(self, p):

@@ -286,10 +286,24 @@ class TestApproxError:
         sparse = hb.SparseStepFunction.from_terms(1, [(hb.DyadicCube(1, 2, (1,)), 1.0)])
         for f in (dense, sparse):
             for bad in (1.0, 0.5, "1"):
-                msg = re.escape(f"level must be an integer, got {bad!r}")
+                msg = re.escape(f"k must be an integer >= 0, got {bad!r}")
                 with pytest.raises(ValueError, match=msg):
                     hb.approx_error(f, bad, 0.5)
             assert hb.approx_error(f, np.int64(1), 0.5) == hb.approx_error(f, 1, 0.5)
+
+    def test_error_beyond_double_range_raises_value_error(self):
+        # E_0 is 1e300, but its p-th powers overflow: the route raises, where
+        # it used to return inf with a RuntimeWarning
+        dense = hb.DyadicStepFunction(1, 2, [1e300, -1e300, 1e300, -1e300])
+        cube = lambda level: hb.DyadicCube(1, level, (0,))
+        nesting = hb.SparseStepFunction.from_terms(1, [(cube(0), 1e300), (cube(1), -2e300)])
+        for f in (dense, nesting):
+            for p in (1.5, 2.0):
+                with pytest.raises(ValueError, match="approximation-route error E_0 overflows"):
+                    hb.approx_error(f, 0, p)
+        # p < 1: candidates whose errors overflow are never the finite minimum
+        f = hb.DyadicStepFunction(1, 2, [-1e308, 0.0, 1e308, 0.0])
+        assert hb.approx_error(f, 0, 0.5) == pytest.approx(2.5e307, rel=1e-12)
 
     def test_monotone_in_k(self):
         r = np.random.default_rng(40)

@@ -107,7 +107,7 @@ class TestDrawSizes:
             lambda: RandomStream(1).uniform(n),
             lambda: RandomStream(1).normal(n),
         ):
-            with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            with pytest.raises(ValueError, match="n must be an integer >= 0"):
                 draw()
 
     @pytest.mark.parametrize(
