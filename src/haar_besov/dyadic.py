@@ -13,8 +13,10 @@ representations coexist:
   at cell depths where plain doubles overflow.
 
 All objects are immutable values after construction and every operation is
-pure.  Reductions run in a fixed order (exactly rounded ``math.fsum`` for
-norm accumulations), so results are bit-stable across runs.
+pure.  Norm accumulations are correctly rounded sums, so results are
+bit-stable across runs: ``_exact_sum`` returns ``math.fsum``'s double, by
+error-free extraction into exact block sums above 1,024 words and by fsum
+itself below that and for non-finite or near-overflow inputs.
 """
 
 from __future__ import annotations
@@ -90,19 +92,73 @@ def _check_exponent(p: float) -> None:
         raise ValueError("p must be a positive finite exponent")
 
 
-def stable_sum(values) -> float:
-    """Fixed-order, exactly rounded sum (Shewchuk accumulation via fsum).
+#: Arrays shorter than this are summed by ``math.fsum`` word by word.
+_EXACT_SUM_CUTOFF = 1 << 10
+#: Words per block of the extraction (two scratch buffers of 128 KB).
+_EXACT_SUM_BLOCK = 1 << 14
 
-    Arrays are flattened in row-major order first; very large inputs are
-    folded in 2**20-element blocks whose block sums are themselves fsummed,
-    which keeps the reduction deterministic and compensated.
+
+def _exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a)`` of a 1-d float array, the same double, by error-free
+    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008).
+
+    In a block of n words with max |r| < 2^e, let sigma = 2^(e+lg) with
+    2^lg >= n + 2.  Then q = (r + sigma) - sigma and r - q are exact, each q
+    is a multiple of 2^(e+lg-53) of magnitude at most 2^e, so ``q.sum()`` is
+    exact in any order, and the remainders r - q are at most 2^(e+lg-54):
+    each pass takes at least 38 bits off e.  A block is extracted until its
+    remainders vanish or sigma would fall below 2^-1000, where its nonzero
+    remainders join the exact parts as they are.  The parts sum exactly to
+    the sum of ``a``, and fsum rounds that exact sum correctly, so the double
+    is fsum's own.  Arrays below the cutoff, and arrays holding an inf, a nan
+    or a word above 2^960, go to fsum whole, so its special values and
+    overflow errors stay as they are.
+    """
+    n = a.size
+    if n < _EXACT_SUM_CUTOFF:
+        return math.fsum(a.tolist())
+    parts = []
+    size = min(n, _EXACT_SUM_BLOCK)
+    r_buf, t_buf = np.empty(size), np.empty(size)
+    for i in range(0, n, size):
+        r = a[i : i + size]
+        t = t_buf[: r.size]
+        lg = (r.size + 1).bit_length()
+        mx = float(np.abs(r, out=t).max())
+        if not mx <= 2.0**960:
+            return math.fsum(a)
+        while mx != 0.0:
+            e = math.frexp(mx)[1] + lg
+            if e < -1000:
+                break
+            sigma = math.ldexp(1.0, e)
+            np.add(r, sigma, out=t)
+            np.subtract(t, sigma, out=t)
+            parts.append(float(t.sum()))
+            r = np.subtract(r, t, out=r_buf[: r.size])
+            mx = float(np.abs(r, out=t).max())
+        if mx != 0.0:
+            parts.extend(r[r != 0.0].tolist())
+    if not parts:  # every word is a zero, and fsum's rule signs the zero
+        parts = [-0.0 if np.signbit(a).all() else 0.0]
+    return math.fsum(parts)
+
+
+def stable_sum(values) -> float:
+    """Fixed-order, correctly rounded sum: ``math.fsum`` of the flattened array.
+
+    Arrays are flattened in row-major order first and summed by the exact
+    extraction kernel (fsum itself below 1,024 words and for non-finite or
+    near-overflow inputs), which returns fsum's double.  Inputs above 2**20
+    words are folded in 2**20-word blocks whose block sums are themselves
+    fsummed, so the reduction stays deterministic and compensated.
     """
     a = np.ascontiguousarray(values, dtype=float).ravel()
     n = a.size
-    if n <= (1 << 20):
-        return math.fsum(a)
     block = 1 << 20
-    return math.fsum(math.fsum(a[i : i + block]) for i in range(0, n, block))
+    if n <= block:
+        return _exact_sum(a)
+    return math.fsum(_exact_sum(a[i : i + block]) for i in range(0, n, block))
 
 
 def logsumexp2(log2_terms) -> float:
@@ -113,7 +169,7 @@ def logsumexp2(log2_terms) -> float:
     m = float(np.max(a))
     if m == -math.inf or math.isinf(m):
         return m
-    return m + math.log2(math.fsum(np.exp2(a - m)))
+    return m + math.log2(_exact_sum(np.exp2(a - m)))
 
 
 def signed_log2_sum(signs, log2mags) -> tuple[int, float]:
@@ -132,7 +188,7 @@ def signed_log2_sum(signs, log2mags) -> tuple[int, float]:
     top = float(np.max(e))
     if top == -math.inf:
         return 0, -math.inf
-    v = math.fsum(s * np.exp2(e - top))
+    v = _exact_sum(s * np.exp2(e - top))
     if v == 0.0:
         return 0, -math.inf
     return (1 if v > 0 else -1), top + math.log2(abs(v))
@@ -258,6 +314,7 @@ class SparseAtom:
     log2mag: float
 
     def __post_init__(self):
+        object.__setattr__(self, "sign", _integer(self.sign, "sign", -1))
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
         if self.sign != 0 and not math.isfinite(self.log2mag):
@@ -481,7 +538,7 @@ def lp_quasinorm(f, p: float) -> float:
             return _norm_from_log2_terms(log2_terms, p)
         hist = value_histogram(f, DyadicCube.root(f.d))
         v, w = hist.values, hist.measures
-        ppow = lambda: float(math.fsum(w * np.abs(v) ** p))
+        ppow = lambda: _exact_sum(w * np.abs(v) ** p)
     else:
         raise TypeError("expected a step function")
     try:

@@ -235,6 +235,7 @@ def _flat_a_norm(lp: float, n: int, s: float, q: float) -> float:
 
 def spike_closed_form(m: int, d: int, prm: BesovParams) -> NestedNorms:
     """Exact norms of the corner spike (p <= 1): E_k = ||f||_p for k < m."""
+    m, d = _integer(m, "m", 0), _integer(d, "d", 1)
     _check_closed_form_params(prm, d)
     p, q, s = prm.p, prm.q, prm.s
     lp = 2.0 ** (m * d * (1.0 - 1.0 / p))

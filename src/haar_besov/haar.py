@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,21 +95,19 @@ class HaarIndex:
 
 def block_size(d: int, k: int) -> int:
     """Number of indices in block k: 1 for k=0, else (2^d - 1) * 2^((k-1)d)."""
+    d, k = _integer(d, "d", 1), _integer(k, "k", 0)
     if k == 0:
         return 1
     return ((1 << d) - 1) * (1 << ((k - 1) * d))
 
 
-def level_indices(d: int, k: int) -> Iterable[HaarIndex]:
+def level_indices(d: int, k: int) -> Iterator[HaarIndex]:
     """Block-k indices, lexicographic in (parent index, pattern)."""
+    d, k = _integer(d, "d", 1), _integer(k, "k", 0)
     if k == 0:
-        yield HaarIndex.scaling(d)
-        return
-    n = 1 << (k - 1)
-    for idx in product(range(n), repeat=d):
-        parent = DyadicCube(d, k - 1, idx)
-        for pat in range(1, 1 << d):
-            yield HaarIndex.wavelet(parent, pat)
+        return iter((HaarIndex.scaling(d),))
+    parents = (DyadicCube(d, k - 1, i) for i in product(range(1 << (k - 1)), repeat=d))
+    return (HaarIndex.wavelet(c, pat) for c in parents for pat in range(1, 1 << d))
 
 
 def _pattern_sign(pattern: int, child_bits: int) -> int:
@@ -177,6 +175,7 @@ class HaarCoefficients:
 
     @classmethod
     def zeros(cls, d: int, max_level: int) -> "HaarCoefficients":
+        d, max_level = _integer(d, "d", 1), _integer(max_level, "max_level", 0)
         blocks = [
             np.zeros(((1 << (k - 1)),) * d + ((1 << d) - 1,))
             for k in range(1, max_level + 1)
@@ -319,7 +318,7 @@ def tensor_block_level(n: Sequence[int]) -> int:
 
 def univariate_haar_vector(n: int, m: int) -> np.ndarray:
     """Cell values of the n-th univariate Haar function on the level-m grid."""
-    n = _integer(n, "n", 1)
+    n, m = _integer(n, "n", 1), _integer(m, "m", 0)
     size = 1 << m
     if n == 1:
         return np.ones(size)
@@ -337,6 +336,7 @@ def univariate_haar_vector(n: int, m: int) -> np.ndarray:
 
 def tensor_haar_function(d: int, n: Sequence[int], m: int) -> DyadicStepFunction:
     """Dense tensor-product Haar function h_{n_1} x ... x h_{n_d} at level m."""
+    d, m = _integer(d, "d", 1), _integer(m, "m", 0)
     n = tuple(n)
     if len(n) != d:
         raise ValueError("need one univariate index per axis")

@@ -27,6 +27,7 @@ from .dyadic import (
     SparseStepFunction,
     ValueHistogram,
     _check_exponent,
+    _exact_sum,
     _integer,
     _level_histograms,
     cube_blocks,
@@ -200,27 +201,39 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
     is concave between data values, so the minimum sits on a data value:
     :func:`_enum_best` finds the first minimizing value, pruning candidates
     by certified bounds above 128 values, and the error is recomputed there
-    with ``fsum``.  p = 1 uses the weighted median, p = 2 the weighted mean,
-    and other p > 1 a monotone-derivative bisection.  Ties resolve to the
-    smallest minimizing value.
+    with a correctly rounded sum.  p = 1 uses the weighted median, p = 2 the
+    weighted mean, and other p > 1 a monotone-derivative bisection.  Ties
+    resolve to the smallest minimizing value.  An error beyond double range
+    raises ``ValueError``.
     """
     _check_exponent(p)
     if not hist.entries:
         raise ValueError("empty histogram")
-    v = hist.values
-    w = hist.measures
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi, err = _best_constant(hist.values, hist.measures, p)
+    except OverflowError:  # raised by fsum
+        err = math.inf
+    if not math.isfinite(err):
+        raise ValueError("the best-constant error overflows double range")
+    return xi, err
+
+
+def _best_constant(v: np.ndarray, w: np.ndarray, p: float) -> tuple[float, float]:
+    """:func:`best_constant_error` on checked values ``v`` and measures ``w``,
+    its result unchecked."""
     if v.size == 1:
         return float(v[0]), 0.0
     if p == 2.0:
-        xi = math.fsum(w * v) / math.fsum(w)
-        return xi, math.fsum(w * (v - xi) ** 2)
+        xi = _exact_sum(w * v) / _exact_sum(w)
+        return xi, _exact_sum(w * (v - xi) ** 2)
     if p == 1.0:
         cw = np.cumsum(w)
         xi = float(v[int(np.searchsorted(cw, cw[-1] / 2.0))])
-        return xi, math.fsum(w * np.abs(v - xi))
+        return xi, _exact_sum(w * np.abs(v - xi))
     if p < 1.0:
         j, _ = _enum_best(v, w, p)  # values ascend: the first is the smallest
-        return float(v[j]), math.fsum(w * np.abs(v - v[j]) ** p)
+        return float(v[j]), _exact_sum(w * np.abs(v - v[j]) ** p)
     lo, hi = float(v[0]), float(v[-1])
     scale = max(1.0, abs(lo), abs(hi))
     for _ in range(200):
@@ -228,13 +241,13 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
             break
         mid = 0.5 * (lo + hi)
         diff = mid - v
-        g = math.fsum(w * np.sign(diff) * np.abs(diff) ** (p - 1.0))
+        g = _exact_sum(w * np.sign(diff) * np.abs(diff) ** (p - 1.0))
         if g > 0:
             hi = mid
         else:
             lo = mid
     xi = 0.5 * (lo + hi)
-    return xi, math.fsum(w * np.abs(v - xi) ** p)
+    return xi, _exact_sum(w * np.abs(v - xi) ** p)
 
 
 def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
@@ -318,7 +331,8 @@ def approx_error(f, k: int, p: float) -> float:
         # never the minimum of a finite E_k
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(f, SparseStepFunction):
-                terms = [best_constant_error(h, p)[1] for h in _level_histograms(f, k)]
+                hists = _level_histograms(f, k)
+                terms = [_best_constant(h.values, h.measures, p)[1] for h in hists]
                 e = math.fsum(terms) ** (1.0 / p) if terms else 0.0
             elif k >= f.level:
                 e = 0.0

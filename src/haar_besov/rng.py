@@ -57,6 +57,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First ``count`` outputs of the splitmix64 sequence of ``seed``."""
+    seed, count = _integer(seed, "seed", None), _integer(count, "count", 0)
     with np.errstate(over="ignore"):
         steps = np.arange(1, count + 1, dtype=np.uint64)
         return _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + steps * _GOLDEN)
@@ -64,6 +65,8 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
 
 def derive_seed(seed: int, *salts: int) -> int:
     """Stable 64-bit sub-stream seed from a base seed and integer salts."""
+    seed = _integer(seed, "seed", None)
+    salts = [_integer(salt, "salt", None) for salt in salts]
     with np.errstate(over="ignore"):
         x = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         for salt in salts:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
-from haar_besov.dyadic import logsumexp2, signed_log2_sum, stable_sum
+from haar_besov.dyadic import _exact_sum, logsumexp2, signed_log2_sum, stable_sum
+from haar_besov.experiments import random_step
+from haar_besov.norms import approximation_profile
+from haar_besov.rng import RandomStream
 
 from helpers import nesting_free_oracle, random_sparse, sparse_histogram_rescan
 
@@ -539,3 +544,164 @@ class TestNumericHelpers:
         assert s == 1 and 2.0**e == pytest.approx(4.0)
         s, e = signed_log2_sum([-1, -1], [5000.0, 5000.0])
         assert s == -1 and e == pytest.approx(5001.0)
+
+
+def _same_double(got, want):
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+#: Sizes on both sides of the fsum cutoff (1,024 words) and of the 2^14-word
+#: extraction block.
+SUM_SIZES = [1, 2, 1023, 1024, 1025, 2046, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5]
+
+
+def _wide_words(rng, n, lo, hi):
+    """n words of random sign and mantissa, exponents uniform in [lo, hi)."""
+    mant = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    return np.ldexp(mant, rng.integers(lo, hi, n))
+
+
+class TestExactSum:
+    """``_exact_sum`` returns ``math.fsum``'s double, zero signs included."""
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SUM_SIZES), st.integers(-1074, 900))
+    def test_mixed_signs_and_exponents(self, seed, n, lo):
+        rng = np.random.default_rng(seed)
+        hi = int(rng.integers(lo + 1, 962))
+        a = _wide_words(rng, n, lo, hi)
+        assert _same_double(_exact_sum(a), math.fsum(a))
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1024, 2046, 4094, 2**14, 2**14 + 2046]),
+        st.integers(-1000, 959),
+    )
+    def test_one_sign(self, seed, n, e):
+        # block sums near n * max|word|, the most the exact range holds when
+        # the block has 2^k - 2 words
+        a = np.ldexp(np.random.default_rng(seed).uniform(0.5, 1.0, n), e)
+        for words in (a, -a):
+            assert _same_double(_exact_sum(words), math.fsum(words))
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SUM_SIZES))
+    def test_full_exponent_range_and_subnormals(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = _wide_words(rng, n, -1074, 961)
+        tiny = rng.integers(-(2**52), 2**52, n) * 2.0**-1074  # subnormal words
+        mask = rng.uniform(size=n) < 0.5
+        a[mask] = tiny[mask]
+        assert _same_double(_exact_sum(a), math.fsum(a))
+        assert _same_double(_exact_sum(tiny), math.fsum(tiny))
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(SUM_SIZES[3:]),
+        st.integers(-1000, 900),
+        st.booleans(),
+        st.integers(0, 8),
+        st.booleans(),
+    )
+    def test_exact_half_way_ties(self, seed, n, e, odd, split, negative):
+        # base + half an ulp of base, the half ulp split into 2^split pieces,
+        # behind pairs x, -x that cancel exactly: fsum rounds half to even
+        rng = np.random.default_rng(seed)
+        sign = -1.0 if negative else 1.0
+        base = sign * math.ldexp(1.0 + odd * 2.0**-52, e)
+        pieces = [sign * math.ldexp(1.0, e - 53 - split)] * (1 << split)
+        pairs = _wide_words(rng, (n - 1 - len(pieces)) // 2, e - 60, e + 60)
+        a = np.concatenate([[base], pieces, pairs, -pairs])
+        rng.shuffle(a)
+        want = math.fsum(a)
+        assert want == (base if not odd else base + sign * math.ldexp(1.0, e - 52))
+        assert _same_double(_exact_sum(a), want)
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SUM_SIZES), st.booleans())
+    def test_exact_cancellation_to_zero(self, seed, n, zeros):
+        rng = np.random.default_rng(seed)
+        x = _wide_words(rng, n // 2, -1074, 961)
+        a = np.concatenate([x, -x, [-0.0] * (n % 2)])
+        rng.shuffle(a)
+        if zeros:
+            a = np.full(n, -0.0) if seed % 2 else np.zeros(n)
+        assert _same_double(_exact_sum(a), math.fsum(a))
+
+    @pytest.mark.parametrize("pad", [0, 2000])
+    @pytest.mark.parametrize(
+        "head",
+        [[math.inf], [math.nan], [-math.inf, 1.0], [math.inf, -math.inf], [1e308, 1e308, -1e308]],
+    )
+    def test_non_finite_and_overflow_follow_fsum(self, head, pad):
+        a = np.concatenate([np.zeros(pad), head])
+        try:
+            want = math.fsum(a)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _exact_sum(a)
+        else:
+            got = _exact_sum(a)
+            assert _same_double(got, want) or (math.isnan(got) and math.isnan(want))
+
+    def test_stable_sum_folds_blocks_of_2_20(self):
+        a = _wide_words(np.random.default_rng(3), 2**20 + 3, -60, 60)
+        want = math.fsum([math.fsum(a[: 2**20]), math.fsum(a[2**20 :])])
+        assert _same_double(stable_sum(a), want)
+        assert _same_double(stable_sum(a[: 2**20]), math.fsum(a[: 2**20]))
+
+
+def _seeded_wide(seed, n):
+    s = RandomStream(seed)
+    return np.ldexp(s.normal(n), (s.random_u64(n) % 61).astype(int) - 30)
+
+
+def array_sum_callers_fingerprint():
+    """SHA-256 of the correctly rounded sums' callers, as float.hex text, on
+    seeded inputs of 2^10 to 2^20 + 3 words."""
+    out = []
+    sparse = np.where(RandomStream(5).uniform(1 << 16) > 0.9, _seeded_wide(6, 1 << 16), 0.0)
+    arrays = (
+        _seeded_wide(1, 1 << 10),
+        _seeded_wide(2, 1 << 14),
+        _seeded_wide(3, 1 << 20),
+        _seeded_wide(4, (1 << 20) + 3),
+        sparse,
+        -np.abs(_seeded_wide(7, 5000)),
+    )
+    out += [stable_sum(a) for a in arrays]
+    for seed, n in ((8, 1 << 10), (9, 1 << 16)):
+        out.append(logsumexp2(RandomStream(seed).uniform(n, -40.0, 40.0)))
+        s = RandomStream(seed + 100)
+        signs = np.where(s.uniform(n) < 0.5, -1.0, 1.0)
+        sign, lg = signed_log2_sum(signs, s.uniform(n, -30.0, 30.0))
+        out += [float(sign), lg]
+    for seed, n in ((10, 1 << 10), (11, 1 << 14)):
+        s = RandomStream(seed)
+        pairs = zip(s.normal(n).tolist(), s.uniform(n, 0.5, 2.0).tolist())
+        hist = hb.ValueHistogram.from_pairs(pairs)
+        for p in (0.5, 1.0, 1.5, 2.0):  # the four best-constant branches
+            out.extend(hb.best_constant_error(hist, p))
+    grid = random_step(12, 2, 8)
+    nesting = random_sparse(np.random.default_rng(13), 1, 3000, max_level=12)
+    assert not nesting.nesting_free  # so its L_p norm sums a histogram
+    for p in (0.5, 1.5, 2.0):
+        out += [hb.lp_quasinorm(grid, p), hb.lp_quasinorm(nesting, p)]
+    coeffs = hb.analyze(random_step(14, 1, 16))
+    for p, q, s in ((0.8, 1.0, 0.5), (1.5, 2.0, 0.3), (2.0, 0.5, 0.1)):
+        out.append(hb.lqlp_norm(coeffs, hb.BesovParams(p, q, s, 1)))
+    out += [hb.square_function_norm(grid, p) for p in (1.0, 1.5)]
+    line, small = random_step(15, 1, 12), random_step(16, 2, 7)
+    for f, ps in ((grid, (1.0, 1.5, 2.0)), (line, (0.8, 1.0, 1.5, 2.0)), (small, (0.8,))):
+        for p in ps:
+            prof = approximation_profile(f, p)
+            out += prof.e_values.tolist() + [prof.lp_norm]
+    return hashlib.sha256(" ".join(map(float.hex, out)).encode()).hexdigest()
+
+
+def test_array_sum_callers_golden_digest():
+    # digest of the callers as they summed every array with math.fsum
+    digest = "687c496596f277f9d3bc7f39ed394f0945c2d7d86bb0531e83f371a5270cfbf7"
+    assert array_sum_callers_fingerprint() == digest

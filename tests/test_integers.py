@@ -16,7 +16,7 @@ from haar_besov.experiments import ExperimentConfig, random_step
 from haar_besov.families import SpikePair
 from haar_besov.haar import univariate_haar_vector
 from haar_besov.norms import ModulusTable
-from haar_besov.rng import RandomStream
+from haar_besov.rng import RandomStream, derive_seed, splitmix64
 
 F = hb.DyadicStepFunction(1, 2, [0.0, 1.0, 2.0, 3.0])
 ROOT = hb.DyadicCube(1, 0, (0,))
@@ -84,6 +84,35 @@ CASES = {
         lambda v: hb.TensorHaarCoefficients.from_json('{"d": 1, "entries": []}', v),
         LEVEL,
     ),
+    "level_indices.d": ("d", 1, 1, lambda v: len(list(hb.level_indices(v, 2))), None),
+    "level_indices.k": ("k", 0, 2, lambda v: len(list(hb.level_indices(1, v))), None),
+    "block_size.d": ("d", 1, 2, lambda v: hb.block_size(v, 2), None),
+    "block_size.k": ("k", 0, 2, lambda v: hb.block_size(2, v), None),
+    "HaarCoefficients.zeros.d": ("d", 1, 1, lambda v: hb.HaarCoefficients.zeros(v, 2), D),
+    "HaarCoefficients.zeros.max_level": (
+        "max_level", 0, 2, lambda v: hb.HaarCoefficients.zeros(1, v), attrgetter("max_level")
+    ),
+    "univariate_haar_vector.m": ("m", 0, 2, lambda v: univariate_haar_vector(3, v), None),
+    "tensor_haar_function.d": ("d", 1, 1, lambda v: hb.tensor_haar_function(v, (2,), 2), D),
+    "tensor_haar_function.m": (
+        "m", 0, 2, lambda v: hb.tensor_haar_function(1, (2,), v), LEVEL
+    ),
+    "SparseAtom.sign": ("sign", -1, 1, lambda v: hb.SparseAtom(ROOT, v, 0.0), attrgetter("sign")),
+    "spike_closed_form.m": (
+        "m", 0, 2, lambda v: hb.spike_closed_form(v, 2, TENSOR_PRM).e_values, None
+    ),
+    "spike_closed_form.d": (
+        "d", 1, 2, lambda v: hb.spike_closed_form(2, v, TENSOR_PRM).e_values, None
+    ),
+    "nested_family.d": ("d", 1, 1, lambda v: hb.nested_family(hb.NestedSpec(v, 2)), D),
+    "scattered.k": (
+        "k", 1, 2, lambda v: len(hb.scattered(hb.ScatteredSpec(v, 1, 0.5)).atoms), None
+    ),
+    "scattered.d": ("d", 1, 1, lambda v: hb.scattered(hb.ScatteredSpec(2, v, 0.5)), D),
+    "derive_seed.seed": ("seed", None, 3, lambda v: derive_seed(v, 2), None),
+    "derive_seed.salt": ("salt", None, 2, lambda v: derive_seed(3, v), None),
+    "splitmix64.seed": ("seed", None, 3, lambda v: splitmix64(v, 2), None),
+    "splitmix64.count": ("count", 0, 2, lambda v: splitmix64(3, v), None),
     **{
         f"ExperimentConfig.{name}": (
             name, low, getattr(CONFIG, name), config_field(name), attrgetter(name)

@@ -94,6 +94,20 @@ class TestBestConstant:
         with pytest.raises(ValueError):
             hb.best_constant_error(hb.ValueHistogram(()), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_error_beyond_double_range_raises_value_error(self):
+        # the p-th powers overflow at p > 1 (fsum's intermediate overflow at
+        # p = 1): the error is checked on exit, with no RuntimeWarning
+        huge = hb.ValueHistogram.from_pairs([(1e300, 0.5), (-1e300, 0.5)])
+        edge = hb.ValueHistogram.from_pairs([(1e308, 1.5), (-1e308, 0.5)])
+        for hist, p in ((huge, 1.5), (huge, 2.0), (edge, 1.0)):
+            with pytest.raises(ValueError, match="best-constant error overflows double range"):
+                hb.best_constant_error(hist, p)
+        # finite errors keep their values: overflowing candidates are never the
+        # p < 1 minimum, and huge values with a finite error pass
+        assert hb.best_constant_error(huge, 0.5) == (-1e300, 0.5 * 2e300**0.5)
+        assert hb.best_constant_error(huge, 1.0) == (-1e300, 1e300)
+
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0, 1.5, 2.0])
     def test_matches_grid_search(self, p):
         r = np.random.default_rng(int(p * 10))
