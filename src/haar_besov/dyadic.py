@@ -38,7 +38,6 @@ __all__ = [
     "SparseStepFunction",
     "ValueHistogram",
     "average_project",
-    "cube_blocks",
     "densify",
     "lp_quasinorm",
     "stable_sum",
@@ -224,6 +223,7 @@ class DyadicCube:
 
     @classmethod
     def root(cls, d: int) -> "DyadicCube":
+        d = _integer(d, "d", 1)
         return cls(d, 0, (0,) * d)
 
     @property
@@ -242,6 +242,7 @@ class DyadicCube:
         return DyadicCube(self.d, self.level + 1, idx)
 
     def ancestor(self, level: int) -> "DyadicCube":
+        level = _integer(level, "level", 0)
         if level > self.level:
             raise ValueError("ancestor level must not exceed the cube level")
         shift = self.level - level
@@ -254,6 +255,7 @@ class DyadicCube:
 
     def grid_slices(self, m: int) -> tuple:
         """Slices selecting this cube's cells inside a level-m dense grid."""
+        m = _integer(m, "m", 0)
         if m < self.level:
             raise ValueError("grid level below cube level")
         w = 1 << (m - self.level)
@@ -443,6 +445,15 @@ def function_from_json(text: str):
     raise ValueError(f"unknown step-function kind {kind!r}")
 
 
+def _consolidate(pairs) -> list[tuple[float, float]]:
+    """(value, measure) pairs, equal values merged in order, zero measures dropped, sorted."""
+    acc: dict[float, float] = {}
+    for v, w in pairs:
+        if w != 0.0:
+            acc[float(v)] = acc.get(float(v), 0.0) + float(w)
+    return sorted(acc.items())
+
+
 @dataclass(frozen=True)
 class ValueHistogram:
     """Exact multiset of (value, measure) pairs of a step function on a cube."""
@@ -464,12 +475,7 @@ class ValueHistogram:
     @classmethod
     def from_pairs(cls, pairs) -> "ValueHistogram":
         """Consolidate duplicate values (exact equality) and sort by value."""
-        acc: dict[float, float] = {}
-        for v, w in pairs:
-            if w == 0.0:
-                continue
-            acc[float(v)] = acc.get(float(v), 0.0) + float(w)
-        return cls(tuple(sorted(acc.items())))
+        return cls(tuple(_consolidate(pairs)))
 
     @property
     def values(self) -> np.ndarray:
@@ -489,7 +495,7 @@ class ValueHistogram:
 # ---------------------------------------------------------------------------
 
 
-def cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
+def _cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
     """Level-k cube view of a level-m grid (k <= m), without copying.
 
     The view has shape (2^k,)*d + (2^(m-k),)*d: the leading d axes index the
@@ -505,13 +511,20 @@ def cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
     return values.reshape(shape).transpose(coarse + fine)
 
 
+def _finest_level(f) -> int:
+    """``f.level`` of a dense f, ``f.max_level`` of a sparse one; else TypeError."""
+    if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
+        raise TypeError("expected a step function")
+    return f.level if isinstance(f, DyadicStepFunction) else f.max_level
+
+
 def densify(f, m: int | None = None) -> DyadicStepFunction:
     """Dense level-m view of either representation, ``average_project(f, m)``.
 
     m defaults to the finest level of f itself (``f.level`` for a dense
     input, ``f.max_level`` for a sparse one) and must not lie below it.
     """
-    finest = f.level if isinstance(f, DyadicStepFunction) else f.max_level
+    finest = _finest_level(f)
     m = finest if m is None else _integer(m, "m", 0)
     if m < finest:
         raise ValueError(f"densify level {m} lies below the finest level {finest} of f")
@@ -536,8 +549,10 @@ def lp_quasinorm(f, p: float) -> float:
         if f.nesting_free:  # with no atoms too: the norm is 2**-inf = 0.0
             log2_terms = [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
             return _norm_from_log2_terms(log2_terms, p)
-        hist = value_histogram(f, DyadicCube.root(f.d))
-        v, w = hist.values, hist.measures
+        forest = f._atom_forest()  # every key below the root lies inside it
+        v, w = forest.histogram(f.d, 0, (0,) * f.d, [c for c in forest.keys if c[0] > 0])
+        if not np.isfinite(v).all():
+            raise ValueError("histogram values must be finite")
         ppow = lambda: _exact_sum(w * np.abs(v) ** p)
     else:
         raise TypeError("expected a step function")
@@ -572,10 +587,10 @@ def average_project(f, k: int) -> DyadicStepFunction:
             return f
         if k < f.level:
             fine = tuple(range(f.d, 2 * f.d))
-            return DyadicStepFunction(f.d, k, cube_blocks(f.values, k).mean(axis=fine))
+            return DyadicStepFunction(f.d, k, _cube_blocks(f.values, k).mean(axis=fine))
         _check_budget(f.d, k)
         out = np.empty((1 << k,) * f.d)
-        cube_blocks(out, f.level)[...] = f.values[(...,) + (None,) * f.d]
+        _cube_blocks(out, f.level)[...] = f.values[(...,) + (None,) * f.d]
         return DyadicStepFunction(f.d, k, out)
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
@@ -600,8 +615,10 @@ def average_project(f, k: int) -> DyadicStepFunction:
 
 
 def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
-    """Exact (value, measure) multiset of f restricted to ``cube``; a sparse
-    f's is read from its atom cubes inside and containing ``cube``."""
+    """Exact (value, measure) multiset of f restricted to ``cube``, validated;
+    a sparse f's is read from its atom cubes inside and containing ``cube``."""
+    if not isinstance(cube, DyadicCube):
+        raise TypeError(f"expected a DyadicCube, got {type(cube).__name__}")
     if cube.d != f.d:
         raise ValueError("dimension mismatch")
     if isinstance(f, DyadicStepFunction):
@@ -618,17 +635,18 @@ def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
     forest = f._atom_forest()
     k, idx = cube.level, cube.index
     inside = [(u, j) for u, j in forest.keys if u > k and tuple(i >> (u - k) for i in j) == idx]
-    return forest.histogram(cube, inside)
+    values, measures = forest.histogram(f.d, k, idx, inside)
+    return ValueHistogram(tuple(zip(values.tolist(), measures.tolist())))
 
 
-def _level_histograms(f: SparseStepFunction, k: int) -> list[ValueHistogram]:
-    """Histograms of f on the level-k cubes where f may vary, by cube index."""
+def _level_histograms(f: SparseStepFunction, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(values, measures) of f on the level-k cubes where f may vary, by cube index."""
     forest = f._atom_forest()
     groups: dict[tuple, list[tuple]] = {}
     for lev, idx in forest.keys:
         if lev > k:
             groups.setdefault(tuple(i >> (lev - k) for i in idx), []).append((lev, idx))
-    return [forest.histogram(DyadicCube(f.d, k, i), keys) for i, keys in sorted(groups.items())]
+    return [forest.histogram(f.d, k, i, keys) for i, keys in sorted(groups.items())]
 
 
 class _AtomForest:
@@ -662,12 +680,11 @@ class _AtomForest:
             total += self.atoms[i].value
         return total
 
-    def histogram(self, cube: DyadicCube, inside: list) -> ValueHistogram:
-        """Histogram on ``cube`` of the keys ``inside`` it on top of the chain
-        of keys containing it.  Floats are added as a scan of every atom adds
-        them: the chain's atoms in atom order, then key by key."""
-        k = cube.level
-        top = self.parent[inside[0]] if inside else self.container(k, k, cube.index)
+    def histogram(self, d: int, k: int, index: tuple, inside: list) -> tuple[np.ndarray, np.ndarray]:
+        """Unvalidated (values, measures) on the level-k cube ``index`` of the keys
+        ``inside`` it on top of the chain of keys containing it, with floats added
+        as a scan of every atom adds them (chain in atom order, then key by key)."""
+        top = self.parent[inside[0]] if inside else self.container(k, k, index)
         chain = [top]
         while chain[-1] is not None:
             chain.append(self.parent[chain[-1]])
@@ -675,14 +692,15 @@ class _AtomForest:
         covered: dict[tuple | None, float] = {}
         for c in inside:
             up = self.parent[c]  # ``top`` when outside the cube
-            covered[up] = covered.get(up, 0.0) + 2.0 ** (-c[0] * cube.d)
+            covered[up] = covered.get(up, 0.0) + 2.0 ** (-c[0] * d)
         pairs = []
         for c in inside:  # level-ascending, parents precede children
             value[c] = value[self.parent[c]] + self.value([c])
-            region = 2.0 ** (-c[0] * cube.d) - covered.get(c, 0.0)
+            region = 2.0 ** (-c[0] * d) - covered.get(c, 0.0)
             if region > 0:
                 pairs.append((value[c], region))
-        root_region = cube.measure - covered.get(top, 0.0)
+        root_region = 2.0 ** (-k * d) - covered.get(top, 0.0)
         if root_region > 0:
             pairs.append((value[top], root_region))
-        return ValueHistogram.from_pairs(pairs)
+        entries = _consolidate(pairs)
+        return np.array([v for v, _ in entries]), np.array([w for _, w in entries])

@@ -100,6 +100,8 @@ def fit_log2_slope(points) -> tuple[float, float, float]:
     y = np.array([float(b) for _, b in pts])
     if np.any(y <= 0):
         raise ValueError("y values must be positive")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y values must be finite")
     return _fit_line(x, np.log2(y))
 
 

@@ -40,7 +40,6 @@ from .dyadic import (
     SparseStepFunction,
     _integer,
     logsumexp2,
-    signed_log2_sum,
 )
 from .haar import tensor_haar_function
 from .norms import BesovParams
@@ -150,6 +149,20 @@ class NestedNorms:
     l1_norm: float
 
 
+def _signed_log2_add(a: tuple, b: tuple) -> tuple[int, float]:
+    """``signed_log2_sum`` of the two (sign, log2|term|) pairs a and b, by the
+    same operations on scalars: zero signs dropped, terms scaled by the larger
+    exponent through ``np.exp2``, and one add (fsum of two words)."""
+    terms = [(float(s), float(e)) for s, e in (a, b) if s != 0]
+    top = max((e for _, e in terms), default=-math.inf)
+    if top == -math.inf:
+        return 0, -math.inf
+    v = math.fsum(s * float(np.exp2(e - top)) for s, e in terms)
+    if v == 0.0:
+        return 0, -math.inf
+    return (1 if v > 0 else -1), top + math.log2(abs(v))
+
+
 def _nested_tail_ppow_log2(
     signs: np.ndarray, logs: np.ndarray, start: int, m: int, d: int, p: float
 ) -> float:
@@ -162,7 +175,7 @@ def _nested_tail_ppow_log2(
     acc = (0, -math.inf)
     terms = []
     for n in range(start, m + 1):
-        acc = signed_log2_sum([acc[0], signs[n]], [acc[1], logs[n]])
+        acc = _signed_log2_add(acc, (signs[n], logs[n]))
         if acc[0] == 0:
             continue
         w_log = -m * d if n == m else log_w_edge - n * d

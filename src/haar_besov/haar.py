@@ -27,10 +27,11 @@ from .dyadic import (
     SparseAtom,
     SparseStepFunction,
     _check_budget,
+    _cube_blocks,
+    _finest_level,
     _indices,
     _integer,
     _json_field,
-    cube_blocks,
     densify,
     stable_sum,
 )
@@ -140,14 +141,14 @@ def _sign_matrix(d: int) -> np.ndarray:
 def _split_children(a: np.ndarray, d: int) -> np.ndarray:
     """(2n,)*d array -> (n,)*d + (2^d,) array of per-parent child values."""
     n = a.shape[0] // 2
-    return cube_blocks(a, n.bit_length() - 1).reshape((n,) * d + (1 << d,))
+    return _cube_blocks(a, n.bit_length() - 1).reshape((n,) * d + (1 << d,))
 
 
 def _merge_children(child: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`_split_children`."""
     n = child.shape[0]
     out = np.empty((2 * n,) * d)
-    cube_blocks(out, n.bit_length() - 1)[...] = child.reshape((n,) * d + (2,) * d)
+    _cube_blocks(out, n.bit_length() - 1)[...] = child.reshape((n,) * d + (2,) * d)
     return out
 
 
@@ -193,6 +194,7 @@ class HaarCoefficients:
 
     def level_magnitudes(self, k: int) -> np.ndarray:
         """|lambda| over block k, flattened (k=0 gives the scaling value)."""
+        k = _integer(k, "k", 0)
         if k == 0:
             return np.array([abs(self.scaling)])
         if k > self.max_level:
@@ -264,6 +266,7 @@ def analyze(f: DyadicStepFunction) -> HaarCoefficients:
 
 def synthesize(c: HaarCoefficients, m: int) -> DyadicStepFunction:
     """Evaluate sum(lambda_h * h) on the level-m grid (m >= K)."""
+    m = _integer(m, "m", 0)
     if m < c.max_level:
         raise ValueError("synthesis level below the coefficient depth")
     d = c.d
@@ -292,8 +295,7 @@ def partial_sum_subset(
         raise ValueError("need one sign per index")
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +/-1")
-    src_level = f.level if isinstance(f, DyadicStepFunction) else f.max_level
-    top = max([src_level] + [idx.level for idx in J])
+    top = max([_finest_level(f)] + [idx.level for idx in J])
     fd = densify(f, top)
     c = analyze(fd)
     out = HaarCoefficients.zeros(c.d, c.max_level)

@@ -27,10 +27,11 @@ from .dyadic import (
     SparseStepFunction,
     ValueHistogram,
     _check_exponent,
+    _cube_blocks,
     _exact_sum,
+    _finest_level,
     _integer,
     _level_histograms,
-    cube_blocks,
     densify,
     lp_quasinorm,
     stable_sum,
@@ -306,7 +307,7 @@ def _cube_value_matrix(f: DyadicStepFunction, k: int) -> np.ndarray:
     """Rows = level-k cubes (lexicographic), columns = their level-m cells."""
     m, d = f.level, f.d
     n, r = 1 << k, 1 << (m - k)
-    return cube_blocks(f.values, k).reshape(n**d, r**d)
+    return _cube_blocks(f.values, k).reshape(n**d, r**d)
 
 
 def approx_error(f, k: int, p: float) -> float:
@@ -320,25 +321,30 @@ def approx_error(f, k: int, p: float) -> float:
     the cubes are the level-k ancestors of the deeper atoms, and each
     histogram is read from f's cached atom forest, so the cost follows the
     atom count rather than the grid size.  An E_k beyond double range raises
-    ``ValueError``.
+    ``ValueError``.  p, k and the type of f are checked here, and
+    :func:`approximation_profile` reads every level through the same body.
     """
     _check_exponent(p)
     k = _integer(k, "k", 0)
     if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
         raise TypeError("expected a step function")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _approx_error(f, k, p)
+
+
+def _approx_error(f, k: int, p: float) -> float:
+    """:func:`approx_error` on checked arguments, under the caller's error state."""
     try:
         # only E_k is checked: a p < 1 candidate whose error overflows is
         # never the minimum of a finite E_k
-        with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(f, SparseStepFunction):
-                hists = _level_histograms(f, k)
-                terms = [_best_constant(h.values, h.measures, p)[1] for h in hists]
-                e = math.fsum(terms) ** (1.0 / p) if terms else 0.0
-            elif k >= f.level:
-                e = 0.0
-            else:
-                errs = _row_best_err_ppow(_cube_value_matrix(f, k), p)
-                e = (stable_sum(errs) * f.cell_measure) ** (1.0 / p)
+        if isinstance(f, SparseStepFunction):
+            terms = [_best_constant(v, w, p)[1] for v, w in _level_histograms(f, k)]
+            e = math.fsum(terms) ** (1.0 / p) if terms else 0.0
+        elif k >= f.level:
+            e = 0.0
+        else:
+            errs = _row_best_err_ppow(_cube_value_matrix(f, k), p)
+            e = (stable_sum(errs) * f.cell_measure) ** (1.0 / p)
     except OverflowError:  # raised by fsum and by Python's float powers
         e = math.inf
     if not math.isfinite(e):
@@ -356,9 +362,11 @@ class ApproxProfile:
 
 
 def approximation_profile(f, p: float) -> ApproxProfile:
-    """Compute the full (E_k) profile up to the finest level of f."""
-    top = f.level if isinstance(f, DyadicStepFunction) else f.max_level
-    e = np.array([approx_error(f, k, p) for k in range(top)])
+    """The (E_k) profile up to the finest level of f, each E_k as :func:`approx_error` gives it."""
+    _check_exponent(p)
+    top = _finest_level(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.array([_approx_error(f, k, p) for k in range(top)])
     return ApproxProfile(p, lp_quasinorm(f, p), e)
 
 
@@ -402,9 +410,16 @@ def a_norm(f, prm: BesovParams) -> float:
     """Approximation-route quasi-norm: (||f||_p^q + sum (2^{ks} E_k)^q)^{1/q}.
 
     The level sum terminates exactly at the finest level of f, beyond which
-    every E_k vanishes.
+    every E_k vanishes.  f's dimension must be ``prm.d``.
     """
+    _check_dimension(f, prm)
     return a_norm_from_profile(approximation_profile(f, prm.p), prm)
+
+
+def _check_dimension(f, prm: BesovParams) -> None:
+    _finest_level(f)  # a step function, so f.d exists
+    if f.d != prm.d:
+        raise ValueError("function dimension does not match the parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +539,8 @@ class ModulusTable:
 
     def __init__(self, f: DyadicStepFunction, p: float):
         _check_exponent(p)
+        if not isinstance(f, DyadicStepFunction):
+            raise TypeError("ModulusTable needs a DyadicStepFunction; densify a sparse one first")
         self.f = f
         self.p = p
         self._scales: dict[int, float] = {}
@@ -570,6 +587,7 @@ class ModulusTable:
             raise ValueError("table was built for a different p")
         if prm.is_degenerate:
             raise ValueError("s >= 1/p: the modulus scale sum diverges")
+        _check_dimension(self.f, prm)
         q, s = prm.q, prm.s
         total = lp_quasinorm(self.f, self.p) ** q
         consec = 0
@@ -593,17 +611,19 @@ class ModulusTable:
         return total ** (1.0 / q)
 
 
-def modulus(f: DyadicStepFunction, t: float, p: float) -> float:
+def modulus(f, t: float, p: float) -> float:
     """First-order L_p modulus omega(t, f)_p for a grid-aligned bound t.
 
-    t must be a positive multiple of the cell width 2^-m, at most 1; the
-    supremum is then exactly a maximum over integer grid shifts, read from
-    the box |n|_inf <= t 2^m of the same table as :class:`ModulusTable`.
+    t must be a positive multiple of the cell width 2^-m of f's finest level,
+    at most 1; the supremum is then exactly a maximum over integer grid
+    shifts, read from the box |n|_inf <= t 2^m of the same table as
+    :class:`ModulusTable`.
     """
+    f = densify(f)
     table = ModulusTable(f, p)
     r = t * (1 << f.level)
-    n = round(r)
-    if not (0.0 < t <= 1.0) or n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
+    n = round(r) if 0.0 < t <= 1.0 else 0
+    if n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
         raise ValueError("t must be a multiple of the cell width in (0, 1]")
     return table._box_ppow(n) ** (1.0 / p)
 
@@ -641,7 +661,7 @@ def square_function_norm(f, p: float) -> float:
     acc = np.full(f.values.shape, c.scaling**2)
     for k in range(1, c.max_level + 1):
         sq = (c.blocks[k - 1] ** 2).sum(axis=-1)
-        cells = cube_blocks(acc, k - 1)  # a view: adding to it adds to acc
+        cells = _cube_blocks(acc, k - 1)  # a view: adding to it adds to acc
         cells += sq[(...,) + (None,) * f.d]
     return lp_quasinorm(DyadicStepFunction(f.d, f.level, np.sqrt(acc)), p)
 

@@ -437,6 +437,11 @@ class TestValueHistogram:
         with pytest.raises(ValueError, match=r"level 3, index \(5,\) has log2 magnitude 5000"):
             hb.value_histogram(f, hb.DyadicCube.root(1))
 
+    def test_cube_must_be_a_dyadic_cube(self):
+        for f in (hb.DyadicStepFunction(1, 1, [2.0, 5.0]), hb.SparseStepFunction(1, [])):
+            with pytest.raises(TypeError, match="^expected a DyadicCube, got tuple$"):
+                hb.value_histogram(f, (0,))
+
     def test_below_resolution_is_constant(self):
         f = hb.DyadicStepFunction(1, 1, [2.0, 5.0])
         h = hb.value_histogram(f, cube(1, 3, 7))

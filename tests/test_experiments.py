@@ -113,6 +113,11 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_log2_slope([(0, 1.0), (1, -2.0), (2, 3.0)])
 
+    @pytest.mark.parametrize("x, y", [(1, math.nan), (1, math.inf), (math.inf, 2.0), (math.nan, 2.0)])
+    def test_rejects_non_finite_points(self, x, y):
+        with pytest.raises(ValueError, match="^x and y values must be finite$"):
+            fit_log2_slope([(0, 1.0), (x, y), (2, 3.0)])
+
     def test_growth_fit_uses_scales_from_two(self, monkeypatch):
         # the k = 1 row is reported, and left out of the fit
         cfg = default_config("tensor-fail", k_lo=1, k_hi=6)
@@ -459,6 +464,17 @@ class TestCli:
         assert cli_main(args) == 1
         err = capsys.readouterr().err
         assert err == f"error: the {name} overflows double range\n"
+
+    def test_sparse_sums_beyond_double_range_exit_one(self, tmp_path, capsys):
+        atoms = [{"level": lev, "index": [0], "sign": 1, "log2mag": 1023.9} for lev in (0, 1)]
+        fpath = tmp_path / "sum.json"
+        fpath.write_text(json.dumps({"kind": "sparse", "d": 1, "atoms": atoms}))
+        args = ["norm", "--input", str(fpath), "--p", "2", "--q", "1", "--s", "0.1"]
+        assert cli_main(args + ["--route", "a"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the approximation-route error E_0 overflows double range\n"
+        assert cli_main(args + ["--route", "lp"]) == 1
+        assert capsys.readouterr().err == "error: histogram values must be finite\n"
 
     def test_lqlp_beyond_double_range_exits_one_nesting_lp_prints_the_norm(
         self, tmp_path, capsys

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import haar_besov as hb
-from haar_besov.families import ALTERNATING, TRIVIAL_DUAL
+from haar_besov.dyadic import signed_log2_sum
+from haar_besov.families import ALTERNATING, TRIVIAL_DUAL, _signed_log2_add
 from haar_besov.experiments import fit_log2_slope
 
 from helpers import a_norm_grid
@@ -49,6 +50,21 @@ class TestNestedFamily:
         bad = (hb.DyadicCube.root(1), hb.DyadicCube(1, 1, (1,)), hb.DyadicCube(1, 2, (0,)))
         with pytest.raises(ValueError):
             hb.NestedSpec(1, 2, chain=bad)
+
+
+def test_two_term_add_is_signed_log2_sum_bit_for_bit():
+    rng = np.random.default_rng(46)
+    cases = [((1, 2.0), (-1, 2.0)), ((0, -math.inf), (0, -math.inf)), ((0, -math.inf), (-1, 3.5)),
+             ((1, 1e4), (1, -1e4)), ((-1, -1074.5), (-1, -1074.5)), ((1, 0.0), (-1, -60.0))]
+    for _ in range(5000):
+        s, e = rng.integers(-1, 2, 2), rng.uniform(-80.0, 80.0, 2)
+        if rng.random() < 0.3:
+            e[1] = e[0] + rng.choice([0.0, 1.0, -1.0, 2.0**-40])
+        cases.append(((s[0], e[0]), (s[1], e[1])))
+    for a, b in cases:
+        want = signed_log2_sum([a[0], b[0]], [a[1], b[1]])
+        got = _signed_log2_add(a, b)
+        assert (got[0], float(got[1]).hex()) == (want[0], float(want[1]).hex()), (a, b)
 
 
 class TestNestedClosedForm:

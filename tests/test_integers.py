@@ -4,8 +4,12 @@ least value raises a ValueError naming it, and a numpy integer is accepted
 and stored as a Python int."""
 
 import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 from operator import attrgetter
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ F = hb.DyadicStepFunction(1, 2, [0.0, 1.0, 2.0, 3.0])
 ROOT = hb.DyadicCube(1, 0, (0,))
 TENSOR_PRM = hb.BesovParams(0.5, 1.0, 1.0, 2)
 CONFIG = ExperimentConfig("equivalence", p=2.0, q=2.0, s=0.25, d=1)
+COEFFS = hb.analyze(F)
+SPIKE = hb.tensor_spike_pair(2, 2, TENSOR_PRM)
 D, LEVEL = attrgetter("d"), attrgetter("level")
 
 
@@ -34,17 +40,28 @@ def config_field(name):
 CASES = {
     "DyadicCube.d": ("d", 1, 1, lambda v: hb.DyadicCube(v, 0, (0,)), D),
     "DyadicCube.level": ("level", 0, 1, lambda v: hb.DyadicCube(1, v, (0,)), LEVEL),
+    "DyadicCube.root.d": ("d", 1, 1, hb.DyadicCube.root, D),
+    "DyadicCube.ancestor.level": (
+        "level", 0, 1, lambda v: hb.DyadicCube(1, 2, (3,)).ancestor(v), LEVEL
+    ),
+    "DyadicCube.grid_slices.m": (
+        "m", 0, 2, lambda v: [(s.start, s.stop) for s in ROOT.grid_slices(v)], None
+    ),
     "DyadicStepFunction.d": ("d", 1, 1, lambda v: hb.DyadicStepFunction(v, 0, [1.0]), D),
     "DyadicStepFunction.level": (
         "level", 0, 1, lambda v: hb.DyadicStepFunction(1, v, [1.0, 2.0]), LEVEL
     ),
     "SparseStepFunction.d": ("d", 1, 1, lambda v: hb.SparseStepFunction(v, []), D),
+    "SparseStepFunction.from_terms.d": (
+        "d", 1, 1, lambda v: hb.SparseStepFunction.from_terms(v, []), D
+    ),
     "BesovParams.d": ("d", 1, 1, lambda v: hb.BesovParams(2.0, 2.0, 0.25, v), D),
     "approx_error.k": ("k", 0, 1, lambda v: hb.approx_error(F, v, 2.0), None),
     "average_project.k": ("k", 0, 1, lambda v: hb.average_project(F, v), LEVEL),
     "densify.m": ("m", 0, 3, lambda v: hb.densify(F, v), LEVEL),
     "random_step.m": ("level", 0, 2, lambda v: random_step(1, 1, v), LEVEL),
     "random_step.d": ("d", 1, 1, lambda v: random_step(1, v, 2), D),
+    "random_step.seed": ("seed", None, 3, lambda v: random_step(v, 1, 2).values, None),
     "RandomStream.seed": ("seed", None, 3, RandomStream, attrgetter("seed")),
     "RandomStream.random_u64.n": ("n", 0, 3, lambda v: RandomStream(1).random_u64(v), None),
     "RandomStream.uniform.n": ("n", 0, 3, lambda v: RandomStream(1).uniform(v), None),
@@ -54,6 +71,8 @@ CASES = {
     "SpikePair.m": ("m", 0, 2, lambda v: SpikePair(v, 1), attrgetter("m")),
     "SpikePair.d": ("d", 1, 1, lambda v: SpikePair(2, v), D),
     "SpikePair.g.k": ("k", 0, 1, lambda v: hb.function_to_json(SpikePair(2, 1).g(v)), None),
+    "spike_pair.m": ("m", 0, 2, lambda v: hb.spike_pair(v, 1), attrgetter("m")),
+    "spike_pair.d": ("d", 1, 1, lambda v: hb.spike_pair(2, v), D),
     "ScatteredSpec.k": ("k", 1, 2, lambda v: hb.ScatteredSpec(v, 1, 0.5), attrgetter("k")),
     "ScatteredSpec.d": ("d", 1, 1, lambda v: hb.ScatteredSpec(2, v, 0.5), D),
     "tensor_spike_pair.k": (
@@ -64,11 +83,28 @@ CASES = {
     "tensor_block_level.n": ("n", 1, 3, lambda v: hb.tensor_block_level((1, v)), None),
     "univariate_haar_vector.n": ("n", 1, 3, lambda v: univariate_haar_vector(v, 2), None),
     "ModulusTable.omega_ppow.j": ("j", 0, 3, lambda v: ModulusTable(F, 2.0).omega_ppow(v), None),
+    "ModulusTable.omega.j": ("j", 0, 3, lambda v: ModulusTable(F, 2.0).omega(v), None),
     "HaarIndex.d": ("d", 1, 1, lambda v: hb.HaarIndex(v, 0, None, 0), D),
     "HaarIndex.level": ("level", 0, 1, lambda v: hb.HaarIndex(1, v, ROOT, 1), LEVEL),
     "HaarIndex.pattern": (
         "pattern", 0, 1, lambda v: hb.HaarIndex(1, 1, ROOT, v), attrgetter("pattern")
     ),
+    "HaarIndex.scaling.d": ("d", 1, 1, hb.HaarIndex.scaling, D),
+    "HaarIndex.wavelet.pattern": (
+        "pattern", 0, 1, lambda v: hb.HaarIndex.wavelet(ROOT, v), attrgetter("pattern")
+    ),
+    "HaarCoefficients.level_magnitudes.k": ("k", 0, 1, COEFFS.level_magnitudes, None),
+    "synthesize.m": ("m", 0, 2, lambda v: hb.synthesize(COEFFS, v), LEVEL),
+    "TensorHaarCoefficients.d": (
+        "d", 1, 1, lambda v: hb.TensorHaarCoefficients(v, 0, np.zeros(1)), D
+    ),
+    "TensorHaarCoefficients.level": (
+        "level", 0, 1, lambda v: hb.TensorHaarCoefficients(1, v, np.zeros(2)), LEVEL
+    ),
+    "tensor_synthesize.m": (
+        "m", 0, 2, lambda v: hb.tensor_synthesize(hb.tensor_analyze(F), v), LEVEL
+    ),
+    "TensorSpikeResult.theta_function.m": ("m", 0, 2, SPIKE.theta_function, LEVEL),
     "HaarCoefficients.d": ("d", 1, 1, lambda v: hb.HaarCoefficients(v, 0, 0.0, []), D),
     "HaarCoefficients.max_level": (
         "max_level",
@@ -125,11 +161,58 @@ CASES = {
 }
 
 
+# parameters whose None means "f's or the coefficients' own finest level"
+OPTIONAL = {"densify.m", "tensor_synthesize.m", "TensorSpikeResult.theta_function.m"}
+
+# int parameters no reader checks, with the reason
+EXEMPT = {
+    "CapacityError.required_cells": "a result record: the library computes it",
+    "CapacityError.budget": "a result record: the library's fixed budget",
+    "ScatteredNorms.n_atoms": "a result record of scattered_closed_norms",
+    "TensorSpikeResult.k": "a result record of tensor_spike_pair, which reads k",
+    "TensorSpikeResult.d": "a result record of tensor_spike_pair, which reads d",
+    "critical_smoothness.d": "a formula on classify-sweep's hot loop; callers pass "
+    "BesovParams' checked d",
+}
+
+# a *salts parameter is one row, named as its error names one salt
+ALIASES = {"derive_seed.salts": "derive_seed.salt"}
+
+
+def int_parameters():
+    """'callable.parameter' for every parameter annotated int (or int | None)
+    of every callable a module lists in ``__all__``: functions, classes (their
+    constructors) and the classes' public methods and classmethods."""
+    for info in pkgutil.iter_modules(hb.__path__):
+        mod = importlib.import_module(f"haar_besov.{info.name}")
+        for name in getattr(mod, "__all__", []):
+            obj = getattr(mod, name)
+            members = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr, raw in vars(obj).items()
+                    if not attr.startswith("_")
+                    and isinstance(raw, (FunctionType, classmethod, staticmethod))
+                ]
+            for qual, fn in members:
+                for param in inspect.signature(fn).parameters.values():
+                    if param.annotation in ("int", "int | None"):
+                        key = f"{qual}.{param.name}"
+                        yield ALIASES.get(key, key)
+
+
+def test_every_public_integer_parameter_has_a_row():
+    found = set(int_parameters())
+    assert found - set(CASES) - set(EXEMPT) == set(), "int parameters with no CASES row"
+    assert set(EXEMPT) <= found, "exemptions that name no public int parameter"
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_bad_integers_are_rejected_by_name(case):
     name, low, _, entry, _ = CASES[case]
     bad = [2.0, "2", True] + ([] if low is None else [low - 1])
-    if case != "densify.m":  # densify's m defaults to f's finest level
+    if case not in OPTIONAL:
         bad.append(None)
     for value in bad:
         with pytest.raises(ValueError, match=f"^{name} must be an integer") as err:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
+from haar_besov import norms
 from haar_besov.experiments import random_step
 from haar_besov.norms import (
     _PRUNE_GROUPS,
@@ -616,6 +617,20 @@ class TestModulus:
         with pytest.raises(ValueError):
             hb.modulus(f, 1.5, 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_is_checked_before_rounding(self, t):
+        with pytest.raises(ValueError, match=r"^t must be a multiple of the cell width in \(0, 1\]$"):
+            hb.modulus(h0_dense(), t, 1.0)
+
+    def test_sparse_input_is_densified_and_the_table_needs_a_grid(self):
+        f = random_sparse(np.random.default_rng(4), 1, 6, max_level=3)
+        fd = hb.densify(f)
+        for n in range(1, (1 << fd.level) + 1):
+            t = n * 2.0**-fd.level
+            assert hb.modulus(f, t, 1.5) == hb.modulus(fd, t, 1.5)
+        with pytest.raises(TypeError, match="^ModulusTable needs a DyadicStepFunction"):
+            ModulusTable(f, 1.5)
+
     def test_monotone_in_t(self):
         r = np.random.default_rng(50)
         f = hb.DyadicStepFunction(2, 3, r.normal(size=(8, 8)))
@@ -965,9 +980,81 @@ class TestRoutesBeyondDoubleRange:
         lambda f, p: hb.approx_error(f, 0, p),
         lambda f, p: ModulusTable(f, p),
         lambda f, p: hb.square_function_norm(f, p),
+        lambda f, p: hb.approximation_profile(f, p),
     ],
-    ids=["lp_quasinorm", "best_constant_error", "approx_error", "ModulusTable", "square_function_norm"],
+    ids=[
+        "lp_quasinorm", "best_constant_error", "approx_error", "ModulusTable",
+        "square_function_norm", "approximation_profile",
+    ],
 )
 def test_every_exponent_entry_rejects_bad_p(entry, p):
     with pytest.raises(ValueError, match="p must be a positive finite exponent"):
         entry(random_step(1, 1, 2), p)
+
+
+class TestApproximationRouteBoundary:
+    """``approx_error`` and ``approximation_profile`` check p, k and the type
+    of f on entry and share one private per-level body."""
+
+    @pytest.mark.parametrize("p", [0.6, 1.0, 1.5, 2.0])
+    def test_profile_reads_each_level_without_the_public_entry(self, p, monkeypatch):
+        rng = np.random.default_rng(17)
+        for f in (
+            random_step(3, 2, 3),
+            hb.nested_family(hb.NestedSpec(1, 6)),
+            random_sparse(rng, 2, 9, max_level=4),
+        ):
+            top = f.level if isinstance(f, hb.DyadicStepFunction) else f.max_level
+            want = [hb.approx_error(f, k, p).hex() for k in range(top)]
+            monkeypatch.setattr(norms, "approx_error", None)
+            got = hb.approximation_profile(f, p).e_values
+            monkeypatch.undo()
+            assert [x.hex() for x in got.tolist()] == want
+
+    def test_sparse_sums_beyond_double_range_raise_the_route_error(self):
+        # two nesting atoms of 2^1023.9: f = inf on [0, 1/2), the histograms'
+        # "values must be finite" stays with the public histogram and L_p norm
+        c0, c1 = hb.DyadicCube(1, 0, (0,)), hb.DyadicCube(1, 1, (0,))
+        f = hb.SparseStepFunction(1, [hb.SparseAtom(c0, 1, 1023.9), hb.SparseAtom(c1, 1, 1023.9)])
+        for p in (0.5, 2.0):
+            for entry in (lambda: hb.approximation_profile(f, p), lambda: hb.approx_error(f, 0, p)):
+                with pytest.raises(ValueError, match="^the approximation-route error E_0 overflows"):
+                    entry()
+            assert hb.approx_error(f, 1, p) == 0.0
+        with pytest.raises(ValueError, match="histogram values must be finite"):
+            hb.lp_quasinorm(f, 2.0)
+        with pytest.raises(ValueError, match="histogram values must be finite"):
+            hb.value_histogram(f, c0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        hb.densify,
+        lambda f: hb.approximation_profile(f, 2.0),
+        lambda f: hb.approx_error(f, 0, 2.0),
+        lambda f: hb.partial_sum_subset(f, []),
+        lambda f: hb.a_norm(f, hb.BesovParams(2.0, 2.0, 0.25, 1)),
+        lambda f: hb.modulus(f, 0.5, 2.0),
+    ],
+    ids=["densify", "approximation_profile", "approx_error", "partial_sum_subset", "a_norm", "modulus"],
+)
+def test_non_step_functions_raise_type_error(entry):
+    with pytest.raises(TypeError, match="^expected a step function$"):
+        entry([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        hb.a_norm,
+        hb.b_norm_modulus,
+        lambda f, prm: ModulusTable(f, prm.p).b_norm(prm),
+        lambda f, prm: hb.a_norm(hb.SparseStepFunction(1, []), prm),
+    ],
+    ids=["a_norm", "b_norm_modulus", "ModulusTable.b_norm", "a_norm_sparse"],
+)
+def test_function_dimension_must_match_the_parameters(entry):
+    f = random_step(1, 1, 2)
+    with pytest.raises(ValueError, match="^function dimension does not match the parameters$"):
+        entry(f, hb.BesovParams(2.0, 2.0, 0.25, 2))
