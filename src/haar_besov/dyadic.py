@@ -511,6 +511,14 @@ def _cube_blocks(values: np.ndarray, k: int) -> np.ndarray:
     return values.reshape(shape).transpose(coarse + fine)
 
 
+def _upsample(values: np.ndarray, k: int) -> np.ndarray:
+    """A level-j grid repeated onto the level-k grid (j <= k), through :func:`_cube_blocks`."""
+    d = values.ndim
+    out = np.empty((1 << k,) * d)
+    _cube_blocks(out, values.shape[0].bit_length() - 1)[...] = values[(...,) + (None,) * d]
+    return out
+
+
 def _finest_level(f) -> int:
     """``f.level`` of a dense f, ``f.max_level`` of a sparse one; else TypeError."""
     if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
@@ -589,9 +597,7 @@ def average_project(f, k: int) -> DyadicStepFunction:
             fine = tuple(range(f.d, 2 * f.d))
             return DyadicStepFunction(f.d, k, _cube_blocks(f.values, k).mean(axis=fine))
         _check_budget(f.d, k)
-        out = np.empty((1 << k,) * f.d)
-        _cube_blocks(out, f.level)[...] = f.values[(...,) + (None,) * f.d]
-        return DyadicStepFunction(f.d, k, out)
+        return DyadicStepFunction(f.d, k, _upsample(f.values, k))
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
     _check_budget(f.d, k)

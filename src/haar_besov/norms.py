@@ -32,6 +32,7 @@ from .dyadic import (
     _finest_level,
     _integer,
     _level_histograms,
+    _upsample,
     densify,
     lp_quasinorm,
     stable_sum,
@@ -202,10 +203,13 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
     is concave between data values, so the minimum sits on a data value:
     :func:`_enum_best` finds the first minimizing value, pruning candidates
     by certified bounds above 128 values, and the error is recomputed there
-    with a correctly rounded sum.  p = 1 uses the weighted median, p = 2 the
-    weighted mean, and other p > 1 a monotone-derivative bisection.  Ties
-    resolve to the smallest minimizing value.  An error beyond double range
-    raises ``ValueError``.
+    with a correctly rounded sum.  p = 1 uses the weighted median and p = 2
+    the weighted mean; ties resolve to the smallest minimizing value.  Other
+    p > 1 take :func:`_power_root`'s root of the derivative: the minimizer
+    returned is a point whose error is certified within ``_ROOT_EPS``
+    (1e-13) of the minimum, relative, or one the bracket's width floor pins
+    down, and the error is summed there with a correctly rounded sum.  An
+    error beyond double range raises ``ValueError``.
     """
     _check_exponent(p)
     if not hist.entries:
@@ -235,19 +239,7 @@ def _best_constant(v: np.ndarray, w: np.ndarray, p: float) -> tuple[float, float
     if p < 1.0:
         j, _ = _enum_best(v, w, p)  # values ascend: the first is the smallest
         return float(v[j]), _exact_sum(w * np.abs(v - v[j]) ** p)
-    lo, hi = float(v[0]), float(v[-1])
-    scale = max(1.0, abs(lo), abs(hi))
-    for _ in range(200):
-        if hi - lo <= 1e-13 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        diff = mid - v
-        g = _exact_sum(w * np.sign(diff) * np.abs(diff) ** (p - 1.0))
-        if g > 0:
-            hi = mid
-        else:
-            lo = mid
-    xi = 0.5 * (lo + hi)
+    xi = float(_power_root(v[None, :], w, p)[0])
     return xi, _exact_sum(w * np.abs(v - xi) ** p)
 
 
@@ -259,7 +251,10 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
     which the values vary.  Rows of 256 cells or more go one by one through
     :func:`_enum_best` on their distinct values weighted by counts, which
     prunes candidates by certified bounds above 128 distinct values; shorter
-    rows are enumerated together in chunks, O(cells^2) per row.
+    rows are enumerated together in chunks, O(cells^2) per row.  p = 1 takes
+    the median and p = 2 the mean; other p > 1 sum the error at the point
+    :func:`_power_root` certifies within ``_ROOT_EPS`` of each row's minimum,
+    every row stopping on its own certificate.
     """
     ncubes, nvals = rows.shape
     if p == 2.0:
@@ -288,19 +283,68 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
             best = np.minimum(best, errs.min(axis=1))
         out[live] = best
         return out
-    lo = rows.min(axis=1)
-    hi = rows.max(axis=1)
-    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    for _ in range(200):
-        if np.all(hi - lo <= 1e-13 * scale):
-            break
-        mid = 0.5 * (lo + hi)
-        diff = mid[:, None] - rows
-        g = (np.sign(diff) * np.abs(diff) ** (p - 1.0)).sum(axis=1)
-        hi = np.where(g > 0, mid, hi)
-        lo = np.where(g > 0, lo, mid)
-    xi = 0.5 * (lo + hi)
+    xi = _power_root(rows, None, p)
     return (np.abs(rows - xi[:, None]) ** p).sum(axis=1)
+
+
+#: Relative excess over the minimum error at which :func:`_power_root` stops a row.
+_ROOT_EPS = 1e-13
+#: Most points :func:`_power_root` evaluates per row.
+_ROOT_STEPS = 200
+
+
+def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
+    """Per row, a point y with E(y) = sum_j w_j |v_j - y|^p within ``_ROOT_EPS``
+    E(y) of the minimum, for p > 1 (``w`` None: unit weights).
+
+    ITP steps (Oliveira & Takahashi 2020) on g = E'/p, which increases, keep
+    ends a < b with g(a) <= 0 < g(b), never more than one step beyond
+    bisection; while an end's g is unknown the step is the midpoint.  E is
+    convex, so a row stops at an end y once p (|g(y)| + r)(b - a) <= eps E(y)
+    with E(y) finite, where r = 2(n + p + 8)u S + n 2^-1074 bounds the
+    rounding of g over n cells: each term is within (p + 8)u (u = 2^-53, pow
+    within 4 ulp) or 2^-1074 where subnormal, and summing adds (n - 1)u S,
+    S = sum_j w_j |y - v_j|^(p-1).  A row also stops once b - a <= 1e-13
+    max(1, |a|, |b|); one that starts so returns its midpoint.
+    """
+    n = rows.shape[1]
+    c1, c0 = 2.0 * (n + p + 8.0) * _UNIT_ROUNDOFF, n * _SMALLEST_SUBNORMAL
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    xi = 0.5 * (lo + hi)
+    idx = np.flatnonzero(hi - lo > 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+    sub, rad = rows[idx], hi[idx] - lo[idx]  # rad: ITP's bound on the bracket after each step
+    k1, nan, zero = 0.2 / rad, np.full(idx.size, np.nan), np.zeros(idx.size)
+    ends = np.stack([[lo[idx], nan, zero], [hi[idx], nan, zero]])  # (end, g, reach) at a, b
+    for _ in range(_ROOT_STEPS):
+        if not idx.size:
+            break
+        (a, fa, _), (b, fb, _) = ends
+        wid = b - a
+        off = wid * (fb / (fb - fa) - 0.5)  # from the regula falsi point to the midpoint
+        cut = np.fmin(np.fmax(np.abs(off) - k1 * wid * wid, 0.0), rad - 0.5 * wid)
+        new = np.empty((3, idx.size))  # the point, g there, the widest bracket stopping there
+        x = new[0] = a + 0.5 * wid - np.copysign(cut, off)
+        rad *= 0.5
+        d = x[:, None] - sub
+        t = np.abs(d) ** (p - 1.0)
+        if w is not None:
+            t *= w
+        s = np.copysign(t, d)
+        g, e = np.add.reduce(s, axis=1, out=new[1]), np.add.reduce(d * s, axis=1)
+        reach = e * (_ROOT_EPS / p) / (np.abs(g) + c1 * np.add.reduce(t, axis=1) + c0)
+        np.maximum(np.where(e < np.inf, reach, 0.0), 1e-13 * np.maximum(1.0, np.abs(x)), out=new[2])
+        up = g > 0
+        np.copyto(ends[1], new, where=up)
+        np.copyto(ends[0], new, where=~up)
+        (a, _, ra), (b, _, rb) = ends
+        done = b - a <= np.maximum(ra, rb)
+        if done.any():
+            xi[idx[done]] = np.where(ra >= rb, a, b)[done]
+            keep = ~done
+            idx, sub, ends, rad, k1 = idx[keep], sub[keep], ends[:, :, keep], rad[keep], k1[keep]
+    (a, _, ra), (b, _, rb) = ends
+    xi[idx] = np.where(ra >= rb, a, b)
+    return xi
 
 
 def _cube_value_matrix(f: DyadicStepFunction, k: int) -> np.ndarray:
@@ -658,12 +702,12 @@ def square_function_norm(f, p: float) -> float:
     _check_exponent(p)
     f = densify(f)
     c = analyze(f)
-    acc = np.full(f.values.shape, c.scaling**2)
+    # each level's sums at its own resolution: a cell gets its cubes' sums
+    # added in level order, as on the full grid, for O(N) work
+    acc = np.full((1,) * f.d, c.scaling**2)
     for k in range(1, c.max_level + 1):
-        sq = (c.blocks[k - 1] ** 2).sum(axis=-1)
-        cells = _cube_blocks(acc, k - 1)  # a view: adding to it adds to acc
-        cells += sq[(...,) + (None,) * f.d]
-    return lp_quasinorm(DyadicStepFunction(f.d, f.level, np.sqrt(acc)), p)
+        acc = _upsample(acc, k - 1) + (c.blocks[k - 1] ** 2).sum(axis=-1)
+    return lp_quasinorm(DyadicStepFunction(f.d, f.level, _upsample(np.sqrt(acc), f.level)), p)
 
 
 @_raises_on_overflow("b0221 sum")

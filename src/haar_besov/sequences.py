@@ -32,9 +32,9 @@ def _level_log2_lp_pow(c: HaarCoefficients, prm: BesovParams) -> list[float]:
     if c.d != prm.d:
         raise ValueError("coefficient dimension does not match the parameters")
     with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero
-        return [
-            logsumexp2(prm.p * np.log2(c.level_magnitudes(k)))
-            for k in range(c.max_level + 1)
+        return [  # the checked blocks, read without level_magnitudes' check
+            logsumexp2(prm.p * np.log2(np.abs(b).ravel()))
+            for b in [np.array([c.scaling])] + c.blocks
         ]
 
 

@@ -1,14 +1,15 @@
 """Brute-force oracles and acceptance clauses shared by the test suite.
 
 The oracles are deliberately independent of the library's computational
-paths: best constants come from candidate grids or, for p < 1, from the
-full enumeration of every candidate's error, coefficients from direct
-quadrature, projections and errors from densified arrays, difference-table
-entries one offset at a time from sliced cell values, shift differences for
-any real shift as weighted sums of those entries, sub-cell scales one level
-at a time in Python floats (both so that comparison is bit for bit), sparse
-histograms and errors from a rescan of every atom per cube, random words one
-xoshiro step at a time.
+paths: best constants come from candidate grids, for p < 1 from the full
+enumeration of every candidate's error and for other p > 1 from the
+bisection the library ran before its certified solver, coefficients from
+direct quadrature, projections and errors from densified arrays,
+difference-table entries one offset at a time from sliced cell values, shift
+differences for any real shift as weighted sums of those entries, sub-cell
+scales one level at a time in Python floats (both so that comparison is bit
+for bit), sparse histograms and errors from a rescan of every atom per cube,
+random words one xoshiro step at a time.
 The clauses at the end are the acceptance checks for the norm equivalences
 (criteria 6 and 7), kept here so their negative controls test the same
 code, and the level window on which criterion 10 runs ``basis-fail``.
@@ -63,6 +64,33 @@ def row_best_err_oracle(rows, p):
         vals, counts = np.unique(row, return_counts=True)
         out.append(enum_best_oracle(vals, counts, p)[1] if vals.size > 1 else 0.0)
     return np.array(out)
+
+
+def bisect_best_constant(values, weights, p):
+    """(xi, min over xi of sum w |v - xi|^p) for p > 1 by bisection on the
+    derivative's sign.
+
+    The library's solver up to its certified secant steps: [min, max] is
+    halved until it is 1e-13 max(1, |min|, |max|) wide (200 steps at most),
+    each sign from a correctly rounded sum, and the error is summed at the
+    final midpoint.  Where that width is coarse against the values' spread,
+    the midpoint is not the minimizer.
+    """
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    lo, hi = float(v.min()), float(v.max())
+    scale = max(1.0, abs(lo), abs(hi))
+    for _ in range(200):
+        if hi - lo <= 1e-13 * scale:
+            break
+        mid = 0.5 * (lo + hi)
+        diff = mid - v
+        if math.fsum((w * np.sign(diff) * np.abs(diff) ** (p - 1.0)).tolist()) > 0:
+            hi = mid
+        else:
+            lo = mid
+    xi = 0.5 * (lo + hi)
+    return xi, math.fsum((w * np.abs(v - xi) ** p).tolist())
 
 
 def approx_error_grid(f, k, p, coarse=4_000):

@@ -23,6 +23,7 @@ from helpers import (
     a_norm_grid,
     approx_error_grid,
     approx_error_sparse_rescan,
+    bisect_best_constant,
     corner_shift_max,
     enum_best_oracle,
     grid_best_constant_err,
@@ -217,6 +218,104 @@ class TestEnumBest:
                 assert hb.approx_error(f, k, p) == want
 
 
+#: The level-1 histogram of a cube of the deep scattered family (k = 3,
+#: d = 2): a quarter of the measure at 0, the rest 2^-48 and less spread up
+#: to 2.5e20, so the minimizer lies within 1e-13 of 0.
+WIDE_HISTOGRAM = tuple(zip(
+    (0.0, 71522240263771.8, 280162224344734.16, 1098454945063105.0, 4310470796469796.5,
+     4.053597500024861e18, 1.5968905439157705e19, 6.2940029615095054e19, 2.4818881543496103e20),
+    (0.24999999999999528, 2.0**-48, 2.0**-50, 2.0**-52, 2.0**-54,
+     2.0**-64, 2.0**-66, 2.0**-68, 2.0**-70),
+))
+
+
+class TestPowerRoot:
+    """p > 1, p != 2 best constants from the certified solver, against the
+    bisection it replaced and a candidate grid."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(1.0, 10.0, exclude_min=True).filter(lambda p: p != 2.0),
+        st.integers(2, 1 << 12),
+        st.floats(-290.0, 290.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bisection_and_grid(self, p, n, log10_err, weighted, seed):
+        # values scaled so that the error spans 1e-290 to 1e290 at every p;
+        # unit weights take the dense path, random ones the histogram path
+        r = np.random.default_rng(seed)
+        v = r.normal(size=n) * 10.0 ** (log10_err / p)
+        if weighted:
+            hist = hb.ValueHistogram.from_pairs(zip(v.tolist(), r.uniform(0.05, 2.0, n).tolist()))
+            v, w = hist.values, hist.measures
+            err = hb.best_constant_error(hist, p)[1]
+        else:
+            w = np.ones(n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = float(_row_best_err_ppow(v[None, :], p)[0])
+        xo, oracle = bisect_best_constant(v, w, p)
+        grid = grid_best_constant_err(v, w, p, coarse=500, fine=100)
+        # what bisection's last bracket leaves open: E(xo) - min E is at most
+        # p S(xo) 1e-13 max(1, |v|), with S the sum of w |xo - v|^(p-1)
+        gap = 2e-13 * p * (w * np.abs(v - xo) ** (p - 1.0)).sum() * max(1.0, np.abs(v).max())
+        assert abs(err - oracle) <= 1e-12 * oracle + gap
+        assert err <= grid * (1 + 1e-12) + gap
+
+    def test_rows_converge_on_their_own(self):
+        # each row stops on its own certificate: its bits do not depend on
+        # the rows beside it, here at six scales and two sizes of spread
+        r = np.random.default_rng(8)
+        rows = r.normal(size=(48, 16)) * np.repeat(10.0 ** np.arange(-4, 20, 4), 8)[:, None]
+        rows[::5] = r.uniform(-1, 1, size=(10, 16))
+        for p in (1.01, 1.5, 3.0):
+            with np.errstate(over="ignore", invalid="ignore"):
+                together = _row_best_err_ppow(rows, p)
+                alone = [_row_best_err_ppow(row[None, :], p)[0] for row in rows]
+            assert together.tolist() == alone
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+    def test_scaled_rows_scale_their_error(self, p):
+        # the certificate is relative, so E(c v) = |c|^p E(v) holds where g
+        # itself is tiny (c = 1e-6 at p = 3 and 10) or huge (c = 1e6)
+        rows = np.random.default_rng(9).normal(size=(8, 64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = _row_best_err_ppow(rows, p)
+            for c in (1e-6, 1e6):
+                np.testing.assert_allclose(_row_best_err_ppow(c * rows, p), c**p * base, rtol=1e-12)
+
+    def test_wide_range_histogram_reaches_the_minimum(self):
+        # bisection stopped once its bracket was 1e-13 of 2.5e20 wide, at
+        # xi = 7.05e6, 75% above the minimum error
+        hist = hb.ValueHistogram.from_pairs(WIDE_HISTOGRAM)
+        v, w = hist.values, hist.measures
+        err = hb.best_constant_error(hist, 1.5)[1]
+        assert err <= grid_best_constant_err(v, w, 1.5) * (1 + 1e-12)
+        assert err < 0.6 * bisect_best_constant(v, w, 1.5)[1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_overflow_raises_on_every_route(self, p):
+        # |d|^p overflows at both p, and g itself at p = 3: each route
+        # raises its ValueError, with no RuntimeWarning
+        hist = hb.ValueHistogram.from_pairs([(1e300, 0.5), (-1e300, 0.5)])
+        with pytest.raises(ValueError, match="best-constant error overflows double range"):
+            hb.best_constant_error(hist, p)
+        f = hb.DyadicStepFunction(1, 2, [1e300, -1e300, 1e300, -1e300])
+        with pytest.raises(ValueError, match="error E_0 overflows double range"):
+            hb.approx_error(f, 0, p)
+        with pytest.raises(ValueError, match="error E_0 overflows double range"):
+            hb.approximation_profile(f, p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_derivative_takes_the_midpoint(self):
+        # (1e-12)^29 underflows: g is 0 everywhere, no secant step is defined
+        # and the rows stop on the width floor, with no RuntimeWarning
+        hist = hb.ValueHistogram.from_pairs([(0.0, 0.5), (1e-12, 0.5)])
+        assert hb.best_constant_error(hist, 30.0)[1] == 0.0
+        assert hb.approx_error(hb.DyadicStepFunction(1, 1, [0.0, 1e-12]), 0, 30.0) == 0.0
+
+
 class TestApproxError:
     def test_zero_on_own_partition(self):
         f = hb.DyadicStepFunction(2, 2, np.arange(16.0))
@@ -407,28 +506,106 @@ def _sparse_digest_input(name):
     return random_sparse(np.random.default_rng(seed), d, 16, max_level=5)
 
 
+#: The sparse-path digests first pinned, while p = 1.5 best constants were
+#: bisected; each case keeps the id it was pinned under when its digest moves.
+_SPARSE_FIRST_PINNED = {
+    "scattered-6-1": "f5ec86987fa6d77c91d379ddc292acacd96490794ba5d5d65cd6b2ca2b7d5d4d",
+    "scattered-3-2": "e8c6ca08b0cb22cc3bf75811a5b7ceffac5c3a59a72bf6fb5327a2abf8512a27",
+    "nested-1-64-trivial-dual": "46c8c450fd70279aabd99b84a60e25e57879fc2e7a7340276e6475c47f67bf91",
+    "nested-1-64-alternating": "33f27991d03f3e95316896fcfe25329edcc46f6bcc15ec794093cb84686c022f",
+    "nested-1-64-explicit": "ee73c9bb9c18f9282c1873c2ebb68a7fac86ccdaf358f3879dba31012b717a60",
+    "nested-2-32-trivial-dual": "34997ce482c9e94f66b77393624d0661487fe1a0599445d344d4e2d200d15c69",
+    "nested-2-32-alternating": "7167b889a5a36343f286462dde2b0224f3d4b62a657fa7f02432064627b853a3",
+    "nested-2-32-explicit": "1bc8da80f576e88c3963d3f1f5121fe34487c192f4c51c9a06ab8fbb51f18f7f",
+    "random-1-91": "7b8346d55996864e2b1976f7bc1de3310ff9c0d54495c2e817d97f6b559eb6ab",
+    "random-2-92": "a56ccfab19118d46d7c98b7424a6b058ac1e97bf81d4ab0d2936fc500cc52372",
+    "random-3-93": "dfe245dafbf935393b3a709a12136ee4aff4014d786d2e8e302add582f413c45",
+}
+
+
 @pytest.mark.parametrize(
     "name,digest",
     [
-        ("scattered-6-1", "f5ec86987fa6d77c91d379ddc292acacd96490794ba5d5d65cd6b2ca2b7d5d4d"),
-        ("scattered-3-2", "e8c6ca08b0cb22cc3bf75811a5b7ceffac5c3a59a72bf6fb5327a2abf8512a27"),
-        ("nested-1-64-trivial-dual", "46c8c450fd70279aabd99b84a60e25e57879fc2e7a7340276e6475c47f67bf91"),
-        ("nested-1-64-alternating", "33f27991d03f3e95316896fcfe25329edcc46f6bcc15ec794093cb84686c022f"),
-        ("nested-1-64-explicit", "ee73c9bb9c18f9282c1873c2ebb68a7fac86ccdaf358f3879dba31012b717a60"),
-        ("nested-2-32-trivial-dual", "34997ce482c9e94f66b77393624d0661487fe1a0599445d344d4e2d200d15c69"),
-        ("nested-2-32-alternating", "7167b889a5a36343f286462dde2b0224f3d4b62a657fa7f02432064627b853a3"),
-        ("nested-2-32-explicit", "1bc8da80f576e88c3963d3f1f5121fe34487c192f4c51c9a06ab8fbb51f18f7f"),
-        ("random-1-91", "7b8346d55996864e2b1976f7bc1de3310ff9c0d54495c2e817d97f6b559eb6ab"),
-        ("random-2-92", "a56ccfab19118d46d7c98b7424a6b058ac1e97bf81d4ab0d2936fc500cc52372"),
-        ("random-3-93", "dfe245dafbf935393b3a709a12136ee4aff4014d786d2e8e302add582f413c45"),
+        pytest.param(name, digest, id=f"{name}-{_SPARSE_FIRST_PINNED[name]}")
+        for name, digest in [
+            ("scattered-6-1", "160afb176feb4e060b98d1c73df2ba5567466fea90c5cca041aa3af9d401d7d5"),
+            ("scattered-3-2", "6984f6487b4fa3c2cedf6cf4ddd49301ac4cfb1fee44ac4580ff78ee4f5d576a"),
+            ("nested-1-64-trivial-dual", "dce85a47feb3597c916e62643362339530df82e37de6aa16dec35c2e004ec3f7"),
+            ("nested-1-64-alternating", "ac59f586d089fdec37fd579ed7458ec635c0df5c5e74b73390dd953cb8db3e24"),
+            ("nested-1-64-explicit", "f75e3da7b3fa500902d334d78957149b509665e309f766222f930ca4f8c3e9bf"),
+            ("nested-2-32-trivial-dual", "d6baf62c27f7510f20ddab202920b9b8a7413713f4e0f03dd6063de443f889b1"),
+            ("nested-2-32-alternating", "bfc677251a42a870a42981793a6cd11fe7fac0a195a4f708726a7780c4c258f8"),
+            ("nested-2-32-explicit", "63e99dc0bb0e9c7456c2594a091bf032d664a56fa45aba50da997564a8d5d20a"),
+            ("random-1-91", "03976226d0d080a3796017e421749f86a27e24cd4e64d967c922ea9a9612c3c0"),
+            ("random-2-92", "a56ccfab19118d46d7c98b7424a6b058ac1e97bf81d4ab0d2936fc500cc52372"),
+            ("random-3-93", "808abf213176fca73a9cf393c6e644180bdb50077a749a01dc690f183175d9bf"),
+        ]
     ],
 )
 def test_sparse_path_golden_digest(name, digest):
-    # digests of the sparse path as it rescanned every atom per histogram
+    # digests of the sparse path as it rescanned every atom per histogram, with
+    # the p = 1.5 best constants certified within _ROOT_EPS of the minimum
     f = _sparse_digest_input(name)
     if name.startswith("random"):
         assert not f.nesting_free
     assert sparse_path_fingerprint(f) == digest
+
+
+#: One exponent per best-constant branch that does not root-find: the p < 1
+#: enumeration (twice), the median and the mean.
+UNTOUCHED_PS = (0.3, 0.8, 1.0, 2.0)
+
+
+def _untouched_branches_input(name):
+    """A histogram of the array-sum digest's seeds, one of its grids (each
+    with the exponents it is cheap at) or a member of the sparse-path pool."""
+    if name.startswith("hist"):
+        seed, n = {"hist-10": (10, 1 << 10), "hist-11": (11, 1 << 14)}[name]
+        s = hb.rng.RandomStream(seed)
+        pairs = zip(s.normal(n).tolist(), s.uniform(n, 0.5, 2.0).tolist())
+        return hb.ValueHistogram.from_pairs(pairs), UNTOUCHED_PS
+    grids = {"grid-12-2-8": (1.0, 2.0), "line-15-1-12": UNTOUCHED_PS, "small-16-2-7": UNTOUCHED_PS}
+    if name in grids:
+        seed, d, m = map(int, name.split("-")[1:])
+        return random_step(seed, d, m), grids[name]
+    return _sparse_digest_input(name), UNTOUCHED_PS
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("hist-10", "174aaa4380ec58b58ed72a2991b2bd8b11a979e65d8711b3e40cd5dff8bf1463"),
+        ("hist-11", "c7ceae949edc0c219dfded51b5b682a568c2922a397e46c837fdd0117abe171f"),
+        ("grid-12-2-8", "311713b8a8ab20fe7d4f97e949bcc1c97039fea3603256b4571cddcec903c177"),
+        ("line-15-1-12", "1c8f98991f2aac213dbca5beec9a45a42d97f4070258fa56e399a31196c7fbf2"),
+        ("small-16-2-7", "f140629a7d4f5c078b50fa984f9cc57d6bb3abfef4ac7e5871dd3cc6e269d1e5"),
+        ("scattered-6-1", "f7c0127f0a2649273aecadabde6fe8c1bccfc286111e9a8122d8777abccb0f38"),
+        ("scattered-3-2", "39374fe139d846d364f600ecc801197f12de50d711da0b31c7b2309f269640d1"),
+        ("nested-1-64-trivial-dual", "79beec1f2be2b5bcd2b59bb12d1f7c0af15846a6e3257c88e4cbad86d9c5c57f"),
+        ("nested-1-64-alternating", "a5db4cd624138a5689fd7ceb6f10801a9488db4937dbbea7c4e4eb586552ce85"),
+        ("nested-1-64-explicit", "f8dbe0cb8d25cc28bff6bddb3bc787aefb5115f919eecff70b4887e902c07326"),
+        ("nested-2-32-trivial-dual", "a805973a46706266cafe1455094e834209dd9b46df1fedc0b7527aefaaf2212e"),
+        ("nested-2-32-alternating", "7ba2c69d1a09ec580b25c649345fd013cfa774e72cf3b74b4b4632bb46eaa7f3"),
+        ("nested-2-32-explicit", "f3d53ab5bfac95195ccc7d52da69c5125847c0941c376a9b81f5665728103d31"),
+        ("random-1-91", "44ed564b78d7072c80f9de05636d01999d4e850524ba74712ef1714665562871"),
+        ("random-2-92", "b48edbb6176f239effe4f97d3054d36e19f4c5dcc736e5575e6ba093dd7b9c12"),
+        ("random-3-93", "dccb1ec555194ac83c2f3ed19465e6ea516aabc8618a1182e94187d3718e2592"),
+    ],
+)
+def test_untouched_branches_golden_digest(name, digest):
+    # digests of the enumeration, median and mean branches as they were
+    # while p > 1, p != 2 best constants were bisected: root-finding changes
+    # must leave them alone
+    f, ps = _untouched_branches_input(name)
+    h = hashlib.sha256()
+    for p in ps:
+        if isinstance(f, hb.ValueHistogram):
+            values = list(hb.best_constant_error(f, p))
+        else:
+            prof = hb.approximation_profile(f, p)
+            values = prof.e_values.tolist() + [prof.lp_norm]
+        h.update(" ".join(map(float.hex, values)).encode())
+    assert h.hexdigest() == digest
 
 
 class TestHomogeneity:
