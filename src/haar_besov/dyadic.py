@@ -25,6 +25,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,6 +71,8 @@ def _integer(value, name: str, low: int | None) -> int:
     """``value`` as a Python int, read by ``operator.index``: a bool, a float,
     a string, None or a value below ``low`` raises a ValueError naming
     ``name``, so a parameter is never truncated, parsed or stored as numpy."""
+    if type(value) is int and (low is None or value >= low):
+        return value  # the common case: no bool, no numpy, no conversion
     try:
         v = operator.index(value)
     except TypeError:
@@ -89,6 +92,29 @@ def _check_budget(d: int, level: int) -> None:
 def _check_exponent(p: float) -> None:
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
+
+
+def _raises_on_overflow(route: str):
+    """Make the decorated route raise a ``ValueError`` naming ``route`` when
+    its arithmetic overflows: numpy raises inside it, as Python's float
+    powers and ``math.fsum`` do, and a total that rounded to inf raises too.
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                with np.errstate(over="raise"):
+                    total = fn(*args, **kwargs)
+            except (OverflowError, FloatingPointError):
+                total = math.inf
+            if total == math.inf:
+                raise ValueError(f"the {route} overflows double range")
+            return total
+
+        return run
+
+    return decorate
 
 
 #: Arrays shorter than this are summed by ``math.fsum`` word by word.

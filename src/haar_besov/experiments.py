@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DyadicStepFunction, _check_budget, _integer
+from .dyadic import DyadicStepFunction, _check_budget, _integer, _raises_on_overflow
 from .families import (
     ALTERNATING,
     NestedSpec,
@@ -91,6 +91,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, float(intercept), r2
 
 
+@_raises_on_overflow("log2-slope fit")
 def fit_log2_slope(points) -> tuple[float, float, float]:
     """Least squares of (x, log2 y): returns (slope, intercept, r^2)."""
     pts = list(points)

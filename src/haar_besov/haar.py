@@ -32,6 +32,7 @@ from .dyadic import (
     _indices,
     _integer,
     _json_field,
+    _raises_on_overflow,
     densify,
     stable_sum,
 )
@@ -410,10 +411,8 @@ def _dwt_forward_axis(a: np.ndarray) -> np.ndarray:
     size = a.shape[0]
     while size > 1:
         half = size // 2
-        even = a[0:size:2].copy()
-        odd = a[1:size:2].copy()
-        a[:half] = (even + odd) / 2
-        a[half:size] = (even - odd) / 2
+        even, odd = a[0:size:2] / 2, a[1:size:2] / 2  # halved first, so no sum overflows
+        a[:half], a[half:size] = even + odd, even - odd
         size = half
     return a
 
@@ -424,10 +423,8 @@ def _dwt_inverse_axis(a: np.ndarray) -> np.ndarray:
     size = 2
     while size <= n:
         half = size // 2
-        avg = a[:half].copy()
-        diff = a[half:size].copy()
-        a[0:size:2] = avg + diff
-        a[1:size:2] = avg - diff
+        avg, diff = a[:half], a[half:size]
+        a[0:size:2], a[1:size:2] = avg + diff, avg - diff
         size *= 2
     return a
 
@@ -447,6 +444,7 @@ def tensor_synthesize(c: TensorHaarCoefficients, m: int | None = None) -> Dyadic
     return densify(DyadicStepFunction(c.d, c.level, a), m)
 
 
+@_raises_on_overflow("tensor-coefficient sum")
 def tensor_coefficient(f: DyadicStepFunction, n: Sequence[int]) -> float:
     """<f, theta> / <theta, theta> by direct quadrature (no full transform)."""
     top = max(f.level, tensor_block_level(n))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 
 import numpy as np
@@ -32,6 +32,7 @@ from .dyadic import (
     _finest_level,
     _integer,
     _level_histograms,
+    _raises_on_overflow,
     _upsample,
     densify,
     lp_quasinorm,
@@ -414,29 +415,6 @@ def approximation_profile(f, p: float) -> ApproxProfile:
     return ApproxProfile(p, lp_quasinorm(f, p), e)
 
 
-def _raises_on_overflow(route: str):
-    """Make the decorated route raise a ``ValueError`` naming ``route`` when
-    its arithmetic overflows: numpy raises inside it, as Python's float
-    powers and ``math.fsum`` do, and a total that rounded to inf raises too.
-    """
-
-    def decorate(fn):
-        @wraps(fn)
-        def run(*args, **kwargs):
-            try:
-                with np.errstate(over="raise"):
-                    total = fn(*args, **kwargs)
-            except (OverflowError, FloatingPointError):
-                total = math.inf
-            if total == math.inf:
-                raise ValueError(f"the {route} overflows double range")
-            return total
-
-        return run
-
-    return decorate
-
-
 @_raises_on_overflow("approximation-route sum")
 def a_norm_from_profile(profile: ApproxProfile, prm: BesovParams) -> float:
     if not prm.q_finite:
@@ -578,7 +556,9 @@ class ModulusTable:
     scale are cached in one dict by j; the sub-cell levels are evaluated in
     blocks of ``_SCALE_BLOCK`` consecutive levels from m + 1, a block at its
     first read, in one vectorised call that gives each level the value of
-    its own scalar sum.
+    its own scalar sum.  The table is checked once, when built: a non-finite
+    entry raises a ``ValueError`` naming the modulus route.  Each scale is a
+    maximum or a sum of entries with total weight at most 1, so it is finite.
     """
 
     def __init__(self, f: DyadicStepFunction, p: float):
@@ -591,7 +571,11 @@ class ModulusTable:
 
     @cached_property
     def _table(self) -> np.ndarray:
-        return _difference_table(self.f.values, self.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _difference_table(self.f.values, self.p)
+        if not np.isfinite(table).all():
+            raise ValueError("the modulus-route difference table overflows double range")
+        return table
 
     def _box_ppow(self, half: int) -> float:
         """omega^p over the shifts |n|_inf <= half cells: the table's box maximum."""
@@ -619,6 +603,7 @@ class ModulusTable:
                 self._scales.update(zip(levels.tolist(), scales.tolist()))
         return self._scales[j]
 
+    @_raises_on_overflow("modulus-route omega")
     def omega(self, j: int) -> float:
         return self.omega_ppow(j) ** (1.0 / self.p)
 
@@ -634,10 +619,9 @@ class ModulusTable:
         _check_dimension(self.f, prm)
         q, s = prm.q, prm.s
         total = lp_quasinorm(self.f, self.p) ** q
-        consec = 0
-        j = 0
+        consec = j = 0
         while True:
-            w = self.omega(j)
+            w = self.omega_ppow(j) ** (1.0 / self.p)  # omega(j), read once per level
             if w == 0.0 and j >= self.f.level:
                 if self.f.values.min() < self.f.values.max():
                     # omega^p underflowed: the tail it drops need not be small
@@ -645,16 +629,14 @@ class ModulusTable:
                 break  # constant function: all further scales vanish
             term = (2.0 ** (j * s) * w) ** q
             total += term
-            if total > 0.0 and term < 1e-9 * total:
-                consec += 1
-                if consec >= 3:
-                    break
-            else:
-                consec = 0
+            consec = consec + 1 if total > 0.0 and term < 1e-9 * total else 0
+            if consec >= 3:
+                break
             j += 1
         return total ** (1.0 / q)
 
 
+@_raises_on_overflow("modulus-route omega")
 def modulus(f, t: float, p: float) -> float:
     """First-order L_p modulus omega(t, f)_p for a grid-aligned bound t.
 

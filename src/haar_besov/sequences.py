@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import logsumexp2
+from .dyadic import _raises_on_overflow, logsumexp2
 from .haar import HaarCoefficients
-from .norms import BesovParams, _raises_on_overflow
+from .norms import BesovParams
 
 __all__ = [
     "LevelSupremum",

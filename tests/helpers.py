@@ -15,8 +15,12 @@ The clauses at the end are the acceptance checks for the norm equivalences
 code, and the level window on which criterion 10 runs ``basis-fail``.
 """
 
+import importlib
+import inspect
 import math
+import pkgutil
 from itertools import product
+from types import FunctionType
 
 import numpy as np
 
@@ -24,6 +28,25 @@ import haar_besov as hb
 from haar_besov.experiments import fit_log2_slope
 from haar_besov.norms import ApproxProfile, a_norm_from_profile
 from haar_besov.rng import RandomStream
+
+
+def public_callables():
+    """('name', callable) for every callable a module lists in ``__all__``:
+    functions, classes (their constructors) and the classes' public methods,
+    classmethods and staticmethods, each as 'Class.method'."""
+    for info in pkgutil.iter_modules(hb.__path__):
+        mod = importlib.import_module(f"haar_besov.{info.name}")
+        for name in getattr(mod, "__all__", []):
+            obj = getattr(mod, name)
+            if callable(obj):
+                yield name, obj
+            if inspect.isclass(obj):
+                yield from (
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr, raw in vars(obj).items()
+                    if not attr.startswith("_")
+                    and isinstance(raw, (FunctionType, classmethod, staticmethod))
+                )
 
 
 def grid_best_constant_err(values, weights, p, coarse=10_000, fine=2_000):

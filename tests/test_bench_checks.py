@@ -9,6 +9,8 @@ not only the benchmark.  The benchmark files are loaded as they are.
 
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,3 +124,50 @@ def test_b_norm_reads_every_level_through_the_subcell_hook(d, m, p, monkeypatch)
     assert reads == again
     assert tracer.counts == {"norms.modulus.subcell_scales": top - m}
     assert evaluated == blocks
+
+
+@pytest.mark.parametrize("d,m,p", [(1, 4, 0.8), (2, 3, 1.0), (2, 5, 0.8)])
+def test_b_norm_reads_each_level_once_and_never_through_omega(d, m, p, monkeypatch):
+    # b_norm takes omega(j) as omega_ppow(j) ** (1/p) itself: one read per
+    # level through the benchmark's hook, and no call of the checked omega
+    def no_omega(self, j):
+        raise AssertionError("b_norm called ModulusTable.omega")
+
+    monkeypatch.setattr(ModulusTable, "omega", no_omega)
+    f = random_step(workloads.pool_seed("lattice", d, p, m, 0), d, m)
+    table = ModulusTable(f, p)
+    hooked, reads = table.omega_ppow, []
+    table.omega_ppow = lambda j: reads.append(j) or hooked(j)
+    for q in workloads.LATTICE_Q:
+        reads.clear()
+        table.b_norm(hb.BesovParams(p, q, workloads.mid_s(p, d), d))
+        assert reads == list(range(len(reads))) and reads[-1] > m
+
+
+#: Python calls one warm lattice item (d = 2, m = 5, p = 0.8, three q) makes
+#: in the library's own files, on CPython 3.11 (3.12 inlines comprehensions,
+#: so it makes fewer).  The count leaves out numpy's Python wrappers.
+LATTICE_ITEM_CALLS = 981
+
+
+def test_lattice_item_call_budget():
+    _, _, fn = workloads.lattice_item(2, 0.8, 5, 0)
+    fn(spans.NullTracer(), workloads.Checker(REFS))  # warm the caches
+    package = os.path.dirname(hb.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    chk = workloads.Checker(REFS)
+    sys.setprofile(profile)
+    try:
+        fn(spans.NullTracer(), chk)
+    finally:
+        sys.setprofile(None)
+    assert chk.attempted > 0 and chk.failed == 0, chk.failures
+    if sys.version_info[:2] == (3, 11):
+        assert calls == LATTICE_ITEM_CALLS
+    assert calls <= LATTICE_ITEM_CALLS

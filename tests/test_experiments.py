@@ -282,6 +282,22 @@ class TestCli:
             g = hb.function_from_json(back.read_text())
             np.testing.assert_allclose(g.values, hb.densify(f, g.level).values, atol=1e-12)
 
+    def test_tensor_transform_near_double_range_prints_finite_json(self, tmp_path, capsys):
+        # the tensor cascade halves before it adds, so its sums stay finite,
+        # as the isotropic transform's do
+        fpath = tmp_path / "top.json"
+        fpath.write_text(json.dumps({"d": 2, "m": 1, "values": [1.7e308, -1.7e308] * 2}))
+
+        def strict(token):
+            raise AssertionError(f"invalid JSON constant {token}")
+
+        for system in ("isotropic", "tensor"):
+            args = ["transform", "--input", str(fpath), "--system", system]
+            assert cli_main(args) == 0
+            out = json.loads(capsys.readouterr().out, parse_constant=strict)
+            if system == "tensor":
+                assert out == {"d": 2, "entries": [{"n": [1, 2], "value": 1.7e308}]}
+
     def test_generate_families(self, tmp_path, capsys):
         for fam in ("nested", "spike", "scattered", "tensor-spike"):
             rc = cli_main(["generate", fam, "--d", "2", "--m", "3", "--k", "1"])

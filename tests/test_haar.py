@@ -269,6 +269,30 @@ class TestTensorSystem:
         g = hb.tensor_synthesize(hb.tensor_analyze(f))
         np.testing.assert_allclose(g.values, f.values, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("d,m", [(1, 10), (2, 5), (3, 3)])
+    def test_analysis_halves_first_with_the_same_doubles(self, d, m):
+        # each step halves the two children before adding them; off the
+        # subnormal range that is the double of (a + b) / 2, which the
+        # cascade took before, and no sum of two near-DBL_MAX values overflows
+        def add_then_halve(a):
+            size = a.shape[0]
+            while size > 1:
+                half = size // 2
+                even, odd = a[0:size:2].copy(), a[1:size:2].copy()
+                a[:half], a[half:size] = (even + odd) / 2, (even - odd) / 2
+                size = half
+            return a
+
+        r = np.random.default_rng(19)
+        for scale in (1e-290, 1.0, 1e290):
+            f = hb.DyadicStepFunction(d, m, scale * r.normal(size=(1 << m,) * d))
+            want = np.array(f.values)
+            for axis in range(d):
+                want = np.moveaxis(add_then_halve(np.moveaxis(want, axis, 0).copy()), 0, axis)
+            assert np.array_equal(hb.tensor_analyze(f).array, want)
+        top = hb.DyadicStepFunction(2, 1, [1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        assert hb.tensor_analyze(top).array.tolist() == [[0.0, 1.7e308], [0.0, 0.0]]
+
     def test_block_span_matches_isotropic(self):
         # block-k tensor synthesis lies in S_k and is killed by P_{k-1}
         d, k = 2, 2

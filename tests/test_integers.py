@@ -4,12 +4,9 @@ least value raises a ValueError naming it, and a numpy integer is accepted
 and stored as a Python int."""
 
 import dataclasses
-import importlib
 import inspect
 import json
-import pkgutil
 from operator import attrgetter
-from types import FunctionType
 
 import numpy as np
 import pytest
@@ -21,6 +18,8 @@ from haar_besov.families import SpikePair
 from haar_besov.haar import univariate_haar_vector
 from haar_besov.norms import ModulusTable
 from haar_besov.rng import RandomStream, derive_seed, splitmix64
+
+from helpers import public_callables
 
 F = hb.DyadicStepFunction(1, 2, [0.0, 1.0, 2.0, 3.0])
 ROOT = hb.DyadicCube(1, 0, (0,))
@@ -181,25 +180,12 @@ ALIASES = {"derive_seed.salts": "derive_seed.salt"}
 
 def int_parameters():
     """'callable.parameter' for every parameter annotated int (or int | None)
-    of every callable a module lists in ``__all__``: functions, classes (their
-    constructors) and the classes' public methods and classmethods."""
-    for info in pkgutil.iter_modules(hb.__path__):
-        mod = importlib.import_module(f"haar_besov.{info.name}")
-        for name in getattr(mod, "__all__", []):
-            obj = getattr(mod, name)
-            members = [(name, obj)] if callable(obj) else []
-            if inspect.isclass(obj):
-                members += [
-                    (f"{name}.{attr}", getattr(obj, attr))
-                    for attr, raw in vars(obj).items()
-                    if not attr.startswith("_")
-                    and isinstance(raw, (FunctionType, classmethod, staticmethod))
-                ]
-            for qual, fn in members:
-                for param in inspect.signature(fn).parameters.values():
-                    if param.annotation in ("int", "int | None"):
-                        key = f"{qual}.{param.name}"
-                        yield ALIASES.get(key, key)
+    of every public callable (see ``helpers.public_callables``)."""
+    for qual, fn in public_callables():
+        for param in inspect.signature(fn).parameters.values():
+            if param.annotation in ("int", "int | None"):
+                key = f"{qual}.{param.name}"
+                yield ALIASES.get(key, key)
 
 
 def test_every_public_integer_parameter_has_a_row():
