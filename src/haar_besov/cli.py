@@ -16,7 +16,6 @@ import sys
 from . import __version__
 from .dyadic import (
     CapacityError,
-    densify,
     function_from_json,
     function_to_json,
     lp_quasinorm,
@@ -182,13 +181,11 @@ def _cmd_norm(args) -> int:
         elif route == "modulus":
             out["modulus"] = b_norm_modulus(f, prm)
         elif route == "lqlp":
-            fd = densify(f)
-            out["lqlp"] = lqlp_norm(analyze(fd), prm)
+            out["lqlp"] = lqlp_norm(analyze(f), prm)
         elif route == "linflp":
             if args.s is None:
                 raise UsageError("route linflp needs --s")
-            fd = densify(f)
-            sup = linf_lp_norm(analyze(fd), BesovParams(args.p, INF, args.s, f.d))
+            sup = linf_lp_norm(analyze(f), BesovParams(args.p, INF, args.s, f.d))
             out["linflp"] = sup.value
             out["linflp_per_level"] = sup.per_level.tolist()
         elif route == "square":
@@ -213,11 +210,10 @@ def _cmd_transform(args) -> int:
         _emit(function_to_json(f), args.out)
         return 0
     f = function_from_json(text)
-    fd = densify(f)
     if args.system == "isotropic":
-        _emit(analyze(fd).to_json(), args.out)
+        _emit(analyze(f).to_json(), args.out)
     else:
-        _emit(tensor_analyze(fd).to_json(), args.out)
+        _emit(tensor_analyze(f).to_json(), args.out)
     return 0
 
 

@@ -174,16 +174,9 @@ def stable_sum(values) -> float:
 
     Arrays are flattened in row-major order first and summed by the exact
     extraction kernel (fsum itself below 1,024 words and for non-finite or
-    near-overflow inputs), which returns fsum's double.  Inputs above 2**20
-    words are folded in 2**20-word blocks whose block sums are themselves
-    fsummed, so the reduction stays deterministic and compensated.
+    near-overflow inputs), which returns fsum's double at any length.
     """
-    a = np.ascontiguousarray(values, dtype=float).ravel()
-    n = a.size
-    block = 1 << 20
-    if n <= block:
-        return _exact_sum(a)
-    return math.fsum(_exact_sum(a[i : i + block]) for i in range(0, n, block))
+    return _exact_sum(np.ascontiguousarray(values, dtype=float).ravel())
 
 
 def logsumexp2(log2_terms) -> float:
@@ -627,6 +620,13 @@ def average_project(f, k: int) -> DyadicStepFunction:
     if not isinstance(f, SparseStepFunction):
         raise TypeError("expected a step function")
     _check_budget(f.d, k)
+    return _atom_averages(f, k)
+
+
+@_raises_on_overflow("average-projection sum")
+def _atom_averages(f: SparseStepFunction, k: int) -> DyadicStepFunction:
+    """:func:`average_project` of a sparse f on a checked level k: each atom's
+    level-k averages added to the grid in atom order."""
     out = np.zeros(((1 << k),) * f.d)
     for a in f.atoms:
         c = a.cube
@@ -649,6 +649,8 @@ def average_project(f, k: int) -> DyadicStepFunction:
 def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
     """Exact (value, measure) multiset of f restricted to ``cube``, validated;
     a sparse f's is read from its atom cubes inside and containing ``cube``."""
+    if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
+        raise TypeError("expected a step function")
     if not isinstance(cube, DyadicCube):
         raise TypeError(f"expected a DyadicCube, got {type(cube).__name__}")
     if cube.d != f.d:
@@ -662,8 +664,6 @@ def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
         vals, counts = np.unique(block, return_counts=True)
         w = counts * f.cell_measure
         return ValueHistogram.from_pairs(zip(vals.tolist(), w.tolist()))
-    if not isinstance(f, SparseStepFunction):
-        raise TypeError("expected a step function")
     forest = f._atom_forest()
     k, idx = cube.level, cube.index
     inside = [(u, j) for u, j in forest.keys if u > k and tuple(i >> (u - k) for i in j) == idx]

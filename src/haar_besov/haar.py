@@ -246,13 +246,15 @@ class HaarCoefficients:
         return cls(d, kmax, scaling, out.blocks)
 
 
-def analyze(f: DyadicStepFunction) -> HaarCoefficients:
+def analyze(f) -> HaarCoefficients:
     """Exact orthoprojection Haar coefficients via the averaging cascade.
 
     Per level the local 2^d x 2^d sign transform resolves the block
     coefficients from child averages; the all-plus row carries the parent
-    averages down to the next level.
+    averages down to the next level.  A sparse f is densified first.
     """
+    if not isinstance(f, DyadicStepFunction):
+        f = densify(f)
     d, m = f.d, f.level
     M = _sign_matrix(d)
     inv = M / (1 << d)
@@ -265,8 +267,11 @@ def analyze(f: DyadicStepFunction) -> HaarCoefficients:
     return HaarCoefficients(d, m, float(a.reshape(())), blocks)
 
 
+@_raises_on_overflow("Haar synthesis")
 def synthesize(c: HaarCoefficients, m: int) -> DyadicStepFunction:
     """Evaluate sum(lambda_h * h) on the level-m grid (m >= K)."""
+    if not isinstance(c, HaarCoefficients):
+        raise TypeError("expected HaarCoefficients")
     m = _integer(m, "m", 0)
     if m < c.max_level:
         raise ValueError("synthesis level below the coefficient depth")
@@ -429,15 +434,20 @@ def _dwt_inverse_axis(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def tensor_analyze(f: DyadicStepFunction) -> TensorHaarCoefficients:
+def tensor_analyze(f) -> TensorHaarCoefficients:
     """Separable transform: univariate Haar analysis applied along each axis."""
+    if not isinstance(f, DyadicStepFunction):
+        f = densify(f)
     a = np.array(f.values, dtype=float)
     for axis in range(f.d):
         a = np.moveaxis(_dwt_forward_axis(np.moveaxis(a, axis, 0)), 0, axis)
     return TensorHaarCoefficients(f.d, f.level, a)
 
 
+@_raises_on_overflow("tensor Haar synthesis")
 def tensor_synthesize(c: TensorHaarCoefficients, m: int | None = None) -> DyadicStepFunction:
+    if not isinstance(c, TensorHaarCoefficients):
+        raise TypeError("expected TensorHaarCoefficients")
     a = np.array(c.array, dtype=float)
     for axis in range(c.d):
         a = np.moveaxis(_dwt_inverse_axis(np.moveaxis(a, axis, 0)), 0, axis)
@@ -445,18 +455,18 @@ def tensor_synthesize(c: TensorHaarCoefficients, m: int | None = None) -> Dyadic
 
 
 @_raises_on_overflow("tensor-coefficient sum")
-def tensor_coefficient(f: DyadicStepFunction, n: Sequence[int]) -> float:
+def tensor_coefficient(f, n: Sequence[int]) -> float:
     """<f, theta> / <theta, theta> by direct quadrature (no full transform)."""
-    top = max(f.level, tensor_block_level(n))
+    top = max(_finest_level(f), tensor_block_level(n))
     fd = densify(f, top)
     theta = tensor_haar_function(f.d, n, top)
     num = stable_sum(fd.values * theta.values) * fd.cell_measure
     return num / _tensor_support_measure(n)
 
 
-def rank_one_project(f: DyadicStepFunction, n: Sequence[int]) -> DyadicStepFunction:
+def rank_one_project(f, n: Sequence[int]) -> DyadicStepFunction:
     """L_2 orthoprojection of f onto the span of one tensor Haar function."""
-    top = max(f.level, tensor_block_level(n))
+    top = max(_finest_level(f), tensor_block_level(n))
     lam = tensor_coefficient(f, n)
     theta = tensor_haar_function(f.d, n, top)
     return DyadicStepFunction(f.d, top, lam * theta.values)

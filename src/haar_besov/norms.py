@@ -561,10 +561,10 @@ class ModulusTable:
     maximum or a sum of entries with total weight at most 1, so it is finite.
     """
 
-    def __init__(self, f: DyadicStepFunction, p: float):
+    def __init__(self, f, p: float):
         _check_exponent(p)
         if not isinstance(f, DyadicStepFunction):
-            raise TypeError("ModulusTable needs a DyadicStepFunction; densify a sparse one first")
+            f = densify(f)
         self.f = f
         self.p = p
         self._scales: dict[int, float] = {}
@@ -645,9 +645,8 @@ def modulus(f, t: float, p: float) -> float:
     shifts, read from the box |n|_inf <= t 2^m of the same table as
     :class:`ModulusTable`.
     """
-    f = densify(f)
     table = ModulusTable(f, p)
-    r = t * (1 << f.level)
+    r = t * (1 << table.f.level)
     n = round(r) if 0.0 < t <= 1.0 else 0
     if n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
         raise ValueError("t must be a multiple of the cell width in (0, 1]")
@@ -665,7 +664,6 @@ def b_norm_modulus(f, prm: BesovParams) -> float:
     three consecutive terms drop below 1e-9 of the running total.  If omega^p
     of a non-constant f underflows to 0 first, it raises ``ValueError``.
     """
-    f = densify(f)
     return ModulusTable(f, prm.p).b_norm(prm)
 
 
@@ -682,23 +680,22 @@ def square_function_norm(f, p: float) -> float:
     evaluated exactly; at p = 2 this reproduces the Parseval identity.
     """
     _check_exponent(p)
-    f = densify(f)
     c = analyze(f)
+    d, m = c.d, c.max_level
     # each level's sums at its own resolution: a cell gets its cubes' sums
     # added in level order, as on the full grid, for O(N) work
-    acc = np.full((1,) * f.d, c.scaling**2)
-    for k in range(1, c.max_level + 1):
+    acc = np.full((1,) * d, c.scaling**2)
+    for k in range(1, m + 1):
         acc = _upsample(acc, k - 1) + (c.blocks[k - 1] ** 2).sum(axis=-1)
-    return lp_quasinorm(DyadicStepFunction(f.d, f.level, _upsample(np.sqrt(acc), f.level)), p)
+    return lp_quasinorm(DyadicStepFunction(d, m, _upsample(np.sqrt(acc), m)), p)
 
 
 @_raises_on_overflow("b0221 sum")
 def b0_221_weighted_sum(f) -> float:
     """(sum_k sum_{h in block k} (k+1) mu(supp h) lambda_h^2)^{1/2}."""
-    f = densify(f)
     c = analyze(f)
     terms = [c.scaling**2]
     for k in range(1, c.max_level + 1):
-        mu = 2.0 ** (-(k - 1) * f.d)
+        mu = 2.0 ** (-(k - 1) * c.d)
         terms.append((k + 1) * mu * stable_sum(c.blocks[k - 1] ** 2))
     return math.sqrt(math.fsum(terms))

@@ -651,11 +651,15 @@ class TestExactSum:
             got = _exact_sum(a)
             assert _same_double(got, want) or (math.isnan(got) and math.isnan(want))
 
-    def test_stable_sum_folds_blocks_of_2_20(self):
+    def test_stable_sum_is_fsum_of_the_whole_array_above_2_20_words(self):
         a = _wide_words(np.random.default_rng(3), 2**20 + 3, -60, 60)
-        want = math.fsum([math.fsum(a[: 2**20]), math.fsum(a[2**20 :])])
-        assert _same_double(stable_sum(a), want)
+        assert _same_double(stable_sum(a), math.fsum(a))
         assert _same_double(stable_sum(a[: 2**20]), math.fsum(a[: 2**20]))
+        # 1 + 2^-53 is a tie that rounds to 1, so a sum of rounded 2^20-word
+        # block sums loses the 2^-60 past the block end that breaks it upwards
+        tie = np.zeros(2**20 + 1)
+        tie[[0, 1, -1]] = 1.0, 2.0**-53, 2.0**-60
+        assert stable_sum(tie) == math.fsum(tie) == 1.0 + 2.0**-52
 
 
 def _seeded_wide(seed, n):

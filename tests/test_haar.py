@@ -122,6 +122,16 @@ class TestSynthesize:
         for a, b in zip(c.blocks, c2.blocks):
             assert np.array_equal(a, b)
 
+    def test_each_synthesis_takes_only_its_own_coefficients(self):
+        f = random_dense(1, 2, seed=56)
+        iso, tensor = hb.analyze(f), hb.tensor_analyze(f)
+        for coeffs in (tensor, f, [1.0, 2.0]):
+            with pytest.raises(TypeError, match="^expected HaarCoefficients$"):
+                hb.synthesize(coeffs, 2)
+        for coeffs in (iso, f, [1.0, 2.0]):
+            with pytest.raises(TypeError, match="^expected TensorHaarCoefficients$"):
+                hb.tensor_synthesize(coeffs, 2)
+
 
 class TestPartialSums:
     def test_empty_set_is_zero(self):

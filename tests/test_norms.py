@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import math
 import re
@@ -28,6 +29,7 @@ from helpers import (
     enum_best_oracle,
     grid_best_constant_err,
     offset_diff_ppow_sum,
+    public_callables,
     random_sparse,
     row_best_err_oracle,
     shift_difference_ppow,
@@ -805,8 +807,11 @@ class TestModulus:
         for n in range(1, (1 << fd.level) + 1):
             t = n * 2.0**-fd.level
             assert hb.modulus(f, t, 1.5) == hb.modulus(fd, t, 1.5)
-        with pytest.raises(TypeError, match="^ModulusTable needs a DyadicStepFunction"):
-            ModulusTable(f, 1.5)
+        # the table builds its grid by densify
+        table, dense = ModulusTable(f, 1.5), ModulusTable(fd, 1.5)
+        assert table.f.level == fd.level and table.f.values.tobytes() == fd.values.tobytes()
+        for j in range(fd.level + 3):
+            assert table.omega_ppow(j).hex() == dense.omega_ppow(j).hex()
 
     def test_monotone_in_t(self):
         r = np.random.default_rng(50)
@@ -1204,21 +1209,83 @@ class TestApproximationRouteBoundary:
             hb.value_histogram(f, c0)
 
 
-@pytest.mark.parametrize(
-    "entry",
+# The door table: every public callable with a parameter named f takes either
+# representation of a step function, and a route that works on a grid reads a
+# sparse f through densify.  Generated from ``helpers.public_callables``, so a
+# new f parameter needs a row or an exemption with a reason.
+DOOR_PRM = hb.BesovParams(1.5, 1.0, 0.3, 1)
+# nesting atoms from the root down to level 3
+NESTING = hb.SparseStepFunction.from_terms(
+    1,
     [
-        hb.densify,
-        lambda f: hb.approximation_profile(f, 2.0),
-        lambda f: hb.approx_error(f, 0, 2.0),
-        lambda f: hb.partial_sum_subset(f, []),
-        lambda f: hb.a_norm(f, hb.BesovParams(2.0, 2.0, 0.25, 1)),
-        lambda f: hb.modulus(f, 0.5, 2.0),
+        (hb.DyadicCube(1, 0, (0,)), 1.0),
+        (hb.DyadicCube(1, 1, (1,)), -0.5),
+        (hb.DyadicCube(1, 2, (2,)), 0.25),
+        (hb.DyadicCube(1, 3, (5,)), 2.0),
     ],
-    ids=["densify", "approximation_profile", "approx_error", "partial_sum_subset", "a_norm", "modulus"],
 )
-def test_non_step_functions_raise_type_error(entry):
+
+# id -> (the route called on f, whether it reads a sparse f through densify)
+DOORS = {
+    "average_project": (lambda f: hb.average_project(f, 2), False),
+    "densify": (hb.densify, False),
+    "lp_quasinorm": (lambda f: hb.lp_quasinorm(f, 1.5), False),
+    "value_histogram": (lambda f: hb.value_histogram(f, hb.DyadicCube.root(1)), False),
+    "approx_error": (lambda f: hb.approx_error(f, 1, 1.5), False),
+    "approximation_profile": (lambda f: hb.approximation_profile(f, 1.5), False),
+    "a_norm": (lambda f: hb.a_norm(f, DOOR_PRM), False),
+    "analyze": (hb.analyze, True),
+    "tensor_analyze": (hb.tensor_analyze, True),
+    "tensor_coefficient": (lambda f: hb.tensor_coefficient(f, (3,)), True),
+    "rank_one_project": (lambda f: hb.rank_one_project(f, (3,)), True),
+    "partial_sum_subset": (
+        lambda f: hb.partial_sum_subset(f, hb.level_indices(1, 2)), True
+    ),
+    "ModulusTable": (lambda f: ModulusTable(f, 1.5).b_norm(DOOR_PRM), True),
+    "modulus": (lambda f: hb.modulus(f, 0.25, 1.5), True),
+    "b_norm_modulus": (lambda f: hb.b_norm_modulus(f, DOOR_PRM), True),
+    "square_function_norm": (lambda f: hb.square_function_norm(f, 1.5), True),
+    "b0_221_weighted_sum": (hb.b0_221_weighted_sum, True),
+}
+
+# f parameters with no row, and why
+DOOR_EXEMPT = {
+    "TensorSpikeResult": "a result record of tensor_spike_pair: it stores f and "
+    "computes nothing from it",
+}
+
+
+def _bits(result):
+    """A route's result as exact bytes, for bit-for-bit comparison."""
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, hb.DyadicStepFunction):
+        return result.d, result.level, result.values.tobytes()
+    if isinstance(result, hb.HaarCoefficients):
+        blocks = [b.tobytes() for b in result.blocks]
+        return result.d, result.max_level, result.scaling.hex(), blocks
+    assert isinstance(result, hb.TensorHaarCoefficients)
+    return result.d, result.level, result.array.tobytes()
+
+
+def test_every_public_f_parameter_has_a_door_row():
+    found = {q for q, fn in public_callables() if "f" in inspect.signature(fn).parameters}
+    assert found - set(DOORS) - set(DOOR_EXEMPT) == set(), "f parameters with no DOORS row"
+    assert set(DOORS) | set(DOOR_EXEMPT) <= found, "rows that name no public f parameter"
+
+
+@pytest.mark.parametrize("case", DOORS)
+def test_sparse_f_is_read_through_densify(case):
+    route, densifies = DOORS[case]
+    got = route(NESTING)
+    if densifies:
+        assert _bits(got) == _bits(route(hb.densify(NESTING)))
+
+
+@pytest.mark.parametrize("case", DOORS)
+def test_non_step_functions_raise_type_error(case):
     with pytest.raises(TypeError, match="^expected a step function$"):
-        entry([1.0, 2.0])
+        DOORS[case][0]([1.0, 2.0])
 
 
 @pytest.mark.parametrize(

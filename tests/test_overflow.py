@@ -7,9 +7,11 @@ new float-valued entry point needs a row or an exemption with a reason."""
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 import haar_besov as hb
+from haar_besov.cli import main as cli_main
 from haar_besov.norms import ModulusTable
 
 from helpers import public_callables
@@ -109,3 +111,77 @@ def test_overflowing_results_raise_by_route_or_are_exact(case):
             call()
     else:
         assert call() == pytest.approx(expect, rel=1e-15)
+
+
+# Routes whose result is a step function: each overflowing sum raises by route.
+# Two atoms of 2^1023.5 on [0, 1/2): each is finite, their sum is not.
+HUGE_ATOMS = hb.SparseStepFunction(
+    1,
+    [
+        hb.SparseAtom(hb.DyadicCube(1, 0, (0,)), 1, 1023.5),
+        hb.SparseAtom(hb.DyadicCube(1, 1, (0,)), 1, 1023.5),
+    ],
+)
+# the four coefficients of these cells are +-TOP/2; flipping the (1, 1)
+# pattern's sign adds all four on the first cell
+CORNERS = hb.DyadicStepFunction(2, 1, [TOP, TOP, TOP, -TOP])
+
+STEP_ROWS = {
+    "densify": (lambda: hb.densify(HUGE_ATOMS), "average-projection sum"),
+    "b_norm_modulus": (
+        lambda: hb.b_norm_modulus(HUGE_ATOMS, hb.BesovParams(2.0, 1.0, 0.1, 1)),
+        "average-projection sum",
+    ),
+    "synthesize": (
+        lambda: hb.synthesize(hb.HaarCoefficients(1, 1, TOP, [np.array([[TOP]])]), 1),
+        "Haar synthesis",
+    ),
+    "tensor_synthesize": (
+        lambda: hb.tensor_synthesize(hb.TensorHaarCoefficients(1, 1, np.array([TOP, TOP]))),
+        "tensor Haar synthesis",
+    ),
+    "partial_sum_subset": (
+        lambda: hb.partial_sum_subset(
+            CORNERS, [hb.HaarIndex.scaling(2), *hb.level_indices(2, 1)], [1, 1, 1, -1]
+        ),
+        "Haar synthesis",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STEP_ROWS)
+def test_overflowing_step_functions_raise_by_route(case):
+    call, route = STEP_ROWS[case]
+    with pytest.raises(ValueError, match=f"^the {route} overflows double range$"):
+        call()
+
+
+HUGE_COEFFS = {
+    "isotropic": hb.HaarCoefficients(1, 1, TOP, [np.array([[TOP]])]).to_json(),
+    "tensor": hb.TensorHaarCoefficients(1, 1, np.array([TOP, TOP])).to_json(),
+}
+CLI_ROWS = {
+    "norm": (
+        hb.function_to_json(HUGE_ATOMS),
+        ["norm", "--p", "2", "--q", "1", "--s", "0.1", "--route", "modulus"],
+        "average-projection sum",
+    ),
+    "transform-inverse-isotropic": (
+        HUGE_COEFFS["isotropic"], ["transform", "--inverse"], "Haar synthesis"
+    ),
+    "transform-inverse-tensor": (
+        HUGE_COEFFS["tensor"],
+        ["transform", "--inverse", "--system", "tensor"],
+        "tensor Haar synthesis",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CLI_ROWS)
+def test_cli_exits_1_on_overflowing_step_functions(case, tmp_path, capsys):
+    text, args, route = CLI_ROWS[case]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert cli_main(args + ["--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: the {route} overflows double range\n"
