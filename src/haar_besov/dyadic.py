@@ -169,6 +169,21 @@ def _exact_sum(a: np.ndarray) -> float:
     return math.fsum(parts)
 
 
+def _exact_row_sums(a: np.ndarray) -> list[float]:
+    """:func:`_exact_sum` of each row of a 2-d array, with inf where fsum
+    overflows and nan where it meets inf - inf."""
+    short = a.shape[1] < _EXACT_SUM_CUTOFF  # then _exact_sum is fsum of the list
+    sums = []
+    for r in a.tolist() if short else a:
+        try:
+            sums.append(math.fsum(r) if short else _exact_sum(r))
+        except OverflowError:
+            sums.append(math.inf)
+        except ValueError:
+            sums.append(math.nan)
+    return sums
+
+
 def stable_sum(values) -> float:
     """Fixed-order, correctly rounded sum: ``math.fsum`` of the flattened array.
 
@@ -400,7 +415,7 @@ class SparseStepFunction:
     def _atom_forest(self) -> "_AtomForest":
         """The atoms' (level, index) forest, built on first use."""
         if self._forest is None:
-            self._forest = _AtomForest(self.atoms)
+            self._forest = _AtomForest(self.d, self.atoms)
         return self._forest
 
     def __repr__(self):
@@ -469,7 +484,8 @@ def _consolidate(pairs) -> list[tuple[float, float]]:
     acc: dict[float, float] = {}
     for v, w in pairs:
         if w != 0.0:
-            acc[float(v)] = acc.get(float(v), 0.0) + float(w)
+            v = float(v)
+            acc[v] = acc.get(v, 0.0) + float(w)
     return sorted(acc.items())
 
 
@@ -577,7 +593,7 @@ def lp_quasinorm(f, p: float) -> float:
             log2_terms = [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
             return _norm_from_log2_terms(log2_terms, p)
         forest = f._atom_forest()  # every key below the root lies inside it
-        v, w = forest.histogram(f.d, 0, (0,) * f.d, [c for c in forest.keys if c[0] > 0])
+        v, w = np.array(forest.histogram(0, (0,) * f.d, [c for c in forest.keys if c[0] > 0])).T
         if not np.isfinite(v).all():
             raise ValueError("histogram values must be finite")
         ppow = lambda: _exact_sum(w * np.abs(v) ** p)
@@ -667,40 +683,58 @@ def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
     forest = f._atom_forest()
     k, idx = cube.level, cube.index
     inside = [(u, j) for u, j in forest.keys if u > k and tuple(i >> (u - k) for i in j) == idx]
-    values, measures = forest.histogram(f.d, k, idx, inside)
-    return ValueHistogram(tuple(zip(values.tolist(), measures.tolist())))
+    return ValueHistogram(tuple(forest.histogram(k, idx, inside)))
 
 
-def _level_histograms(f: SparseStepFunction, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(values, measures) of f on the level-k cubes where f may vary, by cube index."""
+def _level_histograms(f: SparseStepFunction, levels) -> list[list[list[tuple[float, float]]]]:
+    """For each k of the ascending ``levels``, the (value, measure) entries of f
+    on the level-k cubes where f may vary, by cube index: one pass over the
+    forest's keys groups them under their level-k ancestors."""
     forest = f._atom_forest()
-    groups: dict[tuple, list[tuple]] = {}
+    groups: list[dict[tuple, list[tuple]]] = [{} for _ in levels]
     for lev, idx in forest.keys:
-        if lev > k:
-            groups.setdefault(tuple(i >> (lev - k) for i in idx), []).append((lev, idx))
-    return [forest.histogram(f.d, k, i, keys) for i, keys in sorted(groups.items())]
+        for k, group in zip(levels, groups):
+            if k >= lev:
+                break
+            ancestor = tuple(map(operator.rshift, idx, (lev - k,) * f.d))
+            group.setdefault(ancestor, []).append((lev, idx))
+    return [
+        [forest.histogram(k, i, keys) for i, keys in sorted(group.items())]
+        for k, group in zip(levels, groups)
+    ]
 
 
 class _AtomForest:
     """The atoms' distinct (level, index) keys under containment, built
     without evaluating any atom value.  ``keys`` ascend by level, ties in
-    first-atom order; ``positions`` maps a key to its atoms' positions, and
-    ``parent`` to the deepest key strictly containing it, or None."""
+    first-atom order; ``positions`` maps a key to its atoms' positions,
+    ``parent`` to the deepest key strictly containing it, or None, and
+    ``region`` to its measure less its child keys' measures.  The sum of a
+    key's own atoms, and the value of each key below a top key (the chain's
+    sum plus the keys down to it), are cached as histograms read them."""
 
-    def __init__(self, atoms: tuple):
-        self.atoms = atoms
+    def __init__(self, d: int, atoms: tuple):
+        self.d, self.atoms = d, atoms
         self.positions: dict[tuple, list[int]] = {}
         for pos, a in enumerate(atoms):
             self.positions.setdefault((a.cube.level, a.cube.index), []).append(pos)
         self.keys = sorted(self.positions, key=lambda c: c[0])
         self.levels = sorted({lev for lev, _ in self.keys}, reverse=True)
         self.parent = {c: self.container(c[0] - 1, *c) for c in self.keys}
+        self.measure = {c: 2.0 ** (-c[0] * d) for c in self.keys}
+        covered: dict[tuple | None, float] = {}
+        for c in self.keys:  # children in key order, as a histogram adds them
+            up = self.parent[c]
+            covered[up] = covered.get(up, 0.0) + self.measure[c]
+        self.region = {c: self.measure[c] - covered.get(c, 0.0) for c in self.keys}
+        self._own: dict[tuple, float] = {}
+        self._below: dict[tuple | None, dict] = {}
 
     def container(self, at_most: int, lev: int, idx: tuple) -> tuple | None:
         """The deepest key at level <= ``at_most`` containing cube (lev, idx)."""
         for up in self.levels:
             if up <= at_most:
-                key = (up, tuple(i >> (lev - up) for i in idx))
+                key = (up, tuple(map(operator.rshift, idx, (lev - up,) * self.d)))
                 if key in self.positions:
                     return key
         return None
@@ -712,27 +746,32 @@ class _AtomForest:
             total += self.atoms[i].value
         return total
 
-    def histogram(self, d: int, k: int, index: tuple, inside: list) -> tuple[np.ndarray, np.ndarray]:
-        """Unvalidated (values, measures) on the level-k cube ``index`` of the keys
-        ``inside`` it on top of the chain of keys containing it, with floats added
-        as a scan of every atom adds them (chain in atom order, then key by key)."""
+    def histogram(self, k: int, index: tuple, inside: list) -> list[tuple[float, float]]:
+        """Unvalidated (value, measure) entries on the level-k cube ``index`` of the
+        keys ``inside`` it on top of the chain of keys containing it, with floats
+        added as a scan of every atom adds them (chain in atom order, then key by
+        key), merged and sorted by :func:`_consolidate`."""
         top = self.parent[inside[0]] if inside else self.container(k, k, index)
-        chain = [top]
-        while chain[-1] is not None:
-            chain.append(self.parent[chain[-1]])
-        value = {top: self.value(chain[:-1])}
-        covered: dict[tuple | None, float] = {}
-        for c in inside:
-            up = self.parent[c]  # ``top`` when outside the cube
-            covered[up] = covered.get(up, 0.0) + 2.0 ** (-c[0] * d)
-        pairs = []
+        value = self._below.get(top)
+        if value is None:
+            chain = [top]
+            while chain[-1] is not None:
+                chain.append(self.parent[chain[-1]])
+            value = self._below[top] = {top: self.value(chain[:-1])}
+        covered, pairs = 0.0, []
         for c in inside:  # level-ascending, parents precede children
-            value[c] = value[self.parent[c]] + self.value([c])
-            region = 2.0 ** (-c[0] * d) - covered.get(c, 0.0)
+            up = self.parent[c]
+            if up == top:
+                covered += self.measure[c]
+            v = value.get(c)
+            if v is None:
+                if c not in self._own:
+                    self._own[c] = self.value([c])
+                v = value[c] = value[up] + self._own[c]
+            region = self.region[c]
             if region > 0:
-                pairs.append((value[c], region))
-        root_region = 2.0 ** (-k * d) - covered.get(top, 0.0)
+                pairs.append((v, region))
+        root_region = 2.0 ** (-k * self.d) - covered
         if root_region > 0:
             pairs.append((value[top], root_region))
-        entries = _consolidate(pairs)
-        return np.array([v for v, _ in entries]), np.array([w for _, w in entries])
+        return _consolidate(pairs)

@@ -170,6 +170,7 @@ class HaarCoefficients:
         if len(blocks) != max_level:
             raise ValueError("need one block array per level 1..K")
         for k, b in enumerate(blocks, start=1):
+            b = blocks[k - 1] = np.asarray(b, dtype=float)  # a float64 array is not copied
             want = ((1 << (k - 1)),) * d + ((1 << d) - 1,)
             if b.shape != want:
                 raise ValueError(f"block {k} has shape {b.shape}, expected {want}")
@@ -377,6 +378,7 @@ class TensorHaarCoefficients:
         self.d = d = _integer(d, "d", 1)
         self.level = level = _integer(level, "level", 0)
         want = ((1 << level),) * d
+        array = np.asarray(array, dtype=float)
         if array.shape != want:
             raise ValueError(f"expected shape {want}")
         self.array = array

@@ -28,6 +28,7 @@ from .dyadic import (
     ValueHistogram,
     _check_exponent,
     _cube_blocks,
+    _exact_row_sums,
     _exact_sum,
     _finest_level,
     _integer,
@@ -121,8 +122,9 @@ _SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 def _enum_errs(v: np.ndarray, w: np.ndarray, p: float, rows) -> np.ndarray:
-    """sum_j w_j |v_i - v_j|^p for the candidates i in ``rows``, one row each."""
-    return (w[None, :] * np.abs(v[rows, None] - v[None, :]) ** p).sum(axis=1)
+    """sum_j w_j |v_i - v_j|^p for the candidates i in ``rows``, one row each
+    (and one such table per histogram along any leading axes)."""
+    return (w[..., None, :] * np.abs(v[..., rows, None] - v[..., None, :]) ** p).sum(axis=-1)
 
 
 def _enum_best(v: np.ndarray, w: np.ndarray, p: float) -> tuple[int, float]:
@@ -215,33 +217,37 @@ def best_constant_error(hist: ValueHistogram, p: float) -> tuple[float, float]:
     _check_exponent(p)
     if not hist.entries:
         raise ValueError("empty histogram")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            xi, err = _best_constant(hist.values, hist.measures, p)
-    except OverflowError:  # raised by fsum
-        err = math.inf
-    if not math.isfinite(err):
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi, err = _best_constants(hist.values[None, :], hist.measures[None, :], p)
+    if not math.isfinite(err[0]):
         raise ValueError("the best-constant error overflows double range")
-    return xi, err
+    return float(xi[0]), err[0]
 
 
-def _best_constant(v: np.ndarray, w: np.ndarray, p: float) -> tuple[float, float]:
-    """:func:`best_constant_error` on checked values ``v`` and measures ``w``,
-    its result unchecked."""
-    if v.size == 1:
-        return float(v[0]), 0.0
+def _best_constants(v: np.ndarray, w: np.ndarray, p: float) -> tuple[np.ndarray, list[float]]:
+    """:func:`best_constant_error` on each row of the (rows, n) values ``v``,
+    each row strictly increasing, and measures ``w``, its results unchecked:
+    every row is reduced on its own, as it would be alone, and an error that
+    overflows is inf or nan."""
+    rows, n = v.shape
+    if n == 1:
+        return v[:, 0], [0.0] * rows
     if p == 2.0:
-        xi = _exact_sum(w * v) / _exact_sum(w)
-        return xi, _exact_sum(w * (v - xi) ** 2)
+        xi = np.divide(_exact_row_sums(w * v), _exact_row_sums(w))
+        return xi, _exact_row_sums(w * (v - xi[:, None]) ** 2)
     if p == 1.0:
-        cw = np.cumsum(w)
-        xi = float(v[int(np.searchsorted(cw, cw[-1] / 2.0))])
-        return xi, _exact_sum(w * np.abs(v - xi))
-    if p < 1.0:
-        j, _ = _enum_best(v, w, p)  # values ascend: the first is the smallest
-        return float(v[j]), _exact_sum(w * np.abs(v - v[j]) ** p)
-    xi = float(_power_root(v[None, :], w, p)[0])
-    return xi, _exact_sum(w * np.abs(v - xi) ** p)
+        cw = np.cumsum(w, axis=1)
+        xi = v[np.arange(rows), (cw < cw[:, -1:] / 2.0).sum(axis=1)]  # the weighted median
+    elif p < 1.0:  # values ascend: the first minimizer is the smallest
+        if n <= _ENUM_DIRECT:
+            blocks = _blocks(np.arange(rows), n * n)
+            j = np.concatenate([_enum_errs(v[b], w[b], p, slice(None)).argmin(axis=1) for b in blocks])
+        else:
+            j = [_enum_best(vr, wr, p)[0] for vr, wr in zip(v, w)]
+        xi = v[np.arange(rows), j]
+    else:
+        xi = _power_root(v, w, p)
+    return xi, _exact_row_sums(w * np.abs(v - xi[:, None]) ** p)
 
 
 def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
@@ -296,7 +302,8 @@ _ROOT_STEPS = 200
 
 def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
     """Per row, a point y with E(y) = sum_j w_j |v_j - y|^p within ``_ROOT_EPS``
-    E(y) of the minimum, for p > 1 (``w`` None: unit weights).
+    E(y) of the minimum, for p > 1 (``w`` None: unit weights, else one row of
+    weights per row of values).
 
     ITP steps (Oliveira & Takahashi 2020) on g = E'/p, which increases, keep
     ends a < b with g(a) <= 0 < g(b), never more than one step beyond
@@ -314,6 +321,8 @@ def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
     xi = 0.5 * (lo + hi)
     idx = np.flatnonzero(hi - lo > 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
     sub, rad = rows[idx], hi[idx] - lo[idx]  # rad: ITP's bound on the bracket after each step
+    if w is not None:
+        w = w[idx]
     k1, nan, zero = 0.2 / rad, np.full(idx.size, np.nan), np.zeros(idx.size)
     ends = np.stack([[lo[idx], nan, zero], [hi[idx], nan, zero]])  # (end, g, reach) at a, b
     for _ in range(_ROOT_STEPS):
@@ -343,6 +352,8 @@ def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
             xi[idx[done]] = np.where(ra >= rb, a, b)[done]
             keep = ~done
             idx, sub, ends, rad, k1 = idx[keep], sub[keep], ends[:, :, keep], rad[keep], k1[keep]
+            if w is not None:
+                w = w[keep]
     (a, _, ra), (b, _, rb) = ends
     xi[idx] = np.where(ra >= rb, a, b)
     return xi
@@ -362,9 +373,10 @@ def approx_error(f, k: int, p: float) -> float:
     p < 1 the enumeration runs on those cubes alone, so its cost scales with
     them rather than with the grid, and on cubes with many distinct values
     it evaluates only the candidates that certified lower bounds cannot rule
-    out, with the same result bit for bit.  For sparse inputs
-    the cubes are the level-k ancestors of the deeper atoms, and each
-    histogram is read from f's cached atom forest, so the cost follows the
+    out, with the same result bit for bit.  For sparse inputs the cubes are
+    the level-k ancestors of the deeper atoms: their histograms are built in
+    one pass over f's cached atom forest, and their best constants are
+    evaluated together, grouped by histogram length, so the cost follows the
     atom count rather than the grid size.  An E_k beyond double range raises
     ``ValueError``.  p, k and the type of f are checked here, and
     :func:`approximation_profile` reads every level through the same body.
@@ -377,14 +389,15 @@ def approx_error(f, k: int, p: float) -> float:
         return _approx_error(f, k, p)
 
 
-def _approx_error(f, k: int, p: float) -> float:
-    """:func:`approx_error` on checked arguments, under the caller's error state."""
+def _approx_error(f, k: int, p: float, terms: list[float] | None = None) -> float:
+    """:func:`approx_error` on checked arguments, under the caller's error
+    state; ``terms`` are a sparse f's level-k errors from :func:`_sparse_terms`
+    when the caller has them."""
     try:
         # only E_k is checked: a p < 1 candidate whose error overflows is
         # never the minimum of a finite E_k
         if isinstance(f, SparseStepFunction):
-            terms = [_best_constant(v, w, p)[1] for v, w in _level_histograms(f, k)]
-            e = math.fsum(terms) ** (1.0 / p) if terms else 0.0
+            e = math.fsum(_sparse_terms(f, [k], p)[0] if terms is None else terms) ** (1.0 / p)
         elif k >= f.level:
             e = 0.0
         else:
@@ -395,6 +408,26 @@ def _approx_error(f, k: int, p: float) -> float:
     if not math.isfinite(e):
         raise ValueError(f"the approximation-route error E_{k} overflows double range")
     return e
+
+
+def _sparse_terms(f: SparseStepFunction, levels, p: float) -> list[list[float]]:
+    """For each of ``levels``, the p-th power errors of f on its level-k cubes
+    by cube index, the best constants of all levels evaluated together, one
+    stack of rows per histogram length.  A cube whose measure underflows to
+    zero has no entries and adds 0.0."""
+    hists = _level_histograms(f, levels)
+    terms = [[0.0] * len(h) for h in hists]
+    by_length: dict[int, list] = {}
+    for i, level in enumerate(hists):
+        for j, entries in enumerate(level):
+            if entries:
+                by_length.setdefault(len(entries), []).append((i, j, entries))
+    for group in by_length.values():
+        vw = np.array([entries for _, _, entries in group])  # (rows, n, 2)
+        errs = _best_constants(vw[:, :, 0].copy(), vw[:, :, 1].copy(), p)[1]
+        for (i, j, _), e in zip(group, errs):
+            terms[i][j] = e
+    return terms
 
 
 @dataclass(frozen=True)
@@ -411,7 +444,8 @@ def approximation_profile(f, p: float) -> ApproxProfile:
     _check_exponent(p)
     top = _finest_level(f)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.array([_approx_error(f, k, p) for k in range(top)])
+        terms = _sparse_terms(f, range(top), p) if isinstance(f, SparseStepFunction) else [None] * top
+        e = np.array([_approx_error(f, k, p, t) for k, t in enumerate(terms)])
     return ApproxProfile(p, lp_quasinorm(f, p), e)
 
 

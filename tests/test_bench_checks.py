@@ -171,3 +171,35 @@ def test_lattice_item_call_budget():
     if sys.version_info[:2] == (3, 11):
         assert calls == LATTICE_ITEM_CALLS
     assert calls <= LATTICE_ITEM_CALLS
+
+
+#: Python calls one warm deep scattered families item (k = 6, d = 1, on the
+#: critical line) makes in the library's own files, on CPython 3.11.  Built
+#: cube by cube, with one best constant per histogram, it made 12,416.
+SCATTERED_ITEM_CALLS = 2448
+
+
+def test_deep_scattered_item_call_budget():
+    # the sparse profile builds its histograms in one pass and groups its best
+    # constants by length: a slide back to per-cube calls fails here
+    prm = workloads.family_params(1)[0]
+    _, _, fn = workloads.scattered_item(6, 1, 0.5 / prm.q, prm, True)
+    fn(spans.NullTracer(), workloads.Checker(REFS))  # warm the caches
+    package = os.path.dirname(hb.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    chk = workloads.Checker(REFS)
+    sys.setprofile(profile)
+    try:
+        fn(spans.NullTracer(), chk)
+    finally:
+        sys.setprofile(None)
+    assert chk.attempted > 0 and chk.failed == 0, chk.failures
+    if sys.version_info[:2] == (3, 11):
+        assert calls == SCATTERED_ITEM_CALLS
+    assert calls <= SCATTERED_ITEM_CALLS

@@ -132,6 +132,23 @@ class TestSynthesize:
             with pytest.raises(TypeError, match="^expected TensorHaarCoefficients$"):
                 hb.tensor_synthesize(coeffs, 2)
 
+    def test_containers_read_array_likes_as_float(self):
+        # lists and integer arrays are read as float arrays before the shape
+        # check; a float64 array is kept as it is, so zeros() fills in place
+        with pytest.raises(ValueError, match=r"^block 1 has shape \(1,\), expected \(1, 1\)$"):
+            hb.HaarCoefficients(1, 1, 0.0, [[1.0]])
+        nested = hb.HaarCoefficients(1, 1, 0.0, [[[1.0]]])
+        assert nested.blocks[0].dtype == float and nested.coefficient(next(hb.level_indices(1, 1))) == 1.0
+        ints = hb.HaarCoefficients(1, 1, 0.0, [np.array([[3]], dtype=np.int64)])
+        assert ints.blocks[0].dtype == float and ints.blocks[0][0, 0] == 3.0
+        block = np.zeros((1, 1))
+        assert hb.HaarCoefficients(1, 1, 0.0, [block]).blocks[0] is block
+        tensor = hb.TensorHaarCoefficients(1, 1, [1.0, 2.0])
+        assert tensor.array.dtype == float and tensor.array.tolist() == [1.0, 2.0]
+        assert hb.tensor_synthesize(tensor).values.tolist() == [3.0, -1.0]
+        with pytest.raises(ValueError, match=r"^expected shape \(2,\)$"):
+            hb.TensorHaarCoefficients(1, 1, [1.0, 2.0, 3.0])
+
 
 class TestPartialSums:
     def test_empty_set_is_zero(self):

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 import haar_besov as hb
 from haar_besov import norms
 from haar_besov.experiments import random_step
+from haar_besov.dyadic import _level_histograms
 from haar_besov.norms import (
     _PRUNE_GROUPS,
     ModulusTable,
+    _best_constants,
     _difference_table,
     _enum_best,
     _row_best_err_ppow,
@@ -33,6 +35,7 @@ from helpers import (
     random_sparse,
     row_best_err_oracle,
     shift_difference_ppow,
+    sparse_histogram_rescan,
 )
 
 
@@ -610,6 +613,67 @@ def test_untouched_branches_golden_digest(name, digest):
     assert h.hexdigest() == digest
 
 
+def _entry_bytes(entries) -> bytes:
+    return np.array(entries, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_SPARSE_FIRST_PINNED) + ["nesting-1", "nesting-2", "nesting-3"])
+def test_level_histograms_match_rescan(name):
+    # the all-levels pass gives, on every level and candidate cube, the
+    # (value, measure) bytes of a rescan of every atom; one level alone too
+    if name.startswith("nesting"):
+        d = int(name[-1])
+        rng = np.random.default_rng(70 + d)
+        pool = [random_sparse(rng, d, 3 + 3 * n, max_level=5 if d < 3 else 3) for n in range(6)]
+        assert sum(not f.nesting_free for f in pool) >= 4
+    else:
+        pool = [_sparse_digest_input(name)]
+    for f in pool:
+        levels = _level_histograms(f, range(f.max_level + 1))
+        for k, hists in enumerate(levels):
+            cubes = sorted({a.cube.ancestor(k) for a in f.atoms if a.cube.level > k}, key=lambda c: c.index)
+            assert len(hists) == len(cubes)
+            for entries, cube in zip(hists, cubes):
+                assert _entry_bytes(entries) == _entry_bytes(sparse_histogram_rescan(f.atoms, cube).entries)
+            assert _level_histograms(f, [k]) == [hists]
+
+
+@st.composite
+def _stacked_rows(draw):
+    """Rows of one length n, each strictly increasing with positive weights;
+    some hold values whose differences, and so errors, overflow."""
+    n, rows = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.cumsum(rng.uniform(0.01, 1.0, size=(rows, n)), axis=1)
+    v = (v - rng.uniform(0.0, 1.0, size=(rows, 1)) * v[:, -1:]) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    for r in range(rows):
+        if draw(st.booleans()):
+            v[r, -1] = 1.7e308
+            if n > 2 and draw(st.booleans()):
+                v[r, 0] = -1.7e308
+    w = rng.uniform(0.5, 2.0, size=(rows, n)) * 2.0 ** -rng.integers(0, 12, size=(rows, n))
+    return v, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacked_rows(), st.sampled_from([0.3, 0.8, 1.0, 1.5, 2.0]))
+def test_stacked_best_constants_match_each_row_alone(vw, p):
+    # every row is reduced on its own: stacked, it gives best_constant_error's
+    # doubles on that row alone, and a row whose error overflows is the one
+    # whose best_constant_error raises
+    v, w = vw
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi, errs = _best_constants(v, w, p)
+    for r in range(v.shape[0]):
+        hist = hb.ValueHistogram(tuple(zip(v[r].tolist(), w[r].tolist())))
+        if math.isfinite(errs[r]):
+            alone = hb.best_constant_error(hist, p)
+            assert (float(xi[r]).hex(), errs[r].hex()) == tuple(map(float.hex, alone))
+        else:
+            with pytest.raises(ValueError, match="best-constant error overflows double range"):
+                hb.best_constant_error(hist, p)
+
+
 class TestHomogeneity:
     """E_k(cf) = |c| E_k(f) and a(cf) = |c| a(f), dense and sparse, one p per
     best-constant branch; the same for the modulus, square-function and
@@ -1151,6 +1215,50 @@ class TestRoutesBeyondDoubleRange:
             hb.b0_221_weighted_sum(f)
         small = hb.DyadicStepFunction(1, 2, np.array(self.CELLS) * 1e-300)
         assert hb.square_function_norm(small, 0.5) == pytest.approx(1.0, rel=1e-12)
+
+
+    @pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
+    def test_sparse_profile_names_its_smallest_overflowing_level(self, p):
+        # values -a and +a share a level-k cube for k < `overflowing` only: every
+        # best constant there leaves a difference of 1.5a or 2a, beyond double
+        # range; deeper cubes hold -a and -a/2 and keep a finite E_k
+        a = 1.5e308
+        cube = lambda lev, i: hb.DyadicCube(1, lev, (i,))
+        cases = {
+            1: [(cube(1, 0), -a), (cube(1, 1), a), (cube(3, 0), a / 2)],
+            2: [(cube(1, 1), a), (cube(2, 0), -a), (cube(2, 1), a), (cube(4, 0), a / 2)],
+        }
+        for overflowing, terms in cases.items():
+            f = hb.SparseStepFunction.from_terms(1, terms)
+            with pytest.raises(ValueError, match="^the approximation-route error E_0 overflows double range$"):
+                hb.approximation_profile(f, p)
+            for k in range(f.max_level):
+                if k < overflowing:
+                    with pytest.raises(ValueError, match=f"^the approximation-route error E_{k} overflows"):
+                        hb.approx_error(f, k, p)
+                else:
+                    e = hb.approx_error(f, k, p)
+                    assert math.isfinite(e) and e == approx_error_sparse_rescan(f, k, p)
+
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+    def test_sparse_values_of_both_infinite_signs_raise_by_route(self, p):
+        # chain sums of +inf and -inf share the level-0 and level-1 cubes; at
+        # p = 2 the mean's sum met inf - inf and raised fsum's own ValueError
+        cube = lambda lev, i: hb.DyadicCube(1, lev, (i,))
+        terms = [(cube(1, 0), 1e308), (cube(2, 0), 1e308), (cube(1, 1), -1e308), (cube(2, 2), -1e308)]
+        f = hb.SparseStepFunction.from_terms(1, terms + [(cube(3, 0), 1.0)])
+        for k in (0, 1):
+            with pytest.raises(ValueError, match=f"^the approximation-route error E_{k} overflows"):
+                hb.approx_error(f, k, p)
+        assert hb.approx_error(f, 2, p) == 0.0
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+    def test_sparse_cubes_whose_measure_underflows_add_nothing(self, p):
+        # below level 1074 a cube's measure, and so its histogram, is empty:
+        # it adds 0.0 to E_k, as the atom's own underflowed region does above
+        f = hb.SparseStepFunction.from_terms(1, [(hb.DyadicCube(1, 1100, (5,)), 1.0)])
+        assert hb.approx_error(f, 1080, p) == hb.approx_error(f, 1070, p) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
