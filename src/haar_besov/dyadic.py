@@ -296,10 +296,20 @@ class DyadicCube:
         return tuple(slice(i * w, (i + 1) * w) for i in self.index)
 
 
-class DyadicStepFunction:
-    """Piecewise-constant function on the uniform level-m dyadic partition."""
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot rebind {name!r}")
 
-    __slots__ = ("d", "level", "values")
+
+class DyadicStepFunction:
+    """Piecewise-constant function on the uniform level-m dyadic partition.
+
+    Immutable, read-only ``values`` included, so the pyramid of the cubes
+    where it varies is built once, on first use, and read through the slot
+    ``_pyramid`` (None until then) by every route that needs it.
+    """
+
+    __slots__ = ("d", "level", "values", "_pyramid")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, d: int, level: int, values):
         d, level = _integer(d, "d", 1), _integer(level, "level", 0)
@@ -313,9 +323,18 @@ class DyadicStepFunction:
             raise ValueError("cell values must be finite (no NaN or inf)")
         arr = arr.reshape((n,) * d)
         arr.setflags(write=False)
-        self.d = d
-        self.level = level
-        self.values = arr
+        for name, value in (("d", d), ("level", level), ("values", arr), ("_pyramid", None)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return type(self), (self.d, self.level, self.values)
+
+    def _cube_pyramid(self) -> "_Pyramid":
+        """The pyramid of f's varying cubes, built on first use; hot paths
+        read ``f._pyramid or f._cube_pyramid()``, which costs no call once built."""
+        if self._pyramid is None:
+            object.__setattr__(self, "_pyramid", _Pyramid(self.values))
+        return self._pyramid
 
     @property
     def cell_count(self) -> int:
@@ -383,19 +402,24 @@ class SparseStepFunction:
     Atom cubes may sit at distinct levels and may nest.  Two dyadic cubes
     either nest or are disjoint, so how the atoms nest follows from their
     (level, index) keys: ``nesting_free`` and the value histograms read the
-    atoms' forest under containment, built once on first use.
+    atoms' forest under containment, built once on first use.  Immutable, so
+    the forest always describes this f.
     """
 
     __slots__ = ("d", "atoms", "_forest")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, d: int, atoms: Iterable[SparseAtom]):
-        self.d = d = _integer(d, "d", 1)
+        d = _integer(d, "d", 1)
         atoms = tuple(a for a in atoms if a.sign != 0)
         for a in atoms:
             if a.cube.d != d:
                 raise ValueError("atom dimension mismatch")
-        self.atoms = atoms
-        self._forest = None
+        for name, value in (("d", d), ("atoms", atoms), ("_forest", None)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return type(self), (self.d, self.atoms)
 
     @classmethod
     def from_terms(cls, d: int, terms) -> "SparseStepFunction":
@@ -415,7 +439,7 @@ class SparseStepFunction:
     def _atom_forest(self) -> "_AtomForest":
         """The atoms' (level, index) forest, built on first use."""
         if self._forest is None:
-            self._forest = _AtomForest(self.d, self.atoms)
+            object.__setattr__(self, "_forest", _AtomForest(self.d, self.atoms))
         return self._forest
 
     def __repr__(self):
@@ -554,6 +578,103 @@ def _upsample(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+class _Pyramid:
+    """Where a level-m grid varies, level by level: the dense mirror of
+    :class:`_AtomForest`, built once per function in O(N).
+
+    It is built bottom-up by halving one axis at a time: two halves make a
+    constant cube when both are constant and their first cells are equal
+    (under ``==``, so 0.0 and -0.0 are one value, as for ``np.unique``),
+    and the first cells are strided views of the grid, never copied.  The
+    build stops at the first level whose cubes all vary, since every coarser
+    cube then varies too.  ``vary[k]`` is the mask of level-k cubes where f
+    varies, in C order of the cube index, or None where every level-k cube
+    varies.  ``any_constant`` tells whether some level-(m-1) cube is
+    constant; only then are the maximal constant cubes (those on which f is
+    constant inside a parent on which it varies) fewer than the cells, and
+    only then does ``maximal`` hold them, finest level first: their values
+    and the log2 of their cell counts.
+    """
+
+    __slots__ = ("values", "vary", "any_constant", "maximal", "_cubes", "_corners")
+
+    def __init__(self, values: np.ndarray):
+        d, m = values.ndim, values.shape[0].bit_length() - 1
+        self.values, self.vary, self._corners = values, [None] * m, None
+        every = (slice(None),)
+        halves = [(every * a + (slice(0, None, 2),), every * a + (slice(1, None, 2),)) for a in range(d)]
+        cubes = []  # per level j: (j, whole level?, mask of its maximal cubes, their values)
+        same, v = None, values  # the level-j constant cubes (None: the cells) and first cells
+        for j in range(m, 0, -1):
+            s, w = same, v
+            for lo, hi in halves:  # halve one axis at a time
+                eq = w[lo] == w[hi]
+                if s is not None:
+                    eq &= s[lo]
+                    eq &= s[hi]
+                if not eq.any():
+                    break  # every level-(j-1) cube varies, and so does every coarser one
+                s, w = eq, w[lo]
+            else:
+                vary = ~s  # the children of these cubes, one row each:
+                kids = _cube_blocks(v, j - 1)[vary].reshape(-1, 1 << d)
+                if same is None:
+                    keep = np.ones(kids.shape, dtype=bool)
+                else:
+                    keep = _cube_blocks(same, j - 1)[vary].reshape(-1, 1 << d)
+                cubes.append((j, False, keep, kids[keep]))  # constant under a varying parent
+                self.vary[j - 1], same, v = vary, s, w
+                continue
+            if j < m:  # each constant level-j cube is maximal
+                cubes.append((j, True, same, v[same]))
+            break
+        else:
+            if m:  # the root, maximal where f is constant
+                cubes.append((0, True, same, v[same]))
+        self.any_constant, self._cubes = bool(cubes), cubes
+        self.maximal = (
+            np.concatenate([c for *_, c in cubes]),
+            np.concatenate([np.full(c.size, (m - j) * d) for j, *_, c in cubes]),
+        ) if cubes else None
+
+    def histograms(self, k: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The (value, count) histogram of each level-k cube where f varies,
+        read from the maximal constant cubes below level k, which tile those
+        cubes: (values, int64 cell counts, bounds), cube i's entries at
+        [bounds[i], bounds[i+1]), cubes in C order and values ascending, equal
+        values (under ``==``) merged as ``np.unique`` merges them.  Needs
+        ``any_constant``."""
+        d, m = self.values.ndim, len(self.vary)
+        if self._corners is None:  # each maximal cube's first cell, one row per axis
+            corners = []
+            for j, whole, keep, _ in self._cubes:
+                if whole:
+                    idx = np.array(keep.nonzero())
+                else:  # bits of the children of the row-th level-(j-1) cube where f varies
+                    row, bits = keep.nonzero()
+                    parents = self.vary[j - 1].ravel().nonzero()[0][row]
+                    idx = 2 * np.array(np.unravel_index(parents, (1 << (j - 1),) * d))
+                    idx += (bits >> np.arange(d - 1, -1, -1)[:, None]) & 1
+                corners.append(idx << (m - j))
+            self._corners = np.concatenate(corners, axis=1)
+        s = sum(c.size for j, *_, c in self._cubes if j > k)  # finest level first
+        cube = 0
+        for c in self._corners[:, :s]:  # the level-k cube's C-order index
+            cube = (cube << k) | (c >> (m - k))
+        vals, shift = self.maximal[0][:s], self.maximal[1][:s]
+        order = np.lexsort((vals, cube))
+        cube, vals = cube[order], vals[order]
+        new = np.empty(s, dtype=bool)
+        new[:1] = True
+        np.not_equal(vals[1:], vals[:-1], out=new[1:])
+        new[1:] |= cube[1:] != cube[:-1]
+        starts = new.nonzero()[0]
+        cube = cube[starts]
+        cuts = (cube[1:] != cube[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), cube.size] if s else []
+        return vals[starts], np.add.reduceat(np.left_shift(1, shift[order]), starts), bounds
+
+
 def _finest_level(f) -> int:
     """``f.level`` of a dense f, ``f.max_level`` of a sparse one; else TypeError."""
     if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
@@ -582,12 +703,19 @@ def lp_quasinorm(f, p: float) -> float:
     fine; nesting atom sets go through the exact value histogram instead.
     Dense grids and histograms sum the p-th powers in doubles, and in the
     log2 domain when that sum overflows; a norm beyond double range raises
-    ``ValueError`` naming its log2.
+    ``ValueError`` naming its log2.  A dense grid with a constant level-(m-1)
+    cube sums one power per maximal constant cube of its pyramid, times the
+    cube's cell count: the same exact sum, so fsum's same double.
     """
     _check_exponent(p)
     if isinstance(f, DyadicStepFunction):
         v, w = f.values, f.cell_measure
-        ppow = lambda: stable_sum(np.abs(v) ** p) * w
+        pyr = f._pyramid or f._cube_pyramid()
+        if pyr.any_constant:
+            c, shift = pyr.maximal
+            ppow = lambda: _exact_sum(np.ldexp(np.abs(c) ** p, shift)) * w
+        else:
+            ppow = lambda: stable_sum(np.abs(v) ** p) * w
     elif isinstance(f, SparseStepFunction):
         if f.nesting_free:  # with no atoms too: the norm is 2**-inf = 0.0
             log2_terms = [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
@@ -704,6 +832,30 @@ def _level_histograms(f: SparseStepFunction, levels) -> list[list[list[tuple[flo
     ]
 
 
+def _containing_keys(keys: list, d: int, deepest: int) -> dict:
+    """Each (level, index) key's deepest strictly containing key, or None, in
+    ``keys`` order, by one pass in Z order.  A cube's Z-order code is that of
+    its first cell at level ``deepest``, bits interleaved across axes, and it
+    covers the codes from there up to 2^((deepest - level) d) more; sorted by
+    code, coarser first on a tie, each key follows the keys containing it, and
+    a stack holds the chain of those containing the current one."""
+    if d == 1:
+        codes = [idx[0] << (deepest - lev) for lev, idx in keys]
+    else:
+        width = f"0{deepest}b"
+        codes = [
+            int("".join(map("".join, zip(*(format(i << (deepest - lev), width) for i in idx)))), 2)
+            for lev, idx in keys
+        ]
+    parent, stack = {}, []
+    for code, lev, key in sorted(zip(codes, [lev for lev, _ in keys], keys)):
+        while stack and code >= stack[-1][0]:  # past the end of the top's cube
+            stack.pop()
+        parent[key] = stack[-1][1] if stack else None
+        stack.append((code + (1 << ((deepest - lev) * d)), key))
+    return {c: parent[c] for c in keys}
+
+
 class _AtomForest:
     """The atoms' distinct (level, index) keys under containment, built
     without evaluating any atom value.  ``keys`` ascend by level, ties in
@@ -720,7 +872,7 @@ class _AtomForest:
             self.positions.setdefault((a.cube.level, a.cube.index), []).append(pos)
         self.keys = sorted(self.positions, key=lambda c: c[0])
         self.levels = sorted({lev for lev, _ in self.keys}, reverse=True)
-        self.parent = {c: self.container(c[0] - 1, *c) for c in self.keys}
+        self.parent = _containing_keys(self.keys, d, self.levels[0] if self.levels else 0)
         self.measure = {c: 2.0 ** (-c[0] * d) for c in self.keys}
         covered: dict[tuple | None, float] = {}
         for c in self.keys:  # children in key order, as a histogram adds them

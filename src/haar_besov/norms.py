@@ -250,18 +250,22 @@ def _best_constants(v: np.ndarray, w: np.ndarray, p: float) -> tuple[np.ndarray,
     return xi, _exact_row_sums(w * np.abs(v - xi[:, None]) ** p)
 
 
-def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
+def _row_best_err_ppow(rows: np.ndarray, p: float, cells: int | None = None) -> np.ndarray:
     """Per-row min over xi of sum_j |rows[i, j] - xi|^p (unit weights).
 
-    For p < 1 the minimum is enumerated over the row's own values; a row of
-    equal values has error exactly 0.0, so the work scales with the rows on
-    which the values vary.  Rows of 256 cells or more go one by one through
+    :func:`_dense_terms` passes the level-k cubes where f varies (every
+    cube at p = 2); a constant row costs as much as any other and its error
+    is exactly 0.0.  For p < 1 the minimum is enumerated over the row's own
+    values: rows of 256 cells or more go one by one through
     :func:`_enum_best` on their distinct values weighted by counts, which
     prunes candidates by certified bounds above 128 distinct values; shorter
-    rows are enumerated together in chunks, O(cells^2) per row.  p = 1 takes
-    the median and p = 2 the mean; other p > 1 sum the error at the point
-    :func:`_power_root` certifies within ``_ROOT_EPS`` of each row's minimum,
-    every row stopping on its own certificate.
+    rows are enumerated together, O(cells^2) per row, in chunks of
+    max(1, 2^22 // ``cells``) candidates, ``cells`` the size of the whole
+    level-k matrix (``rows.size`` by default): a chunk of 1 sums each column
+    pairwise, a wider one in sequence, so the width fixes the bits.  p = 1
+    takes the median and p = 2 the mean; other p > 1 sum the error at the
+    point :func:`_power_root` certifies within ``_ROOT_EPS`` of each row's
+    minimum, every row stopping on its own certificate.
     """
     ncubes, nvals = rows.shape
     if p == 2.0:
@@ -271,25 +275,19 @@ def _row_best_err_ppow(rows: np.ndarray, p: float) -> np.ndarray:
         med = np.sort(rows, axis=1)[:, (nvals - 1) // 2, None]
         return np.abs(rows - med).sum(axis=1)
     if p < 1.0:
-        out = np.zeros(ncubes)
-        live = np.flatnonzero((rows != rows[:, :1]).any(axis=1))
-        # sized by the whole matrix as before: a chunk of 1 sums each column
-        # pairwise, a wider one in sequence, so the width fixes the bits
-        chunk = max(1, (1 << 22) // rows.size)
-        rows = rows[live]
         if nvals >= 256:
-            # consolidate duplicates cube by cube; cheap when rows are few
-            for i, row in zip(live, rows):
+            out = np.empty(ncubes)
+            for i, row in enumerate(rows):
                 vals, counts = np.unique(row, return_counts=True)
                 out[i] = _enum_best(vals, counts, p)[1]
             return out
-        best = np.full(live.size, np.inf)
+        chunk = max(1, (1 << 22) // (rows.size if cells is None else cells))
+        best = np.full(ncubes, np.inf)
         for c0 in range(0, nvals, chunk):
             cand = rows[:, None, c0 : c0 + chunk]
             errs = (np.abs(rows[:, :, None] - cand) ** p).sum(axis=1)
             best = np.minimum(best, errs.min(axis=1))
-        out[live] = best
-        return out
+        return best
     xi = _power_root(rows, None, p)
     return (np.abs(rows - xi[:, None]) ** p).sum(axis=1)
 
@@ -359,21 +357,38 @@ def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
     return xi
 
 
-def _cube_value_matrix(f: DyadicStepFunction, k: int) -> np.ndarray:
-    """Rows = level-k cubes (lexicographic), columns = their level-m cells."""
-    m, d = f.level, f.d
-    n, r = 1 << k, 1 << (m - k)
-    return _cube_blocks(f.values, k).reshape(n**d, r**d)
+def _dense_terms(f: DyadicStepFunction, k: int, p: float) -> list[float] | np.ndarray:
+    """The p-th power errors, unit cell weights, of a dense f on the level-k
+    cubes where its pyramid says it varies; a constant cube's error is
+    exactly 0.0 on every branch, and fsum drops it.  At p < 1 a cube of 256
+    cells or more is read as the value histogram of the maximal constant
+    cubes below it, the same entries ``np.unique`` finds in its row, unless
+    no level-(m-1) cube is constant and the cells are those cubes.  At p = 2
+    every cube is evaluated: numpy's pairwise mean of 64 or more equal
+    values can be inexact, and the constant cube's error with it."""
+    n = 1 << ((f.level - k) * f.d)  # cells per level-k cube
+    rows = _cube_blocks(f.values, k)
+    if p != 2.0:
+        pyr = f._pyramid or f._cube_pyramid()
+        if p < 1.0 and n >= 256 and pyr.any_constant:
+            vals, counts, bounds = pyr.histograms(k)
+            return [_enum_best(vals[a:b], counts[a:b], p)[1] for a, b in zip(bounds, bounds[1:])]
+        if pyr.vary[k] is not None:
+            rows = rows[pyr.vary[k]]
+    return _row_best_err_ppow(rows.reshape(-1, n), p, f.values.size)
 
 
 def approx_error(f, k: int, p: float) -> float:
     """Best L_p approximation error by level-k piecewise constants.
 
-    Only cubes on which f is non-constant contribute.  For dense inputs at
-    p < 1 the enumeration runs on those cubes alone, so its cost scales with
-    them rather than with the grid, and on cubes with many distinct values
-    it evaluates only the candidates that certified lower bounds cannot rule
-    out, with the same result bit for bit.  For sparse inputs the cubes are
+    Only cubes on which f is non-constant contribute.  A dense f's cached
+    pyramid names those cubes, and every branch but p = 2 (see
+    :func:`_dense_terms`) gathers their rows alone; at p < 1 a row of 256
+    cells or more takes its value histogram from the maximal constant cubes
+    below it, so the cost follows the cubes where f varies rather than the
+    grid, and on cubes with many distinct values the enumeration evaluates
+    only the candidates that certified lower bounds cannot rule out, with
+    the same result bit for bit.  For sparse inputs the cubes are
     the level-k ancestors of the deeper atoms: their histograms are built in
     one pass over f's cached atom forest, and their best constants are
     evaluated together, grouped by histogram length, so the cost follows the
@@ -401,8 +416,7 @@ def _approx_error(f, k: int, p: float, terms: list[float] | None = None) -> floa
         elif k >= f.level:
             e = 0.0
         else:
-            errs = _row_best_err_ppow(_cube_value_matrix(f, k), p)
-            e = (stable_sum(errs) * f.cell_measure) ** (1.0 / p)
+            e = (stable_sum(_dense_terms(f, k, p)) * f.cell_measure) ** (1.0 / p)
     except OverflowError:  # raised by fsum and by Python's float powers
         e = math.inf
     if not math.isfinite(e):

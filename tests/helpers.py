@@ -80,6 +80,14 @@ def enum_best_oracle(values, weights, p):
     return j, float(errs[j])
 
 
+def cube_rows(values, k):
+    """Rows = the level-k cubes of a level-m grid in C order, columns = their
+    cells in C order, by one reshape and transpose."""
+    d, n = values.ndim, 1 << k
+    rows = values.reshape(sum(((n, values.shape[0] >> k) for _ in range(d)), ()))
+    return rows.transpose(tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))).reshape(n**d, -1)
+
+
 def row_best_err_oracle(rows, p):
     """Per-row best p < 1 error: full enumeration of the distinct values by count."""
     out = []

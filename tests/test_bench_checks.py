@@ -10,6 +10,7 @@ not only the benchmark.  The benchmark files are loaded as they are.
 import importlib.util
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -144,14 +145,9 @@ def test_b_norm_reads_each_level_once_and_never_through_omega(d, m, p, monkeypat
         assert reads == list(range(len(reads))) and reads[-1] > m
 
 
-#: Python calls one warm lattice item (d = 2, m = 5, p = 0.8, three q) makes
-#: in the library's own files, on CPython 3.11 (3.12 inlines comprehensions,
-#: so it makes fewer).  The count leaves out numpy's Python wrappers.
-LATTICE_ITEM_CALLS = 981
-
-
-def test_lattice_item_call_budget():
-    _, _, fn = workloads.lattice_item(2, 0.8, 5, 0)
+def _warm_item_calls(fn) -> int:
+    """Python calls one warm run of the benchmark task ``fn`` makes in the
+    library's own files (numpy's Python wrappers left out), its checks passing."""
     fn(spans.NullTracer(), workloads.Checker(REFS))  # warm the caches
     package = os.path.dirname(hb.__file__) + os.sep
     calls = 0
@@ -168,38 +164,48 @@ def test_lattice_item_call_budget():
     finally:
         sys.setprofile(None)
     assert chk.attempted > 0 and chk.failed == 0, chk.failures
+    return calls
+
+
+def _check_budget(calls: int, budget: int) -> None:
+    # pinned on CPython 3.11; 3.12 inlines comprehensions, so it makes fewer
     if sys.version_info[:2] == (3, 11):
-        assert calls == LATTICE_ITEM_CALLS
-    assert calls <= LATTICE_ITEM_CALLS
+        assert calls == budget
+    assert calls <= budget
 
 
-#: Python calls one warm deep scattered families item (k = 6, d = 1, on the
-#: critical line) makes in the library's own files, on CPython 3.11.  Built
-#: cube by cube, with one best constant per histogram, it made 12,416.
-SCATTERED_ITEM_CALLS = 2448
+#: Calls of one warm lattice item (d = 2, m = 5, p = 0.8, three q).  Three of
+#: them build the grid's pyramid (its reads cost no call); 981 without it.
+LATTICE_ITEM_CALLS = 984
+
+
+def test_lattice_item_call_budget():
+    _check_budget(_warm_item_calls(workloads.lattice_item(2, 0.8, 5, 0)[2]), LATTICE_ITEM_CALLS)
+
+
+#: Calls of one warm deep scattered families item (k = 6, d = 1, on the
+#: critical line).  Built cube by cube, with one best constant per histogram,
+#: it made 12,416; with each key's parent probed level by level, 2,448.
+SCATTERED_ITEM_CALLS = 2422
 
 
 def test_deep_scattered_item_call_budget():
     # the sparse profile builds its histograms in one pass and groups its best
     # constants by length: a slide back to per-cube calls fails here
     prm = workloads.family_params(1)[0]
-    _, _, fn = workloads.scattered_item(6, 1, 0.5 / prm.q, prm, True)
-    fn(spans.NullTracer(), workloads.Checker(REFS))  # warm the caches
-    package = os.path.dirname(hb.__file__) + os.sep
-    calls = 0
+    fn = workloads.scattered_item(6, 1, 0.5 / prm.q, prm, True)[2]
+    _check_budget(_warm_item_calls(fn), SCATTERED_ITEM_CALLS)
 
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
 
-    chk = workloads.Checker(REFS)
-    sys.setprofile(profile)
-    try:
-        fn(spans.NullTracer(), chk)
-    finally:
-        sys.setprofile(None)
-    assert chk.attempted > 0 and chk.failed == 0, chk.failures
-    if sys.version_info[:2] == (3, 11):
-        assert calls == SCATTERED_ITEM_CALLS
-    assert calls <= SCATTERED_ITEM_CALLS
+#: Calls of one warm small densified families item (nested, d = 1, m = 6,
+#: alternating rule, on the critical line): its L_p norm, each E_k and the
+#: a-norm, every level read from one pyramid.
+DENSE_ITEM_CALLS = 638
+
+
+def test_dense_families_item_call_budget():
+    # a call added per level or per cube of the dense path shows here
+    prm = workloads.family_params(1)[0]
+    chain = workloads.random_chain(random.Random(6), 1, 6)
+    fn = workloads.nested_item(1, 6, "alternating", chain, prm, False)[2]
+    _check_budget(_warm_item_calls(fn), DENSE_ITEM_CALLS)

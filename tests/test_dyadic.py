@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -343,6 +345,60 @@ class TestNestingFree:
             for k in range(3):
                 for idx in hb.level_indices(d, k):
                     assert self._check(hb.haar_function(idx)) is True
+
+
+def _deepest_container_oracle(keys, key):
+    """The deepest key strictly containing ``key``, by ``DyadicCube.contains``."""
+    d = len(key[1])
+    inner = hb.DyadicCube(d, *key)
+    outer = [k for k in keys if k[0] < key[0] and hb.DyadicCube(d, *k).contains(inner)]
+    return max(outer, default=None)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_atom_forest_parents_match_containment(d):
+    # the forest finds parents in one Z-order pass; every key's parent must be
+    # its deepest strictly containing key, as a pairwise scan finds it
+    rng = np.random.default_rng(90 + d)
+    fs = [random_sparse(rng, d, n, max_level=7 if d < 3 else 4) for n in range(1, 30)]
+    fs += [hb.scattered(hb.ScatteredSpec(k, d, 0.5)) for k in range(1, 4 if d < 3 else 2)]
+    fs += [hb.nested_family(hb.NestedSpec(d, m)) for m in (0, 3, 9)]
+    for f in fs:
+        forest = f._atom_forest()
+        assert list(forest.parent) == forest.keys
+        for key in forest.keys:
+            assert forest.parent[key] == _deepest_container_oracle(forest.keys, key)
+
+
+def _assert_frozen(f, names):
+    for name in names:
+        before = getattr(f, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, name, before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, name)
+        assert getattr(f, name) is before
+    # copies and pickles still work, and describe the same f
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert hb.function_to_json(g) == hb.function_to_json(f)
+
+
+def test_dense_step_function_cannot_be_rebound():
+    # its pyramid is cached on it: with its values read-only and no field
+    # rebindable, the pyramid always describes this f
+    f = hb.DyadicStepFunction(1, 2, [0.0, 1.0, 2.0, 3.0])
+    _assert_frozen(f, ("d", "level", "values", "_pyramid"))
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 5.0
+    assert hb.lp_quasinorm(f, 1.0) == 1.5
+
+
+def test_sparse_step_function_cannot_be_rebound():
+    # likewise its atom forest
+    f = hb.SparseStepFunction.from_terms(1, [(cube(1, 1, 0), 1.0), (cube(1, 0, 0), 2.0)])
+    assert not f.nesting_free
+    _assert_frozen(f, ("d", "atoms", "_forest"))
+    assert hb.lp_quasinorm(f, 1.0) == 2.5
 
 
 class TestValueHistogram:

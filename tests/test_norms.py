@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
-from haar_besov import norms
+from haar_besov import dyadic, norms
 from haar_besov.experiments import random_step
 from haar_besov.dyadic import _level_histograms
 from haar_besov.norms import (
@@ -28,6 +28,7 @@ from helpers import (
     approx_error_sparse_rescan,
     bisect_best_constant,
     corner_shift_max,
+    cube_rows,
     enum_best_oracle,
     grid_best_constant_err,
     offset_diff_ppow_sum,
@@ -442,6 +443,144 @@ class TestApproxError:
                 lhs = hb.approx_error(s, k, p) ** p
                 rhs = hb.approx_error(f, k, p) ** p + hb.approx_error(g, k, p) ** p
                 assert lhs <= rhs + 1e-10
+
+
+#: Cell values of the pyramid inputs: signed zeros, subnormals, a value whose
+#: p = 2 mean is inexact, and values whose p-th powers overflow for p > 1.
+PYRAMID_PALETTE = (0.0, -0.0, 5e-324, -5e-324, 0.1, 1.5, -2.25, 1e300, -1e300)
+PYRAMID_PS = (0.3, 0.6, 0.8, 1.0, 1.5, 2.0)
+
+
+def _pyramid_inputs():
+    """Coarse grids upsampled with a few cells changed, at every coarse level,
+    plus one all-constant and one all-varying grid per (d, m); rows reach
+    512 cells at d = 1..3."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for d, m in ((1, 6), (1, 9), (2, 3), (2, 5), (3, 2), (3, 3)):
+        for c in range(m):
+            coarse = rng.choice(PYRAMID_PALETTE, size=(1 << c,) * d)
+            g = hb.densify(hb.DyadicStepFunction(d, c, coarse), m).values.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                g[tuple(rng.integers(0, 1 << m, size=d))] = rng.choice(PYRAMID_PALETTE + (rng.normal(),))
+            out.append((f"{d}-{m}-up{c}", hb.DyadicStepFunction(d, m, g)))
+        out.append((f"{d}-{m}-constant", hb.DyadicStepFunction(d, m, np.full((1 << m,) * d, 0.1))))
+        out.append((f"{d}-{m}-noise", random_step(10 * d + m, d, m)))
+    return out
+
+
+def _outcome(fn):
+    """float.hex of fn(), or the text of the ValueError it raises."""
+    try:
+        return fn().hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _rescan_error(f, k, p):
+    """E_k from every level-k cube row, constant rows included: the row
+    kernel, or at p < 1 on rows of 256 cells or more the full enumeration of
+    each row's distinct values by count, and an fsum of the rows' errors."""
+    rows = cube_rows(f.values, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errs = row_best_err_oracle(rows, p) if p < 1 and rows.shape[1] >= 256 else _row_best_err_ppow(rows, p)
+        try:
+            e = (math.fsum(errs.tolist()) * f.cell_measure) ** (1 / p)
+        except OverflowError:
+            e = math.inf
+    if not math.isfinite(e):
+        raise ValueError(f"the approximation-route error E_{k} overflows double range")
+    return e
+
+
+def _rescan_lp(f, p):
+    """The L_p norm from every cell's |v|^p, or from their log2 where that sum overflows."""
+    v, w = f.values.ravel(), f.cell_measure
+    try:
+        with np.errstate(over="raise"):
+            return (math.fsum((np.abs(v) ** p).tolist()) * w) ** (1 / p)
+    except (OverflowError, FloatingPointError):
+        with np.errstate(divide="ignore"):
+            return dyadic._norm_from_log2_terms(np.log2(w) + p * np.log2(np.abs(v)), p)
+
+
+@pytest.mark.parametrize("p", PYRAMID_PS)
+def test_pyramid_routes_match_full_grid_rescan(p):
+    # E_k reads only the cubes where f varies, and the rows of 256 cells or
+    # more at p < 1 and the L_p norm read the maximal constant cubes: every
+    # number equals a rescan of the whole grid, bit for bit, overflow included
+    routes = set()
+    for name, f in _pyramid_inputs():
+        want = [_outcome(lambda k=k: _rescan_error(f, k, p)) for k in range(f.level)]
+        assert [_outcome(lambda k=k: hb.approx_error(f, k, p)) for k in range(f.level)] == want, name
+        lp = _outcome(lambda: _rescan_lp(f, p))
+        assert _outcome(lambda: hb.lp_quasinorm(f, p)) == lp, name
+        if all("overflows" not in x for x in want):
+            prof = hb.approximation_profile(f, p)
+            assert [x.hex() for x in prof.e_values.tolist()] == want, name
+            assert prof.lp_norm.hex() == lp, name
+        routes.add(f._pyramid.any_constant)
+    assert routes == {True, False}
+
+
+def test_constant_rows_keep_their_p2_error():
+    # numpy's pairwise mean of 64 equal values 0.1 is inexact, so the p = 2
+    # error of a constant row is not 0: that route reads every row
+    f = hb.DyadicStepFunction(1, 6, np.full(64, 0.1))
+    assert hb.approx_error(f, 0, 2.0) == _rescan_error(f, 0, 2.0) > 0.0
+    assert hb.approx_error(f, 0, 1.5) == hb.approx_error(f, 0, 1.0) == 0.0
+
+
+def test_constant_rows_beyond_half_double_range_read_zero():
+    # the one changed error: a constant row above DBL_MAX/2 at p > 1, p != 2,
+    # is skipped with its exact error 0.0, where the root solver's x + x
+    # overflowed and E_k raised; p = 2 still reads every row and raises
+    f = hb.DyadicStepFunction(1, 2, [1.7e308, 1.7e308, 1.0, 2.0])
+    for p in (1.5, 3.0):
+        assert hb.approx_error(f, 1, p) == (2 * 0.5**p / 4) ** (1 / p)
+    with pytest.raises(ValueError, match="E_1 overflows"):
+        hb.approx_error(f, 1, 2.0)
+
+
+def _brute_varying_cubes(values, k):
+    rows = cube_rows(values, k)
+    return (rows != rows[:, :1]).any(axis=1)
+
+
+def test_pyramid_routes_do_work_only_where_f_varies(monkeypatch):
+    d, m = 2, 6
+    rng = np.random.default_rng(31)
+    g = hb.densify(hb.DyadicStepFunction(d, 2, rng.normal(size=(4, 4))), m).values.copy()
+    for idx in ((3, 60), (17, 17), (40, 2)):
+        g[idx] = 7.0
+    f = hb.DyadicStepFunction(d, m, g)
+    rows_seen, unique_sizes, summed = [], [], []
+    kernel, unique, exact_sum = norms._row_best_err_ppow, np.unique, dyadic._exact_sum
+    monkeypatch.setattr(norms, "_row_best_err_ppow", lambda rows, *a: rows_seen.append(len(rows)) or kernel(rows, *a))
+    monkeypatch.setattr(np, "unique", lambda a, *r, **kw: unique_sizes.append(np.size(a)) or unique(a, *r, **kw))
+    monkeypatch.setattr(dyadic, "_exact_sum", lambda a: summed.append(a.size) or exact_sum(a))
+    for k in range(m):
+        varying = int(_brute_varying_cubes(g, k).sum())
+        for p in (0.3, 0.8, 1.0, 1.5, 2.0):
+            rows_seen.clear()
+            hb.approx_error(f, k, p)
+            if p == 2.0:
+                assert rows_seen == [1 << (k * d)]  # every cube
+            elif p < 1.0 and (m - k) * d >= 8:
+                assert rows_seen == []  # histograms from the maximal cubes
+            else:
+                assert rows_seen == [varying]
+    assert max(unique_sizes, default=0) < 256
+    # the maximal constant cubes: constant, and the root or under a varying parent
+    maximal = 1 if not _brute_varying_cubes(g, 0)[0] else 0
+    for j in range(1, m + 1):
+        parent_varies = _brute_varying_cubes(g, j - 1)
+        kids = _brute_varying_cubes(g, j) if j < m else np.zeros(1 << (m * d), dtype=bool)
+        kids = kids.reshape((1 << (j - 1), 2) * d).transpose(0, 2, 1, 3).reshape(-1, 4)
+        maximal += int((~kids & parent_varies[:, None]).sum())
+    summed.clear()
+    hb.lp_quasinorm(f, 0.8)
+    assert summed == [maximal] and maximal < g.size // 16
 
 
 def _random_chain(rng, d, m):
