@@ -724,18 +724,48 @@ def b_norm_modulus(f, prm: BesovParams) -> float:
 def square_function_norm(f, p: float) -> float:
     """L_p norm of (sum_h lambda_h^2 1_{supp h})^{1/2}, scaling term included.
 
-    The square function of a step function is itself a step function and is
-    evaluated exactly; at p = 2 this reproduces the Parseval identity.
+    The square function S of a step function is itself a step function and
+    is evaluated exactly; at p = 2 this reproduces the Parseval identity.
+    S is constant on the level-(m-1) cubes, the supports of the finest Haar
+    functions, and is built on that grid: each level's 2^d - 1 squares are
+    added in order, as numpy sums fewer than 8 terms, onto the sums of
+    their parent cube.  ||S||_p^p is then the exact sum of |S|^p 2^d over
+    those cubes times 2^-md, the double the cell-by-cell sum gives; when it
+    overflows, :func:`lp_quasinorm` reads S cell by cell with its log2
+    fallback.  Only when a lambda^2, or a sum of them, overflows are the
+    coefficients scaled by 2^-e, e the exponent of max |lambda|, and the
+    norm scaled back by 2^e.
     """
     _check_exponent(p)
     c = analyze(f)
-    d, m = c.d, c.max_level
-    # each level's sums at its own resolution: a cell gets its cubes' sums
-    # added in level order, as on the full grid, for O(N) work
-    acc = np.full((1,) * d, c.scaling**2)
-    for k in range(1, m + 1):
-        acc = _upsample(acc, k - 1) + (c.blocks[k - 1] ** 2).sum(axis=-1)
-    return lp_quasinorm(DyadicStepFunction(d, m, _upsample(np.sqrt(acc), m)), p)
+    try:
+        sums, e = _square_sums(c.scaling, c.blocks, c.d), 0
+    except (OverflowError, FloatingPointError):
+        e = math.frexp(max([abs(c.scaling), *(float(np.abs(b).max()) for b in c.blocks)]))[1]
+        blocks = [np.ldexp(b, -e) for b in c.blocks]
+        sums = _square_sums(math.ldexp(c.scaling, -e), blocks, c.d)
+    S, d, m = np.sqrt(sums), c.d, c.max_level
+    try:  # S >= +0, so |S|^p is S ** p; for m > 0 a value covers 2^d cells
+        norm = (_exact_sum(np.ldexp(S.ravel() ** p, d if m else 0)) * 2.0 ** (-m * d)) ** (1.0 / p)
+    except (OverflowError, FloatingPointError):
+        norm = lp_quasinorm(DyadicStepFunction(d, m, _upsample(S, m)), p)
+    return math.ldexp(norm, e)
+
+
+def _square_sums(scaling: float, blocks: list[np.ndarray], d: int) -> np.ndarray:
+    """sum_h lambda_h^2 over the Haar functions whose support holds each
+    cube of the finest block's level (the unit cube when there is none)."""
+    acc = np.full((1,) * d, scaling**2)
+    for b in blocks:  # block k's coefficients, on the level-(k-1) cubes
+        sq = b**2
+        s = sq[..., 0].copy()
+        for i in range(1, sq.shape[-1]):
+            s += sq[..., i]
+        n = acc.shape[0]  # each parent's sum, added onto its 2^d children
+        split = s.reshape((n, s.shape[0] // n) * d)
+        split += acc.reshape((n, 1) * d)
+        acc = s
+    return acc
 
 
 @_raises_on_overflow("b0221 sum")

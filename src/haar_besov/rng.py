@@ -13,19 +13,23 @@ maps the 256 state bits by a fixed 256x256 bit matrix M.  A draw of
 ``steps`` steps starts B = max(1, ceil(steps / L)) sub-lanes per lane, the
 b-th at the lane's state after b*L steps, found by applying M^L, M^{2L},
 M^{4L}, ... by doubling.  All 64*B sub-lanes then step min(steps, L) times
-together, and each word is written to the position the stepwise loop gives
-it.  The scrambler is applied to the same states, so every word is bit for
-bit the word of the stepwise loop; a draw of at most L steps is one
-sub-lane per lane and makes no jump, so it is that loop.  The stream is
-left exactly ``steps`` steps on: the last sub-lane's state is kept after
-its steps - (B-1)*L steps, before it overshoots.  The powers of M are built
-once per process, on the first draw of more than L steps.  See Blackman &
-Vigna, "Scrambled linear pseudorandom number generators", ACM TOMS 47(4),
-2021, and Haramoto et al., "Efficient jump ahead for F2-linear random
-number generators", INFORMS J. Comput. 20(3), 2008.
+together.  A step updates the state in place, with one preallocated
+temporary and no Python call, and records the s1 word of every sub-lane at
+the position the stepwise loop gives its output word.  The scrambler
+rotl(5 s1, 7) 9 is then applied once, in place, block by block over the
+recorded words, so every word is bit for bit the word of the stepwise
+loop; a draw of at most L steps is one sub-lane per lane and makes no
+jump, so it is that loop.  The stream is left exactly ``steps`` steps on:
+the last sub-lane's state is kept after its steps - (B-1)*L steps, before
+it overshoots.  The powers of M are built once per process, on the first
+draw of more than L steps.  See Blackman & Vigna, "Scrambled linear
+pseudorandom number generators", ACM TOMS 47(4), 2021, and Haramoto et
+al., "Efficient jump ahead for F2-linear random number generators",
+INFORMS J. Comput. 20(3), 2008.
 
-Uniform doubles take the top 53 bits of a word; normal variates come from
-the Box-Muller transform applied to consecutive uniform pairs.
+Uniform doubles take the top 53 bits of a word, shifted, converted and
+scaled in the draw's own array; normal variates come from the Box-Muller
+transform applied to consecutive uniform pairs.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ _LANES = 64
 _JUMP_STEPS = 128
 # States jumped per numpy call, which bounds the (32, chunk, 4) gather.
 _JUMP_CHUNK = 4096
+# Words scrambled per numpy call (128 KB of uint64).
+_SCRAMBLE_BLOCK = 1 << 14
+_U5, _U7, _U9, _U11, _U17, _U19, _U45, _U57 = (np.uint64(r) for r in (5, 7, 9, 11, 17, 19, 45, 57))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -74,27 +81,42 @@ def derive_seed(seed: int, *salts: int) -> int:
         return int(x)
 
 
-def _rotl(x: np.ndarray, r: int) -> np.ndarray:
-    r = np.uint64(r)
-    return (x << r) | (x >> (np.uint64(64) - r))
+def _walk(state: np.ndarray, record: np.ndarray) -> None:
+    """Step the (4, ...) xoshiro256** ``state`` in place once per row of
+    ``record``, writing to row t the s1 words of every lane before step t.
 
-
-def _step(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One xoshiro256** step of every column of a (4, lanes) state.
-
-    Returns the output words and the next state.
+    The rows hold unscrambled words: :func:`_scramble` turns them into
+    output words.  The temporary is allocated once, so a step is nine numpy
+    calls and no Python call.
     """
-    with np.errstate(over="ignore"):
-        s0, s1, s2, s3 = state
-        out = _rotl(s1 * np.uint64(5), 7) * np.uint64(9)
-        t = s1 << np.uint64(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = _rotl(s3, 45)
-        return out, np.stack([s0, s1, s2, s3])
+    s0, s1, s2, s3 = state
+    low, high = state[0:2], state[2:4]
+    t = np.empty_like(s1)
+    for row in record:
+        np.copyto(row, s1)
+        np.left_shift(s1, _U17, out=t)
+        high ^= low  # s2 ^= s0, s3 ^= s1
+        s0 ^= s3
+        s1 ^= s2
+        s2 ^= t
+        np.left_shift(s3, _U45, out=t)  # s3 = rotl(s3, 45)
+        s3 >>= _U19
+        s3 |= t
+
+
+def _scramble(words: np.ndarray) -> None:
+    """Apply the ** scrambler rotl(s1 * 5, 7) * 9 in place to a contiguous
+    array of s1 words, in blocks, so its temporary stays block-sized."""
+    flat = words.reshape(-1)
+    t = np.empty(min(flat.size, _SCRAMBLE_BLOCK), dtype=np.uint64)
+    for a in range(0, flat.size, _SCRAMBLE_BLOCK):
+        x = flat[a : a + _SCRAMBLE_BLOCK]
+        y = t[: x.size]
+        x *= _U5
+        np.left_shift(x, _U7, out=y)
+        x >>= _U57
+        x |= y
+        x *= _U9
 
 
 def _as_bytes(states: np.ndarray) -> np.ndarray:
@@ -118,8 +140,8 @@ def _jump_rows(i: int) -> np.ndarray:
     unit = np.zeros((4, 256), dtype=np.uint64)
     c = np.arange(256)
     unit[c // 64, c] = np.uint64(1) << (c % 64).astype(np.uint64)
-    _, image = _step(unit)
-    rows = np.unpackbits(_as_bytes(image.T), axis=1, bitorder="little")
+    _walk(unit, np.empty((1, 256), dtype=np.uint64))
+    rows = np.unpackbits(_as_bytes(unit.T), axis=1, bitorder="little")
     for _ in range(_JUMP_STEPS.bit_length() - 1):
         rows = _square(rows)
     return rows
@@ -173,25 +195,30 @@ class RandomStream:
             )
             have += take
             i += 1
-        state = starts.reshape(-1, 4).T.copy()
-        # word of sub-lane b, lane j at inner step t is stepwise word
-        # (b * L + t) * 64 + j
-        inner = min(steps, _JUMP_STEPS)
-        out = np.empty((nsub, inner, _LANES), dtype=np.uint64)
+        # state[:, b, j] is sub-lane b of lane j; its word at inner step t is
+        # stepwise word (b * L + t) * 64 + j, so step t records out[:, t, :]
+        state = np.ascontiguousarray(starts.transpose(2, 0, 1))
+        out = np.empty((nsub, min(steps, _JUMP_STEPS), _LANES), dtype=np.uint64)
+        record = out.transpose(1, 0, 2)
         last = steps - (nsub - 1) * _JUMP_STEPS
-        for t in range(inner):
-            words, state = _step(state)
-            out[:, t, :] = words.reshape(nsub, _LANES)
-            if t + 1 == last:
-                self._state = state[:, -_LANES:].copy()
+        _walk(state, record[:last])
+        self._state = state[:, -1].copy()
+        _walk(state, record[last:])
+        _scramble(out)
         return out.reshape(-1)[:n]
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n doubles, uniform on [lo, hi)."""
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"lo and hi must be finite, got lo={lo!r}, hi={hi!r}")
-        u = (self.random_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return lo + u * (hi - lo)
+        w = self.random_u64(n)
+        w >>= _U11
+        u = w.view(np.float64)
+        u[...] = w  # each word becomes its double in place
+        u *= 2.0**-53
+        u *= hi - lo
+        u += lo
+        return u
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal variates (Box-Muller on uniform pairs)."""

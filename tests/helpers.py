@@ -238,18 +238,74 @@ def block_l1_ppow_sum(g, k, p):
     return math.fsum(total)
 
 
-class StepwiseStream(RandomStream):
-    """The stream by its definition: every draw runs one step per 64 words.
+def square_function_full_grid(f):
+    """The square function on the full level-m grid: each level's sums
+    repeated onto the next level's cells, the squares of a cube summed by
+    numpy along their axis, and the root repeated onto every cell.  Overflow
+    raises numpy's FloatingPointError or Python's OverflowError."""
 
-    A draw of one step is one sub-lane per lane and makes no jump, so
+    def refine(values):  # every cell repeated twice along each axis
+        for axis in range(values.ndim):
+            values = np.repeat(values, 2, axis=axis)
+        return values
+
+    with np.errstate(over="raise"):
+        c = hb.analyze(f)
+        d, m = c.d, c.max_level
+        acc = np.full((1,) * d, c.scaling**2)
+        for k in range(1, m + 1):
+            acc = (refine(acc) if k > 1 else acc) + (c.blocks[k - 1] ** 2).sum(axis=-1)
+        return hb.DyadicStepFunction(d, m, refine(np.sqrt(acc)) if m else np.sqrt(acc))
+
+
+def square_function_norm_full_grid(f, p):
+    """``lp_quasinorm`` of :func:`square_function_full_grid`, the
+    square-function norm read cell by cell."""
+    S = square_function_full_grid(f)
+    with np.errstate(over="raise"):
+        return hb.lp_quasinorm(S, p)
+
+
+def xoshiro_step(state):
+    """One xoshiro256** step of every column of a (4, lanes) state, out of
+    place, as the algorithm is written: the output words and the next state."""
+
+    def _rotl(x, r):
+        r = np.uint64(r)
+        return (x << r) | (x >> (np.uint64(64) - r))
+
+    with np.errstate(over="ignore"):
+        s0, s1, s2, s3 = state
+        out = _rotl(s1 * np.uint64(5), 7) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 = s2 ^ s0
+        s3 = s3 ^ s1
+        s1 = s1 ^ s2
+        s0 = s0 ^ s3
+        s2 = s2 ^ t
+        s3 = _rotl(s3, 45)
+        return out, np.stack([s0, s1, s2, s3])
+
+
+class StepwiseStream(RandomStream):
+    """The stream by its definition: every draw runs one :func:`xoshiro_step`
+    of the 64 lanes per 64 words, with no jump and none of the library's own
+    stepping code, and uniforms are converted out of place.
+
     ``uniform`` and ``normal`` on this stream are the oracle for chained
     draws.
     """
 
     def random_u64(self, n):
-        draw = super().random_u64
-        words = [draw(64) for _ in range(-(-n // 64))]
-        return np.concatenate([np.zeros(0, dtype=np.uint64), *words])[:n]
+        words = [np.zeros(0, dtype=np.uint64)]
+        for _ in range(-(-n // 64)):
+            out, self._state = xoshiro_step(self._state)
+            words.append(out)
+        return np.concatenate(words)[:n]
+
+    def uniform(self, n, lo=0.0, hi=1.0):
+        u = (self.random_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return lo + u * (hi - lo)
 
 
 def random_sparse(rng, d, n_atoms, max_level=4):

@@ -176,7 +176,9 @@ def _check_budget(calls: int, budget: int) -> None:
 
 #: Calls of one warm lattice item (d = 2, m = 5, p = 0.8, three q).  Three of
 #: them build the grid's pyramid (its reads cost no call); 981 without it.
-LATTICE_ITEM_CALLS = 984
+#: Its draw of 16 steps makes three calls; stepping out of place, three per
+#: step, it made 984.
+LATTICE_ITEM_CALLS = 939
 
 
 def test_lattice_item_call_budget():
@@ -195,6 +197,19 @@ def test_deep_scattered_item_call_budget():
     prm = workloads.family_params(1)[0]
     fn = workloads.scattered_item(6, 1, 0.5 / prm.q, prm, True)[2]
     _check_budget(_warm_item_calls(fn), SCATTERED_ITEM_CALLS)
+
+
+#: Calls of one warm fine-grid round trip (d = 1, m = 16: a draw of 1,024
+#: steps, analysis, synthesis, lqlp, the square function, a projection).
+#: Stepping out of place, three calls a step, and upsampling every level of
+#: the square function onto the full grid, it made 772.
+FINE_GRID_ITEM_CALLS = 309
+
+
+def test_fine_grid_item_call_budget():
+    # a Python call per draw step or per square-function level shows here
+    fn = workloads.roundtrip_item(1, 16, "uniform", 0)[2]
+    _check_budget(_warm_item_calls(fn), FINE_GRID_ITEM_CALLS)
 
 
 #: Calls of one warm small densified families item (nested, d = 1, m = 6,

@@ -465,7 +465,6 @@ class TestCli:
         [
             ([], "approximation-route sum"),  # the default routes, lp and a
             (["modulus"], "modulus-route scale sum"),
-            (["square"], "square-function sum"),
             (["b0221"], "b0221 sum"),
         ],
     )
@@ -480,6 +479,15 @@ class TestCli:
         assert cli_main(args) == 1
         err = capsys.readouterr().err
         assert err == f"error: the {name} overflows double range\n"
+
+    def test_square_route_past_lambda_squared_overflow_prints_the_norm(self, tmp_path, capsys):
+        # lambda^2 = 1e600 overflows but the norm does not: the route scales the
+        # coefficients by a power of two and prints S = 1e300
+        fpath = tmp_path / "big.json"
+        fpath.write_text(json.dumps({"d": 1, "m": 2, "values": [1e300, -1e300] * 2}))
+        args = ["norm", "--input", str(fpath), "--p", "0.5", "--route", "square"]
+        assert cli_main(args) == 0
+        assert json.loads(capsys.readouterr().out)["square"] == pytest.approx(1e300, rel=1e-15)
 
     def test_sparse_sums_beyond_double_range_exit_one(self, tmp_path, capsys):
         atoms = [{"level": lev, "index": [0], "sign": 1, "log2mag": 1023.9} for lev in (0, 1)]

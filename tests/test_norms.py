@@ -37,6 +37,8 @@ from helpers import (
     row_best_err_oracle,
     shift_difference_ppow,
     sparse_histogram_rescan,
+    square_function_full_grid,
+    square_function_norm_full_grid,
 )
 
 
@@ -1348,8 +1350,22 @@ class TestRoutesBeyondDoubleRange:
 
     def test_square_function_and_b0221(self):
         f = hb.DyadicStepFunction(1, 2, self.CELLS)
-        with pytest.raises(ValueError, match="square-function sum overflows double range"):
-            hb.square_function_norm(f, 0.5)
+        # lambda^2 = 1e600 overflows; the coefficients are scaled down by a
+        # power of two and the norm scaled back up: S = 1e300 on every cell
+        assert hb.square_function_norm(f, 0.5) == pytest.approx(1e300, rel=1e-15)
+        # 2^k f against 2^k times the norm of f, bit for bit, on both sides of
+        # the overflow edge (the sum of lambda^2 overflows from k = 511 on).
+        # Every step commutes with 2^k where k p and k / p are integers, and
+        # max |lambda| = 2 has the even exponent 2 = e of frexp, so the scaled
+        # coefficients are f's own times 2^-2
+        base = hb.DyadicStepFunction(1, 2, [3.0, -1.0, 2.0, -0.5])
+        c = hb.analyze(base)
+        assert math.frexp(max(abs(c.scaling), *(np.abs(b).max() for b in c.blocks)))[1] == 2
+        for p in (0.5, 1.0, 2.0):
+            norm = hb.square_function_norm(base, p)
+            for k in (0, 2, 500, 508, 510, 512, 600, 1000, 1020):
+                scaled = hb.DyadicStepFunction(1, 2, np.ldexp(base.values, k))
+                assert hb.square_function_norm(scaled, p) == math.ldexp(norm, k), (p, k)
         with pytest.raises(ValueError, match="b0221 sum overflows double range"):
             hb.b0_221_weighted_sum(f)
         small = hb.DyadicStepFunction(1, 2, np.array(self.CELLS) * 1e-300)
@@ -1549,3 +1565,75 @@ def test_function_dimension_must_match_the_parameters(entry):
     f = random_step(1, 1, 2)
     with pytest.raises(ValueError, match="^function dimension does not match the parameters$"):
         entry(f, hb.BesovParams(2.0, 2.0, 0.25, 2))
+
+
+# ---------------------------------------------------------------------------
+# the square function on its own grid against the full-grid computation
+# ---------------------------------------------------------------------------
+
+SQUARE_GRIDS = [(d, m) for d in (1, 2, 3) for m in (0, 1, 2, 5)] + [(1, 16), (2, 10)]
+SQUARE_P = (0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def _square_function_inputs(d, m, p):
+    """White noise; grids constant on coarse cubes or of two values, whose
+    equal adjacent level-(m-1) square-function values merge into larger
+    maximal cubes on the full grid; noise scaled so that |S|^p is
+    subnormal; and noise with coefficients around 1e154, where lambda^2
+    reaches the largest double."""
+    seed = 100 * d + m
+    noise = random_step(seed, d, m).values
+    rng = np.random.default_rng(seed)
+    grids = {"noise": noise, "signs": rng.choice([-1.0, 1.0], noise.shape)}
+    if m >= 2:
+        coarse = random_step(seed + 1, d, m - 2).values
+        grids["coarse"] = hb.densify(hb.DyadicStepFunction(d, m - 2, coarse), m).values
+        cells = rng.choice([0.5, -0.5, 2.0], (1 << (m - 1),) * d)
+        grids["coarse-three"] = hb.densify(hb.DyadicStepFunction(d, m - 1, cells), m).values
+    grids["subnormal"] = noise * max(10.0 ** (-310 / p), 1e-320)
+    for scale in (1e153, 6e153, 1e154, 3e154):
+        grids[f"big-{scale:g}"] = noise * scale
+    return {name: hb.DyadicStepFunction(d, m, v) for name, v in grids.items()}
+
+
+def _max_coefficient_exponent(f):
+    c = hb.analyze(f)
+    return math.frexp(max([abs(c.scaling), *(float(np.abs(b).max()) for b in c.blocks)]))[1]
+
+
+@pytest.mark.parametrize("d,m", SQUARE_GRIDS)
+def test_square_function_matches_full_grid(d, m):
+    # bit for bit; where the full grid's lambda^2 overflows, against the
+    # full grid of f scaled by the power of two that the library divides by
+    for p in SQUARE_P:
+        for name, f in _square_function_inputs(d, m, p).items():
+            try:
+                expect = square_function_norm_full_grid(f, p)
+            except (OverflowError, FloatingPointError):
+                e = _max_coefficient_exponent(f)
+                small = hb.DyadicStepFunction(d, m, np.ldexp(f.values, -e))
+                expect = math.ldexp(square_function_norm_full_grid(small, p), e)
+                assert name.startswith("big"), (name, p)
+            assert hb.square_function_norm(f, p).hex() == expect.hex(), (name, p)
+
+
+def test_square_function_inputs_reach_their_edges():
+    # the inputs above meet what they are there for: maximal cubes on the
+    # full grid larger than a level-(m-1) cube, subnormal powers, and both
+    # sides of the lambda^2 edge
+    inputs = _square_function_inputs(2, 5, 3.0)
+    for name in ("coarse", "coarse-three", "signs"):
+        S = square_function_full_grid(inputs[name])
+        shifts = S._cube_pyramid().maximal[1]
+        assert shifts.max() > 2, name
+    S = square_function_full_grid(inputs["subnormal"]).values ** 3.0
+    assert ((S > 0) & (S < 2.2250738585072014e-308)).any()
+    overflows = []
+    for name, f in inputs.items():
+        if name.startswith("big"):
+            try:
+                square_function_full_grid(f)
+                overflows.append(False)
+            except (OverflowError, FloatingPointError):
+                overflows.append(True)
+    assert any(overflows) and not all(overflows)

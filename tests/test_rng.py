@@ -6,9 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from haar_besov.rng import _JUMP_STEPS, RandomStream, _step
+from haar_besov.rng import _JUMP_STEPS, RandomStream, _scramble, _walk
 
-from helpers import StepwiseStream
+from helpers import StepwiseStream, xoshiro_step
 
 SEEDS = (0, 1, 7, 2**63 + 5)
 ONE = _JUMP_STEPS * 64  # largest draw of one sub-lane per lane, which makes no jump
@@ -34,18 +34,32 @@ def stepwise(seed):
     return words.reshape(-1), states
 
 
+# rand_xoshiro's test vector: ten outputs from the state (1, 2, 3, 4)
+REFERENCE_STATE = ((1,), (2,), (3,), (4,))
+REFERENCE_OUTPUTS = [
+    11520, 0, 1509978240, 1215971899390074240, 1216172134540287360,
+    607988272756665600, 16172922978634559625, 8476171486693032832,
+    10595114339597558777, 2904607092377533576,
+]
+
+
 def test_xoshiro256starstar_reference_vector():
-    # rand_xoshiro's test vector: ten outputs from the state (1, 2, 3, 4)
-    state = np.array([[1], [2], [3], [4]], dtype=np.uint64)
+    # the library's step: in place, recording s1, scrambled afterwards
+    state = np.array(REFERENCE_STATE, dtype=np.uint64)
+    record = np.empty((10, 1), dtype=np.uint64)
+    _walk(state, record)
+    _scramble(record)
+    assert [int(out[0]) for out in record] == REFERENCE_OUTPUTS
+
+
+def test_oracle_step_reference_vector():
+    # the out-of-place step StepwiseStream draws through
+    state = np.array(REFERENCE_STATE, dtype=np.uint64)
     outs = []
     for _ in range(10):
-        out, state = _step(state)
+        out, state = xoshiro_step(state)
         outs.append(int(out[0]))
-    assert outs == [
-        11520, 0, 1509978240, 1215971899390074240, 1216172134540287360,
-        607988272756665600, 16172922978634559625, 8476171486693032832,
-        10595114339597558777, 2904607092377533576,
-    ]
+    assert outs == REFERENCE_OUTPUTS
 
 
 @pytest.mark.parametrize(
