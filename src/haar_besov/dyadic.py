@@ -882,11 +882,11 @@ class _AtomForest:
         self._own: dict[tuple, float] = {}
         self._below: dict[tuple | None, dict] = {}
 
-    def container(self, at_most: int, lev: int, idx: tuple) -> tuple | None:
-        """The deepest key at level <= ``at_most`` containing cube (lev, idx)."""
+    def container(self, k: int, idx: tuple) -> tuple | None:
+        """The deepest key at level <= k containing the level-k cube ``idx``."""
         for up in self.levels:
-            if up <= at_most:
-                key = (up, tuple(map(operator.rshift, idx, (lev - up,) * self.d)))
+            if up <= k:
+                key = (up, tuple(map(operator.rshift, idx, (k - up,) * self.d)))
                 if key in self.positions:
                     return key
         return None
@@ -903,7 +903,7 @@ class _AtomForest:
         keys ``inside`` it on top of the chain of keys containing it, with floats
         added as a scan of every atom adds them (chain in atom order, then key by
         key), merged and sorted by :func:`_consolidate`."""
-        top = self.parent[inside[0]] if inside else self.container(k, k, index)
+        top = self.parent[inside[0]] if inside else self.container(k, index)
         value = self._below.get(top)
         if value is None:
             chain = [top]

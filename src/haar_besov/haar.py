@@ -194,15 +194,6 @@ class HaarCoefficients:
             return 0.0
         return float(self.blocks[idx.level - 1][idx.parent.index + (idx.pattern - 1,)])
 
-    def level_magnitudes(self, k: int) -> np.ndarray:
-        """|lambda| over block k, flattened (k=0 gives the scaling value)."""
-        k = _integer(k, "k", 0)
-        if k == 0:
-            return np.array([abs(self.scaling)])
-        if k > self.max_level:
-            return np.zeros(0)
-        return np.abs(self.blocks[k - 1]).ravel()
-
     def to_json(self) -> str:
         levels = [
             {

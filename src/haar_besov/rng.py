@@ -9,23 +9,23 @@ arithmetic, so a given seed yields the same draws on every platform.
 
 A draw computes these words in at most L = ``_JUMP_STEPS`` Python-level
 steps.  The state update of xoshiro256** is linear over GF(2): one step
-maps the 256 state bits by a fixed 256x256 bit matrix M.  A draw of
-``steps`` steps starts B = max(1, ceil(steps / L)) sub-lanes per lane, the
-b-th at the lane's state after b*L steps, found by applying M^L, M^{2L},
-M^{4L}, ... by doubling.  All 64*B sub-lanes then step min(steps, L) times
-together.  A step updates the state in place, with one preallocated
-temporary and no Python call, and records the s1 word of every sub-lane at
-the position the stepwise loop gives its output word.  The scrambler
-rotl(5 s1, 7) 9 is then applied once, in place, block by block over the
-recorded words, so every word is bit for bit the word of the stepwise
-loop; a draw of at most L steps is one sub-lane per lane and makes no
-jump, so it is that loop.  The stream is left exactly ``steps`` steps on:
-the last sub-lane's state is kept after its steps - (B-1)*L steps, before
-it overshoots.  The powers of M are built once per process, on the first
-draw of more than L steps.  See Blackman & Vigna, "Scrambled linear
-pseudorandom number generators", ACM TOMS 47(4), 2021, and Haramoto et
-al., "Efficient jump ahead for F2-linear random number generators",
-INFORMS J. Comput. 20(3), 2008.
+maps the 256 state bits by a fixed 256x256 bit matrix M, so M^L maps state
+bit c to the single-bit state c walked L steps.  A draw of ``steps`` steps
+starts B = max(1, ceil(steps / L)) sub-lanes per lane, the b-th at the
+lane's state after b*L steps, found from the (b-1)-th by one application
+of M^L.  All 64*B sub-lanes then step min(steps, L) times together.  A
+step updates the state in place, with one preallocated temporary and no
+Python call, and records the s1 word of every sub-lane at the position the
+stepwise loop gives its output word.  The scrambler rotl(5 s1, 7) 9 is
+then applied once, in place, block by block over the recorded words, so
+every word is bit for bit the word of the stepwise loop; a draw of at most
+L steps is one sub-lane per lane and makes no jump, so it is that loop.
+The stream is left exactly ``steps`` steps on: the last sub-lane's state
+is kept after its steps - (B-1)*L steps, before it overshoots.  M^L is
+tabulated once per process, on the first draw of more than L steps.  See
+Blackman & Vigna, "Scrambled linear pseudorandom number generators", ACM
+TOMS 47(4), 2021, and Haramoto et al., "Efficient jump ahead for
+F2-linear random number generators", INFORMS J. Comput. 20(3), 2008.
 
 Uniform doubles take the top 53 bits of a word, shifted, converted and
 scaled in the draw's own array; normal variates come from the Box-Muller
@@ -49,8 +49,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _LANES = 64
 # Steps per sub-lane of a draw; longer draws start sub-lanes by jump-ahead.
 _JUMP_STEPS = 128
-# States jumped per numpy call, which bounds the (32, chunk, 4) gather.
-_JUMP_CHUNK = 4096
 # Words scrambled per numpy call (128 KB of uint64).
 _SCRAMBLE_BLOCK = 1 << 14
 _U5, _U7, _U9, _U11, _U17, _U19, _U45, _U57 = (np.uint64(r) for r in (5, 7, 9, 11, 17, 19, 45, 57))
@@ -119,54 +117,22 @@ def _scramble(words: np.ndarray) -> None:
         x *= _U9
 
 
-def _as_bytes(states: np.ndarray) -> np.ndarray:
-    """(k, 4) states as (k, 32) bytes: state bit 64w + b is bit b % 8 of
-    byte 8w + b // 8."""
-    return np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
-
-
-def _square(rows: np.ndarray) -> np.ndarray:
-    """Square of a 0/1 bit matrix over GF(2); exact in float64, since every
-    sum is at most 256."""
-    f = rows.astype(np.float64)
-    return ((f @ f) % 2.0).astype(np.uint8)
-
-
 @lru_cache(maxsize=None)
-def _jump_rows(i: int) -> np.ndarray:
-    """(M^{2^i L})^T as a 0/1 uint8 matrix: row c is the image of state bit c."""
-    if i > 0:
-        return _square(_jump_rows(i - 1))
+def _jump_table() -> np.ndarray:
+    """M^L as a (32, 256, 4) lookup table: entry [k, v] is the image of a
+    state whose little-endian byte k is v and whose other bytes are 0, so a
+    jump is 32 lookups and an XOR.  Column c of M^L, the image of state bit
+    c (bit c % 8 of byte c // 8), is the state with only bit c set walked L
+    steps."""
     unit = np.zeros((4, 256), dtype=np.uint64)
     c = np.arange(256)
     unit[c // 64, c] = np.uint64(1) << (c % 64).astype(np.uint64)
-    _walk(unit, np.empty((1, 256), dtype=np.uint64))
-    rows = np.unpackbits(_as_bytes(unit.T), axis=1, bitorder="little")
-    for _ in range(_JUMP_STEPS.bit_length() - 1):
-        rows = _square(rows)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _jump_table(i: int) -> np.ndarray:
-    """M^{2^i L} as a (32, 256, 4) lookup table: entry [k, v] is the image of
-    a state whose byte k is v and whose other bytes are 0, so a jump is 32
-    lookups and an XOR."""
-    images = np.packbits(_jump_rows(i), axis=1, bitorder="little")
-    images = images.view("<u8").astype(np.uint64).reshape(32, 8, 4)
+    _walk(unit, np.empty((_JUMP_STEPS, 256), dtype=np.uint64))
+    images = unit.T.reshape(32, 8, 4)
     table = np.zeros((32, 256, 4), dtype=np.uint64)
     for b in range(8):
         table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ images[:, b, None, :]
     return table
-
-
-def _jump(table: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
-    """Write the jumped (k, 4) ``states`` to ``out``."""
-    pos = np.arange(32)[:, None]
-    for a in range(0, len(states), _JUMP_CHUNK):
-        chunk = _as_bytes(states[a : a + _JUMP_CHUNK])
-        looked = table[pos, chunk.T]  # (32, k, 4)
-        np.bitwise_xor.reduce(looked, axis=0, out=out[a : a + _JUMP_CHUNK])
 
 
 class RandomStream:
@@ -183,21 +149,16 @@ class RandomStream:
         steps = -(-n // _LANES)
         nsub = max(1, -(-steps // _JUMP_STEPS))
         # starts[b, j] is lane j's state after b * L steps
-        starts = np.empty((nsub, _LANES, 4), dtype=np.uint64)
+        starts = np.empty((nsub, _LANES, 4), dtype="<u8")
         starts[0] = self._state.T
-        have, i = 1, 0
-        while have < nsub:
-            take = min(have, nsub - have)
-            _jump(
-                _jump_table(i),
-                starts[:take].reshape(-1, 4),
-                starts[have : have + take].reshape(-1, 4),
-            )
-            have += take
-            i += 1
+        if nsub > 1:
+            table, pos = _jump_table(), np.arange(32)[:, None]
+            octets = starts.view(np.uint8)  # octets[b, j, k] is byte k of starts[b, j]
+            for b in range(1, nsub):
+                np.bitwise_xor.reduce(table[pos, octets[b - 1].T], axis=0, out=starts[b])
         # state[:, b, j] is sub-lane b of lane j; its word at inner step t is
         # stepwise word (b * L + t) * 64 + j, so step t records out[:, t, :]
-        state = np.ascontiguousarray(starts.transpose(2, 0, 1))
+        state = np.ascontiguousarray(starts.transpose(2, 0, 1), dtype=np.uint64)
         out = np.empty((nsub, min(steps, _JUMP_STEPS), _LANES), dtype=np.uint64)
         record = out.transpose(1, 0, 2)
         last = steps - (nsub - 1) * _JUMP_STEPS
@@ -211,6 +172,8 @@ class RandomStream:
         """n doubles, uniform on [lo, hi)."""
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"lo and hi must be finite, got lo={lo!r}, hi={hi!r}")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"need lo < hi and a finite hi - lo, got lo={lo!r}, hi={hi!r}")
         w = self.random_u64(n)
         w >>= _U11
         u = w.view(np.float64)

@@ -27,7 +27,7 @@ import numpy as np
 import haar_besov as hb
 from haar_besov.experiments import fit_log2_slope
 from haar_besov.norms import ApproxProfile, a_norm_from_profile
-from haar_besov.rng import RandomStream
+from haar_besov.rng import _JUMP_STEPS, RandomStream
 
 
 def public_callables():
@@ -306,6 +306,32 @@ class StepwiseStream(RandomStream):
     def uniform(self, n, lo=0.0, hi=1.0):
         u = (self.random_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return lo + u * (hi - lo)
+
+
+def jump_table_by_squaring():
+    """The draw's jump table M^L by repeated squaring, sharing no code with
+    the walk that builds it: row c of M^T, the image of state bit c, is one
+    :func:`xoshiro_step` of the state with only bit c set; L = 2^7 = 128
+    steps are seven GF(2) squarings (exact in float64, every sum at most
+    256); entry [k, v] of the (32, 256, 4) table is the XOR of the images of
+    the set bits of byte value v at byte k."""
+    unit = np.zeros((4, 256), dtype=np.uint64)
+    c = np.arange(256)
+    unit[c // 64, c] = np.uint64(1) << (c % 64).astype(np.uint64)
+    _, unit = xoshiro_step(unit)
+    octets = np.ascontiguousarray(unit.T, dtype="<u8").view(np.uint8)
+    rows = np.unpackbits(octets, axis=1, bitorder="little").astype(np.float64)
+    assert _JUMP_STEPS == 1 << 7
+    for _ in range(7):
+        rows = (rows @ rows) % 2.0
+    images = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+    images = images.view("<u8").astype(np.uint64).reshape(32, 8, 4)
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for v in range(256):
+        for b in range(8):
+            if v >> b & 1:
+                table[:, v] ^= images[:, b]
+    return table
 
 
 def random_sparse(rng, d, n_atoms, max_level=4):

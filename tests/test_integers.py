@@ -92,7 +92,6 @@ CASES = {
     "HaarIndex.wavelet.pattern": (
         "pattern", 0, 1, lambda v: hb.HaarIndex.wavelet(ROOT, v), attrgetter("pattern")
     ),
-    "HaarCoefficients.level_magnitudes.k": ("k", 0, 1, COEFFS.level_magnitudes, None),
     "synthesize.m": ("m", 0, 2, lambda v: hb.synthesize(COEFFS, v), LEVEL),
     "TensorHaarCoefficients.d": (
         "d", 1, 1, lambda v: hb.TensorHaarCoefficients(v, 0, np.zeros(1)), D

@@ -6,9 +6,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from haar_besov import rng
 from haar_besov.rng import _JUMP_STEPS, RandomStream, _scramble, _walk
 
-from helpers import StepwiseStream, xoshiro_step
+from helpers import StepwiseStream, jump_table_by_squaring, xoshiro_step
 
 SEEDS = (0, 1, 7, 2**63 + 5)
 ONE = _JUMP_STEPS * 64  # largest draw of one sub-lane per lane, which makes no jump
@@ -60,6 +61,26 @@ def test_oracle_step_reference_vector():
         out, state = xoshiro_step(state)
         outs.append(int(out[0]))
     assert outs == REFERENCE_OUTPUTS
+
+
+def test_jump_table_is_the_squared_step():
+    # the walked table against M^L by repeated squaring of one oracle step
+    assert np.array_equal(rng._jump_table(), jump_table_by_squaring())
+
+
+def test_one_jump_table_built_only_for_draws_that_jump():
+    rng._jump_table.cache_clear()
+    try:
+        stream = RandomStream(4)
+        stream.random_u64(1)
+        stream.random_u64(ONE)
+        assert rng._jump_table.cache_info().misses == 0
+        stream.random_u64(ONE + 1)
+        assert rng._jump_table.cache_info().misses == 1
+        stream.random_u64(2**20)
+        assert rng._jump_table.cache_info().misses == 1
+    finally:
+        rng._jump_table.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -129,6 +150,12 @@ class TestDrawSizes:
     )
     def test_non_finite_range_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="lo and hi must be finite"):
+            RandomStream(1).uniform(4, lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (1.0, -1.0), (1.0, 1.0)])
+    def test_empty_or_overflowing_range_rejected(self, lo, hi):
+        # [lo, hi) must be non-empty and its width a double
+        with pytest.raises(ValueError, match=r"need lo < hi and a finite hi - lo, got lo=.*, hi="):
             RandomStream(1).uniform(4, lo, hi)
 
     def test_numpy_integers_and_zero(self):
