@@ -544,10 +544,6 @@ class ValueHistogram:
     def measures(self) -> np.ndarray:
         return np.array([w for _, w in self.entries])
 
-    @property
-    def total_measure(self) -> float:
-        return math.fsum(w for _, w in self.entries)
-
 
 # ---------------------------------------------------------------------------
 # operations

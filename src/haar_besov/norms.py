@@ -95,11 +95,6 @@ class BesovParams:
         return math.isfinite(self.q)
 
     @property
-    def gamma(self) -> float:
-        """Exponent of the quasi-triangle inequality, min(p, q, 1)."""
-        return min(self.p, self.q, 1.0)
-
-    @property
     def is_degenerate(self) -> bool:
         return self.q_finite and self.s >= 1.0 / self.p
 

@@ -1,4 +1,4 @@
-"""Brute-force oracles and acceptance clauses shared by the test suite.
+"""Brute-force oracles and acceptance windows shared by the test suite.
 
 The oracles are deliberately independent of the library's computational
 paths: best constants come from candidate grids, for p < 1 from the full
@@ -9,10 +9,9 @@ difference-table entries one offset at a time from sliced cell values, shift
 differences for any real shift as weighted sums of those entries, sub-cell
 scales one level at a time in Python floats (both so that comparison is bit
 for bit), sparse histograms and errors from a rescan of every atom per cube,
-random words one xoshiro step at a time.
-The clauses at the end are the acceptance checks for the norm equivalences
-(criteria 6 and 7), kept here so their negative controls test the same
-code, and the level window on which criterion 10 runs ``basis-fail``.
+random words one xoshiro step at a time.  The last two helpers give the
+lattice's mid-range smoothness and the level window on which criterion 10
+runs ``basis-fail``.
 """
 
 import importlib
@@ -25,8 +24,7 @@ from types import FunctionType
 import numpy as np
 
 import haar_besov as hb
-from haar_besov.experiments import fit_log2_slope
-from haar_besov.norms import ApproxProfile, a_norm_from_profile
+from haar_besov.regimes import critical_smoothness
 from haar_besov.rng import _JUMP_STEPS, RandomStream
 
 
@@ -440,53 +438,9 @@ def shift_difference_ppow(f, y, p):
     return total
 
 
-def finest_scale_terms(f, profile, table, coeffs, s):
-    """Finest-scale terms of the (approximation, modulus, coefficient) routes.
-
-    For a level-m function these are 2^{(m-1)s} E_{m-1}(f)_p, the modulus
-    term 2^{ms} omega(2^-m, f)_p and the coefficient term
-    (2^{m(sp-d)} sum_{block m} |lambda|^p)^{1/p}.  The approximation and
-    coefficient terms are read through ``a_norm_from_profile`` and
-    ``lqlp_norm`` on inputs that keep only that level, so the routes' own
-    level weights enter.  The equivalences compare the routes level by
-    level, so these ratios do not carry the 2^{-msq} saturation of the
-    whole-norm level sums.  Two finite-grid effects of the modulus term are
-    divided out, both measured on the cell values by
-    :func:`direction_difference_sums`:
-
-    * a shift by one cell leaves a slab of width 2^-m outside the cube,
-      so the axis difference integrals run over a share 1 - 2^-m of it;
-    * omega is the largest of the direction sums.  For d >= 2 there are
-      several axis directions of equal expectation on a level-homogeneous
-      function, and their maximum exceeds their mean by the sampling spread
-      of ~4^m dependent pair terms, a relative 2^{-m} (pinned by
-      ``test_direction_supremum_excess_halves_per_level``).  The term is
-      rescaled from that maximum to the mean of the axis sums; at d = 1 the
-      two directions give one sum and the factor is exactly 1.
-    """
-    p, m, d = profile.p, f.level, f.d
-    prm = hb.BesovParams(p, 1.0, s, d)  # one nonzero level: any q agrees
-    e_m = np.zeros(m)
-    e_m[m - 1] = profile.e_values[m - 1]
-    approx = a_norm_from_profile(ApproxProfile(p, 0.0, e_m), prm)
-    block_m = [np.zeros_like(b) for b in coeffs.blocks[:-1]] + [coeffs.blocks[-1]]
-    coeff = hb.lqlp_norm(hb.HaarCoefficients(d, m, 0.0, block_m), prm)
-    sums = direction_difference_sums(f.values, p)
-    axis = [v for n, v in sums.items() if sum(map(abs, n)) == 1]
-    excess = max(sums.values()) / math.fsum(axis) * len(axis)
-    shrink = (1.0 - 2.0**-m) * excess
-    modulus = 2.0 ** (m * s) * table.omega(m) / shrink ** (1.0 / p)
-    return approx, modulus, coeff
-
-
-#: Criteria 6 and 7: largest |log2-slope| in m of a finest-scale ratio.
-FINEST_SLOPE_LIMIT = 0.05
-
-
-def level_slope_clause(points):
-    """(slope, ok): least-squares log2-slope of (m, ratio), within the limit."""
-    slope, _, _ = fit_log2_slope(points)
-    return slope, abs(slope) <= FINEST_SLOPE_LIMIT
+def mid_smoothness(p, d):
+    """The midpoint of the smoothness range max(d(1/p - 1), 0) < s < 1/p."""
+    return (max(critical_smoothness(p, d), 0.0) + 1.0 / p) / 2.0
 
 
 def projector_window(d):

@@ -10,7 +10,9 @@ states its window in the terms where the claim has settled:
 
 * 6 and 7 hold the whole-norm ratio band on the lattice, and apply the
   flatness clause to the ratio of the two routes' finest-scale terms, which
-  the equivalence compares level by level.  The whole-norm ratio drifts on
+  the equivalence compares level by level.  Both read each function's
+  routes through the harness the ``equivalence`` and ``modulus-vs-approx``
+  experiments use, ``experiments._Routes``.  The whole-norm ratio drifts on
   m = 1..5 by the 2^{-msq} saturation of the level sums (and, for the
   modulus, the 2^-m boundary slab), so its slope is printed as a
   diagnostic only (see test_norm_equivalence_controls.py).
@@ -27,19 +29,12 @@ import numpy as np
 import pytest
 
 import haar_besov as hb
+from haar_besov.experiments import SLOPE_LIMIT, _Routes
 from haar_besov.experiments import default_config, fit_log2_slope, random_step, run_experiment
-from haar_besov.norms import ModulusTable, a_norm_from_profile, approximation_profile
 from haar_besov.rng import derive_seed
 from haar_besov.regimes import critical_smoothness
 
-from helpers import (
-    FINEST_SLOPE_LIMIT,
-    block_l1_ppow_sum,
-    finest_scale_terms,
-    grid_best_constant_err,
-    level_slope_clause,
-    projector_window,
-)
+from helpers import block_l1_ppow_sum, grid_best_constant_err, mid_smoothness, projector_window
 
 BASE_SEED = 0x5EED_0001
 
@@ -112,7 +107,7 @@ def test_criterion_03_best_constant_oracle():
         w = hist.measures
         majority = None
         for v_i, w_i in hist.entries:
-            if w_i >= hist.total_measure / 2.0:
+            if w_i >= math.fsum(w) / 2.0:
                 majority = v_i
         for p in (0.4, 0.7, 1.0, 1.5, 2.0):
             xi, err = hb.best_constant_error(hist, p)
@@ -231,42 +226,31 @@ P_LATTICE = (0.8, 1.0, 1.5, 2.0)
 Q_LATTICE = (0.5, 1.0, 2.0)
 M_VALUES = (1, 2, 3, 4, 5)
 SAMPLES_PER_M = 40  # 200 per parameter point
-
-
-def _mid_s(p, d):
-    return (max(critical_smoothness(p, d), 0.0) + 1.0 / p) / 2.0
+ROUTES = ("coefficient", "modulus")
 
 
 @pytest.fixture(scope="module")
 def lattice_ratios():
     """Whole-norm and finest-scale route ratios over the seeded sample.
 
-    ``whole[(d, p, q)]`` lists (m, lqlp/a, bmod/a); ``finest[(d, p)]`` lists
-    (m, coefficient/approx, modulus/approx) for the finest-scale terms of
-    :func:`helpers.finest_scale_terms`, which do not depend on q.
+    ``whole[(d, p, q)]`` lists (m, lqlp/a, bmod/a) from ``_Routes.ratio``;
+    ``finest[(d, p)]`` lists (m, coefficient/approx, modulus/approx) from
+    ``_Routes.finest_ratio``, which does not depend on q.
     """
     whole, finest = {}, {}
     for d in (1, 2):
         for p in P_LATTICE:
-            s = _mid_s(p, d)
-            per_fn, fin = [], []
+            s = mid_smoothness(p, d)
             for m in M_VALUES:
                 for i in range(SAMPLES_PER_M):
                     f = random_step(derive_seed(BASE_SEED, 67, d, int(p * 10), m, i), d, m)
-                    prof = approximation_profile(f, p)
-                    table = ModulusTable(f, p)
-                    coeffs = hb.analyze(f)
+                    routes = _Routes(f, p)
                     for q in Q_LATTICE:
                         prm = hb.BesovParams(p, q, s, d)
-                        a = a_norm_from_profile(prof, prm)
-                        lq = hb.lqlp_norm(coeffs, prm)
-                        bm = table.b_norm(prm)
-                        per_fn.append((q, m, lq / a, bm / a))
-                    approx, mod, coef = finest_scale_terms(f, prof, table, coeffs, s)
-                    fin.append((m, coef / approx, mod / approx))
-            for q in Q_LATTICE:
-                whole[(d, p, q)] = [(m, r1, r2) for (qq, m, r1, r2) in per_fn if qq == q]
-            finest[(d, p)] = fin
+                        ratios = [routes.ratio(r, prm) for r in ROUTES]
+                        whole.setdefault((d, p, q), []).append((m, *ratios))
+                    ratios = [routes.finest_ratio(r, s) for r in ROUTES]
+                    finest.setdefault((d, p), []).append((m, *ratios))
     return whole, finest
 
 
@@ -282,9 +266,9 @@ def _equivalence_check(criterion, lattice_ratios, which, band_limit):
         if band > band_limit:
             bad.append(((d, p, q), "band", round(band, 2)))
     for key, data in sorted(finest.items()):
-        slope, ok = level_slope_clause([(r[0], r[which]) for r in data])
+        slope = fit_log2_slope([(r[0], r[which]) for r in data])[0]
         print(f"  d,p={key}: finest-scale slope={slope:+.4f}")
-        if not ok:
+        if abs(slope) > SLOPE_LIMIT:
             bad.append((key, "finest slope", round(slope, 4)))
     ok = not bad
     _report(criterion, ok, f"{len(whole)} band points, {len(finest)} slope points; violations: {bad}")
@@ -298,7 +282,7 @@ def test_criterion_06_modulus_vs_approx_equivalence(lattice_ratios):
         f"band must stay <= 100 and the finest-scale ratio "
         f"2^(ms) omega(2^-m)_p / 2^((m-1)s) E_(m-1)(f)_p, corrected for the "
         f"boundary slab and the direction supremum, must have |slope| <= "
-        f"{FINEST_SLOPE_LIMIT} in m"
+        f"{SLOPE_LIMIT} in m"
     )
 
 
@@ -308,7 +292,7 @@ def test_criterion_07_coefficient_isomorphism_band(lattice_ratios):
         f"coefficient/approximation equivalence violated at {bad}: the "
         f"whole-norm band must stay <= 50 and the finest-scale ratio "
         f"(2^(m(sp-d)) sum_(block m) |lambda|^p)^(1/p) / 2^((m-1)s) "
-        f"E_(m-1)(f)_p must have |slope| <= {FINEST_SLOPE_LIMIT} in m"
+        f"E_(m-1)(f)_p must have |slope| <= {SLOPE_LIMIT} in m"
     )
 
 

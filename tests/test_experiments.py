@@ -197,6 +197,37 @@ class TestRunExperiment:
         res = run_experiment(default_config("equivalence", samples=4))
         assert res.summary["band"]["max_over_min"] <= 50.0
 
+    def test_route_harness_builds_only_what_it_reads(self, monkeypatch):
+        # equivalence builds no modulus table and modulus-vs-approx runs no
+        # analyze, which keeps each one's lattice cost; one function read at
+        # three q, on both routes and both finest-scale terms, builds each
+        # part once
+        built = {}
+
+        def counting(name):
+            build = getattr(experiments, name)
+
+            def counted(*args):
+                built[name] = built.get(name, 0) + 1
+                return build(*args)
+
+            return counted
+
+        for name in ("approximation_profile", "analyze", "ModulusTable"):
+            monkeypatch.setattr(experiments, name, counting(name))
+        run_experiment(default_config("equivalence", m_hi=2, samples=2))
+        assert built == {"approximation_profile": 4, "analyze": 4}
+        built.clear()
+        run_experiment(default_config("modulus-vs-approx", m_hi=2, samples=2))
+        assert built == {"approximation_profile": 4, "ModulusTable": 4}
+        built.clear()
+        routes = experiments._Routes(random_step(7, 2, 3), 1.5)
+        for q in (0.5, 1.0, 2.0):
+            for route in ("coefficient", "modulus"):
+                routes.ratio(route, hb.BesovParams(1.5, q, 0.5, 2))
+                routes.finest_ratio(route, 0.5)
+        assert built == {"approximation_profile": 1, "analyze": 1, "ModulusTable": 1}
+
     def test_rows_and_summary_schema(self):
         res = run_experiment(default_config("tensor-fail"))
         assert res.summary["schema"] == 1

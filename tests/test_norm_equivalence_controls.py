@@ -10,12 +10,13 @@ These controls separate that probe artifact from a genuine calibration bug:
 * the single-wavelet ratio follows the predicted saturation profile exactly.
 
 The acceptance criteria therefore test flatness on the finest-scale terms
-(``helpers.finest_scale_terms``).  The last controls pin the one correction
-those terms need at d >= 2 and show that the acceptance checks of criteria
-6, 7, 8, 10 and 11 still reject deliberately biased inputs.  Criteria 8, 10
-and 11 are the verdicts of ``trivial-dual``, ``basis-fail`` and
-``tensor-fail``, so their controls bias the closed forms those experiments
-read.
+(``experiments._Routes.finest_ratio``).  Every ratio here is read through
+that harness, the one the criteria and the ratio-band experiments share.
+The last controls pin the one correction those terms need at d >= 2 and
+show that the acceptance checks of criteria 6, 7, 8, 10 and 11 still
+reject deliberately biased inputs.  Criteria 8, 10 and 11 are the verdicts
+of ``trivial-dual``, ``basis-fail`` and ``tensor-fail``, so their controls
+bias the closed forms those experiments read.
 """
 
 import dataclasses
@@ -26,21 +27,12 @@ import pytest
 
 import haar_besov as hb
 from haar_besov import experiments
+from haar_besov.experiments import SLOPE_LIMIT, _Routes
 from haar_besov.experiments import default_config, fit_log2_slope, random_step, run_experiment
-from haar_besov.norms import ModulusTable, a_norm_from_profile, approximation_profile
 from haar_besov.regimes import critical_smoothness
 from haar_besov.rng import RandomStream, derive_seed
 
-from helpers import (
-    direction_difference_sums,
-    finest_scale_terms,
-    level_slope_clause,
-    projector_window,
-)
-
-
-def _mid_s(p, d):
-    return (max(critical_smoothness(p, d), 0.0) + 1.0 / p) / 2.0
+from helpers import direction_difference_sums, mid_smoothness, projector_window
 
 
 def _calibrated_series(seed, d, m, s):
@@ -58,18 +50,16 @@ def _calibrated_series(seed, d, m, s):
 @pytest.mark.parametrize("d,p", [(1, 0.8), (1, 2.0), (2, 2.0)])
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
 def test_calibrated_ensemble_ratio_is_level_flat(d, p, q):
-    s = _mid_s(p, d)
+    s = mid_smoothness(p, d)
     prm = hb.BesovParams(p, q, s, d)
     cal_pts, wn_pts = [], []
     m_values = (3, 4, 5, 6, 7) if d == 1 else (3, 4, 5, 6)
     for m in m_values:
         for i in range(50):
             f = _calibrated_series(derive_seed(17, d, int(10 * p), m, i), d, m, s)
-            a = a_norm_from_profile(approximation_profile(f, p), prm)
-            cal_pts.append((m, hb.lqlp_norm(hb.analyze(f), prm) / a))
+            cal_pts.append((m, _Routes(f, p).ratio("coefficient", prm)))
             g = random_step(derive_seed(18, d, int(10 * p), m, i), d, m)
-            ag = a_norm_from_profile(approximation_profile(g, p), prm)
-            wn_pts.append((m, hb.lqlp_norm(hb.analyze(g), prm) / ag))
+            wn_pts.append((m, _Routes(g, p).ratio("coefficient", prm)))
     cal_slope, _, _ = fit_log2_slope(cal_pts)
     wn_slope, _, _ = fit_log2_slope(wn_pts)
     # a genuine level bias in the norms would drift both ensembles alike;
@@ -83,15 +73,14 @@ def test_single_wavelet_ratio_follows_saturation_profile():
     # lqlp/a ratio equals 2^{c} / (1 + sum_{k<j} 2^{ksq})^{1/q} up to a
     # j-independent factor; verify the drift is exactly the saturation term
     d, p, q = 1, 2.0, 0.5
-    s = _mid_s(p, d)
+    s = mid_smoothness(p, d)
     prm = hb.BesovParams(p, q, s, d)
     measured = []
     predicted = []
     for j in range(1, 9):
         idx = next(iter(hb.level_indices(d, j)))
         f = hb.densify(hb.haar_function(idx), j)
-        a = a_norm_from_profile(approximation_profile(f, p), prm)
-        measured.append(math.log2(hb.lqlp_norm(hb.analyze(f), prm) / a))
+        measured.append(math.log2(_Routes(f, p).ratio("coefficient", prm)))
         sat = 1.0 + math.fsum(2.0 ** (k * s * q) for k in range(j))
         predicted.append(j * (s - d / p) + (j - 1) * d / p - math.log2(sat) / q)
     shift = measured[0] - predicted[0]
@@ -123,32 +112,22 @@ def test_direction_supremum_excess_halves_per_level():
     assert sums[(1,)] == sums[(-1,)]
 
 
-def _finest_ratios(d, p):
-    """(m, coefficient/approx, modulus/approx) finest-scale ratios, m = 1..5."""
-    s = _mid_s(p, d)
-    out = []
-    for m in range(1, 6):
-        for i in range(20):
-            f = random_step(derive_seed(19, d, int(10 * p), m, i), d, m)
-            prof = approximation_profile(f, p)
-            approx, mod, coef = finest_scale_terms(f, prof, ModulusTable(f, p), hb.analyze(f), s)
-            out.append((m, coef / approx, mod / approx))
-    return out
-
-
 @pytest.mark.parametrize("d,p", [(1, 0.8), (1, 2.0), (2, 2.0)])
 def test_finest_slope_clause_rejects_level_bias(d, p):
     # criteria 6 and 7: a level bias of 2^{+-0.1m} in either route must
     # fail the clause that the unbiased finest-scale ratios pass
-    ratios = _finest_ratios(d, p)
-    for which in (1, 2):
-        pts = [(r[0], r[which]) for r in ratios]
-        slope, ok = level_slope_clause(pts)
-        assert ok, (which, slope)
+    s = mid_smoothness(p, d)
+    sample = [
+        (m, _Routes(random_step(derive_seed(19, d, int(10 * p), m, i), d, m), p))
+        for m in range(1, 6)
+        for i in range(20)
+    ]
+    for route in ("coefficient", "modulus"):
+        pts = [(m, routes.finest_ratio(route, s)) for m, routes in sample]
+        assert abs(fit_log2_slope(pts)[0]) <= SLOPE_LIMIT, route
         for sign in (1, -1):
             biased = [(m, r * 2.0 ** (sign * 0.1 * m)) for m, r in pts]
-            slope, ok = level_slope_clause(biased)
-            assert not ok, (which, sign, slope)
+            assert abs(fit_log2_slope(biased)[0]) > SLOPE_LIMIT, (route, sign)
 
 
 # at d = 1 the window's fit sits 6.6% below the rate, so a 25% upward shift

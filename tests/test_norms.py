@@ -54,8 +54,6 @@ def h0_dense():
 
 class TestBesovParams:
     def test_validation(self):
-        prm = hb.BesovParams(0.5, 1.0, 1.0, 2)
-        assert prm.gamma == 0.5
         with pytest.raises(ValueError):
             hb.BesovParams(0.0, 1.0, 0.1, 1)
         with pytest.raises(ValueError):
@@ -68,12 +66,6 @@ class TestBesovParams:
     def test_infinite_q(self):
         prm = hb.BesovParams(2.0, hb.INF, 0.5, 1)
         assert not prm.q_finite
-        assert prm.gamma == 1.0
-
-    def test_gamma(self):
-        assert hb.BesovParams(0.4, 2.0, 0.5, 1).gamma == 0.4
-        assert hb.BesovParams(2.0, 0.3, 0.25, 1).gamma == 0.3
-        assert hb.BesovParams(2.0, 2.0, 0.25, 1).gamma == 1.0
 
 
 class TestBestConstant:
@@ -929,7 +921,7 @@ class TestANorm:
         g1 = hb.DyadicStepFunction(1, 4, r.normal(size=16))
         g2 = hb.DyadicStepFunction(1, 4, r.normal(size=16))
         s = hb.DyadicStepFunction(1, 4, g1.values + g2.values)
-        gam = prm.gamma
+        gam = min(prm.p, prm.q, 1.0)
         lhs = hb.a_norm(s, prm) ** gam
         rhs = hb.a_norm(g1, prm) ** gam + hb.a_norm(g2, prm) ** gam
         assert lhs <= rhs + 1e-10

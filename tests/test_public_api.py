@@ -62,6 +62,17 @@ def test_every_definition_is_exported_or_used(name):
     assert not dead, f"haar_besov.{name} defines {dead}, which nothing exports or names"
 
 
+def test_no_test_is_marked_xfail_or_skipped():
+    # a test table never lands with a row marked to fail or to be skipped:
+    # the row and the mend of what it found land together
+    barred = {"xfail", "skip", "skipif", "importorskip"}
+    named = {
+        p.name: sorted(barred.intersection(_names_used(ast.parse(p.read_text()))))
+        for p in sorted(Path(__file__).parent.glob("test_*.py"))
+    }
+    assert not {k: v for k, v in named.items() if v}
+
+
 def test_every_test_helper_is_used():
     tests = Path(__file__).parent
     helpers = ast.parse((tests / "helpers.py").read_text())
