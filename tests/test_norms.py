@@ -316,6 +316,49 @@ class TestPowerRoot:
         assert hb.approx_error(hb.DyadicStepFunction(1, 1, [0.0, 1e-12]), 0, 30.0) == 0.0
 
 
+def _power_root_rows(r, nrows, n):
+    """nrows rows of n values: white noise at scales 1e-25 to 1e25, with a
+    constant row, a row of few repeated values and a row of two far clusters."""
+    rows = r.normal(size=(nrows, n)) * 10.0 ** r.uniform(-25.0, 25.0, (nrows, 1))
+    rows[0] = 0.75
+    rows[1 % nrows] = np.round(rows[1 % nrows] * 2.0) / 2.0
+    rows[2 % nrows, : n // 2] += 1e6
+    return rows
+
+
+def power_root_fingerprint(p):
+    """SHA-256, as float.hex text, of the p > 1 solver's minimizers (unit and
+    random weights) and the dense kernel's errors, on rows of 2 to 4,096
+    cells, three rows and as many as 2^14 cells allow."""
+    r = np.random.default_rng(27)
+    h = hashlib.sha256()
+    for n in (2, 3, 4, 7, 8, 9, 16, 64, 4096):
+        for nrows in (3, max(3, (1 << 14) // n)):
+            rows = _power_root_rows(r, nrows, n)
+            w = r.uniform(0.05, 2.0, rows.shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = norms._power_root(rows, None, p).tolist()
+                values += norms._power_root(rows, w, p).tolist()
+                values += _row_best_err_ppow(rows, p).tolist()
+            h.update(" ".join(map(float.hex, values)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "p,digest",
+    [
+        (1.01, "fab18254784eb9eab4be3a46c16c5d844fe3db12d46aaa686ca9f20294eb1e5f"),
+        (1.5, "d6b4563b8c7569ec21881a17f9c44a2c8bc25abdd04bf84d32c9a29da66106b8"),
+        (3.0, "6d28656d0e9550dff8b441b2bc7a4193b1e0095f559416cd38ec8a6185759307"),
+        (10.0, "70228f5ab0aea93a454a5b28090535f4101fadb19a9f74183b6e57fe7503bcf1"),
+    ],
+)
+def test_power_root_golden_digest(p, digest):
+    # digests of the solver as it summed each row with np.add.reduce(axis=1)
+    # and selected ends by boolean masks: a faster step must keep every bit
+    assert power_root_fingerprint(p) == digest
+
+
 class TestApproxError:
     def test_zero_on_own_partition(self):
         f = hb.DyadicStepFunction(2, 2, np.arange(16.0))
