@@ -300,12 +300,20 @@ class _Routes:
           ``test_direction_supremum_excess_halves_per_level``).  The term
           is rescaled from that maximum to the mean of the axis sums; at
           d = 1 the two directions give one sum and the factor is exactly 1.
+
+        Both routes raise ``ValueError`` where the ratio is undefined: a
+        level-0 f has no finest scale, and an f constant on every level-(m-1)
+        cube has E_{m-1} = 0 and a finest-scale term 0 on every route.
         """
         p, m, d = self.p, self.f.level, self.f.d
+        if m == 0:
+            raise ValueError("finest_ratio needs level 1 or more: level 0 has no finest scale")
         prm = BesovParams(p, 1.0, s, d)  # one nonzero level: any q agrees
         e_m = np.zeros(m)
         e_m[m - 1] = self.profile.e_values[m - 1]
         approx = a_norm_from_profile(ApproxProfile(p, 0.0, e_m), prm)
+        if approx == 0.0:
+            raise ValueError(f"finest_ratio is 0/0: f is constant on every level-{m - 1} cube")
         if route == "coefficient":
             blocks = [np.zeros_like(b) for b in self.coeffs.blocks[:-1]]
             block_m = HaarCoefficients(d, m, 0.0, blocks + [self.coeffs.blocks[-1]])

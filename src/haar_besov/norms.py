@@ -108,7 +108,7 @@ class BesovParams:
 #: directly; below about this many, bounding them costs more than it saves.
 _ENUM_DIRECT = 128
 #: Group counts of the pruning stages in :func:`_enum_best`.
-_PRUNE_GROUPS = (64, 512)
+_PRUNE_GROUPS = (16, 64, 512)
 #: Cells per block of candidate rows (sizes the temporaries, not the bits:
 #: every row is summed on its own).
 _ENUM_BLOCK_CELLS = 1 << 16
@@ -128,27 +128,38 @@ def _enum_best(v: np.ndarray, w: np.ndarray, p: float) -> tuple[int, float]:
     ``v`` must be strictly increasing and finite, ``w`` positive and finite.
     Up to ``_ENUM_DIRECT`` values every row is evaluated.  Above it a
     branch-and-bound keeps the same answer bit for bit: an upper bound U is
-    the computed error of the few candidates around the weighted median;
-    for G consecutive groups of values (total weight W_g, range
-    [a_g, b_g]) every candidate c has e_c >= sum_g W_g dist(c, [a_g, b_g])^p,
-    and a candidate whose bound exceeds U by the rounding margin below is
-    dropped, first with 64 groups, then with 512 on the survivors.  The
-    survivors' rows are computed by the same expression, row by row, as a
-    full enumeration, so the minimum and its first index come out equal.
+    the computed error of the few candidates around the weighted median,
+    and candidates are dropped by chord bounds, first with 16 groups of
+    consecutive values, then with 64 and 512 on the survivors; each stage
+    first lowers U to the computed error of its candidate of least bound,
+    most often one near the minimum.  A group with ends a_g < b_g that lies
+    wholly on one side of a candidate c contributes at least A_g |a_g - c|^p
+    + B_g |b_g - c|^p, where A_g and B_g split its weight by position (A_g =
+    sum_j w_j lambda_j, B_g = sum_j w_j (1 - lambda_j), lambda_j = (b_g -
+    v_j) / (b_g - a_g)), since t -> |t - c|^p is concave on each side of c;
+    c's own group counts 0.  A candidate whose bound exceeds U by the
+    rounding margin below is dropped.  The survivors' rows are computed by
+    the same expression, row by row, as a full enumeration, so the minimum
+    and its first index come out equal.
 
     Margin.  Let u = 2^-53 and let pow be within 4 ulp.  A computed term
     fl(w_j fl(|fl(v_i - v_j)|^p)) is within 7u relative of the exact term,
     give or take (w_j + 1) 2^-1074 where pow or the product is subnormal (a
     subnormal difference is exact).  Summing n nonnegative terms in any
-    order adds (n - 1)u; the bound sums G terms whose group weights took at
-    most n roundings.  So a computed error and a computed bound are each
-    within d = 2(n + G)u relative and A = (W + n + G) 2^-1074 absolute of
-    their exact values (W the total weight), and the exact bound is at most
-    the exact error.  A computed bound L > U (1 + 4d) + 4A then gives a
-    computed error >= (L - A)(1 - 2d) - A > U >= the computed minimum: the
-    candidate is neither the minimum nor tied with it.  The absolute term
-    keeps this true where terms underflow and U d rounds to zero.  Overflow
-    rounds upwards only, and U = inf drops nothing.
+    order adds (n - 1)u.  Each weight term fl(w_j fl(fl(b_g - v_j) /
+    fl(b_g - a_g))) is within 4u of w_j lambda_j, give or take (w_j + 1)
+    2^-1074, so a computed A_g or B_g is within (n + 3)u relative and (W_g +
+    n) 2^-1074 absolute of its own (W_g the group's weight); the absolute
+    part meets a power of at most R^p (R = v_max - v_min), and the bound
+    sums 2G terms.  So a computed error and a computed bound are each within
+    d = 2(n + 2G)u relative and A = (W + n + 2G + 4(W + n) R^p) 2^-1074
+    absolute of their exact values (W the total weight), and the exact bound
+    is at most the exact error.  A computed bound L > U (1 + 4d) + 4A then
+    gives a computed error >= (L - A)(1 - 2d) - A > U >= the computed
+    minimum: the candidate is neither the minimum nor tied with it.  The
+    absolute term keeps this true where terms underflow and U d rounds to
+    zero.  Overflow rounds upwards only: U or R^p = inf drops nothing, and
+    a bound that is nan (0 inf) drops nothing either.
     """
     n = v.size
     if n <= _ENUM_DIRECT:
@@ -156,29 +167,37 @@ def _enum_best(v: np.ndarray, w: np.ndarray, p: float) -> tuple[int, float]:
         j = int(errs.argmin())
         return j, float(errs[j])
     cw = np.cumsum(w)
-    med = int(np.searchsorted(cw, cw[-1] / 2.0))
+    total = float(cw[-1])
+    med = int(np.searchsorted(cw, total / 2.0))
     near = np.arange(max(0, med - 2), min(n, med + 3))
     upper = float(_enum_errs(v, w, p, near).min())
     live = np.arange(n)
+    slack = 4.0 * (total + n) * float(v[-1] - v[0]) ** p
     for groups in _PRUNE_GROUPS:
         if groups >= n:
             break
         start = (np.arange(groups) * n) // groups
+        group = np.repeat(np.arange(groups), np.diff(start, append=n))
         lo, hi = v[start], v[np.append(start[1:], n) - 1]
-        weight = np.add.reduceat(w, start).astype(float)
+        span = (hi - lo)[group]
+        wide = span > 0.0  # a group of one value puts its weight on a_g
+        w_lo = np.add.reduceat(w * np.divide(hi[group] - v, span, out=np.ones(n), where=wide), start)
+        w_hi = np.add.reduceat(w * np.divide(v - lo[group], span, out=np.zeros(n), where=wide), start)
+        bounds = []
+        for rows in _blocks(live, 2 * groups):
+            c = v[rows, None]
+            own = np.arange(rows.size), group[rows]
+            to_lo, to_hi = np.abs(lo - c), np.abs(hi - c)
+            to_lo[own] = to_hi[own] = 0.0
+            bounds.append(np.power(to_lo, p, out=to_lo) @ w_lo + np.power(to_hi, p, out=to_hi) @ w_hi)
+        bound = np.concatenate(bounds)
+        upper = min(upper, float(_enum_errs(v, w, p, live[bound.argmin(), None])[0]))
         limit = (
             upper
-            + 8.0 * (n + groups) * _UNIT_ROUNDOFF * upper
-            + 4.0 * (float(cw[-1]) + n + groups) * _SMALLEST_SUBNORMAL
+            + 8.0 * (n + 2 * groups) * _UNIT_ROUNDOFF * upper
+            + 4.0 * (total + n + 2 * groups + slack) * _SMALLEST_SUBNORMAL
         )
-        keep = []
-        for rows in _blocks(live, groups):
-            c = v[rows, None]
-            dist = lo[None, :] - c  # dist(c, [lo, hi]): one side is <= 0
-            np.maximum(dist, c - hi[None, :], out=dist)
-            np.maximum(dist, 0.0, out=dist)
-            keep.append(np.power(dist, p, out=dist) @ weight <= limit)
-        live = live[np.concatenate(keep)]
+        live = live[~(bound > limit)]
     best_i, best = -1, math.inf
     for rows in _blocks(live, n):  # ascending, so ties keep the first index
         errs = _enum_errs(v, w, p, rows)
@@ -260,7 +279,10 @@ def _row_best_err_ppow(rows: np.ndarray, p: float, cells: int | None = None) -> 
     pairwise, a wider one in sequence, so the width fixes the bits.  p = 1
     takes the median and p = 2 the mean; other p > 1 sum the error at the
     point :func:`_power_root` certifies within ``_ROOT_EPS`` of each row's
-    minimum, every row stopping on its own certificate.
+    minimum, every row stopping on its own certificate; the solver holds
+    rows of fewer than 8 cells cells by rows, where numpy's sum across them
+    adds in the same sequence as along a row, so the point has the bits of
+    a row-by-row solve.
     """
     ncubes, nvals = rows.shape
     if p == 2.0:
@@ -291,6 +313,8 @@ def _row_best_err_ppow(rows: np.ndarray, p: float, cells: int | None = None) -> 
 _ROOT_EPS = 1e-13
 #: Most points :func:`_power_root` evaluates per row.
 _ROOT_STEPS = 200
+#: The sign bit of a double, as an int64 mask.
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
 
 
 def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
@@ -307,47 +331,70 @@ def _power_root(rows: np.ndarray, w, p: float) -> np.ndarray:
     within 4 ulp) or 2^-1074 where subnormal, and summing adds (n - 1)u S,
     S = sum_j w_j |y - v_j|^(p-1).  A row also stops once b - a <= 1e-13
     max(1, |a|, |b|); one that starts so returns its midpoint.
+
+    Each step is a fixed set of whole-array operations with no Python call:
+    the terms s_j = copysign(t_j, d_j), d_j s_j and t_j (d_j = y - v_j, t_j
+    = w_j |d_j|^(p-1), copysign as d_j's sign bit set on t_j >= +0) are
+    written into one buffer and summed by one reduction; the new point
+    replaces an end by index; finished rows leave by ``take``.  128 rows or
+    more of fewer than 8 cells are held cells by rows and summed across the
+    cell axis: numpy adds fewer than 8 terms in sequence along either axis,
+    so each sum is the double a reduction along the row gives, and longer
+    rows keep that reduction, numpy's pairwise sum of the row.
     """
     n = rows.shape[1]
     c1, c0 = 2.0 * (n + p + 8.0) * _UNIT_ROUNDOFF, n * _SMALLEST_SUBNORMAL
     lo, hi = rows.min(axis=1), rows.max(axis=1)
     xi = 0.5 * (lo + hi)
     idx = np.flatnonzero(hi - lo > 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-    sub, rad = rows[idx], hi[idx] - lo[idx]  # rad: ITP's bound on the bracket after each step
+    k = idx.size
+    sub, rad = rows.take(idx, axis=0), hi[idx] - lo[idx]  # rad: ITP's bound on the bracket after a step
     if w is not None:
-        w = w[idx]
-    k1, nan, zero = 0.2 / rad, np.full(idx.size, np.nan), np.zeros(idx.size)
-    ends = np.stack([[lo[idx], nan, zero], [hi[idx], nan, zero]])  # (end, g, reach) at a, b
+        w = w.take(idx, axis=0)
+    cols = int(n < 8 and k >= 128)
+    if cols:  # cells by rows: for fewer rows the copy costs more than it saves
+        sub, w = sub.T.copy(), None if w is None else w.T.copy()
+    k1, ar = 0.2 / rad, np.arange(k)
+    space = np.empty((4,) + sub.shape)  # d, then the terms s, d s and t, summed together
+    ends = np.empty((3, 2, k))  # (point, g, widest bracket stopping there) at a and b
+    ends[0], ends[1], ends[2] = (lo[idx], hi[idx]), np.nan, 0.0
     for _ in range(_ROOT_STEPS):
-        if not idx.size:
+        if not k:
             break
-        (a, fa, _), (b, fb, _) = ends
+        (a, b), (fa, fb), (ra, rb) = ends  # views: the new point's puts show in them
         wid = b - a
         off = wid * (fb / (fb - fa) - 0.5)  # from the regula falsi point to the midpoint
-        cut = np.fmin(np.fmax(np.abs(off) - k1 * wid * wid, 0.0), rad - 0.5 * wid)
-        new = np.empty((3, idx.size))  # the point, g there, the widest bracket stopping there
-        x = new[0] = a + 0.5 * wid - np.copysign(cut, off)
+        half = 0.5 * wid
+        cut = np.fmin(np.fmax(np.abs(off) - k1 * wid * wid, 0.0), rad - half)
+        x = a + half - np.copysign(cut, off)
         rad *= 0.5
-        d = x[:, None] - sub
-        t = np.abs(d) ** (p - 1.0)
+        buf = space[..., :k] if cols else space[:, :k]
+        d, s, ds, t = buf
+        np.subtract(x if cols else x[:, None], sub, out=d)
+        np.abs(d, out=t)
+        t **= p - 1.0
         if w is not None:
             t *= w
-        s = np.copysign(t, d)
-        g, e = np.add.reduce(s, axis=1, out=new[1]), np.add.reduce(d * s, axis=1)
-        reach = e * (_ROOT_EPS / p) / (np.abs(g) + c1 * np.add.reduce(t, axis=1) + c0)
-        np.maximum(np.where(e < np.inf, reach, 0.0), 1e-13 * np.maximum(1.0, np.abs(x)), out=new[2])
-        up = g > 0
-        np.copyto(ends[1], new, where=up)
-        np.copyto(ends[0], new, where=~up)
-        (a, _, ra), (b, _, rb) = ends
+        sign = s.view(np.int64)  # s = copysign(t, d)
+        np.bitwise_and(d.view(np.int64), _SIGN_BIT, out=sign)
+        sign |= t.view(np.int64)
+        np.multiply(d, s, out=ds)
+        g, e, tsum = np.add.reduce(buf[1:], axis=2 - cols)
+        reach = e * (_ROOT_EPS / p) / (np.abs(g) + c1 * tsum + c0)
+        reach = np.maximum(np.where(e < np.inf, reach, 0.0), 1e-13 * np.maximum(1.0, np.abs(x)))
+        pos = ar + k * (g > 0)  # the end the new point replaces
+        for field, value in zip(ends.reshape(3, -1), (x, g, reach)):
+            field[pos] = value
         done = b - a <= np.maximum(ra, rb)
         if done.any():
             xi[idx[done]] = np.where(ra >= rb, a, b)[done]
-            keep = ~done
-            idx, sub, ends, rad, k1 = idx[keep], sub[keep], ends[:, :, keep], rad[keep], k1[keep]
+            keep = np.flatnonzero(~done)
+            k, ar = keep.size, ar[: keep.size]
+            idx, rad, k1, ends = idx[keep], rad[keep], k1[keep], ends.take(keep, axis=2)
+            sub = sub.take(keep, axis=cols)
             if w is not None:
-                w = w[keep]
-    (a, _, ra), (b, _, rb) = ends
+                w = w.take(keep, axis=cols)
+    (a, b), _, (ra, rb) = ends
     xi[idx] = np.where(ra >= rb, a, b)
     return xi
 

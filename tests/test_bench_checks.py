@@ -177,8 +177,11 @@ def _check_budget(calls: int, budget: int) -> None:
 #: Calls of one warm lattice item (d = 2, m = 5, p = 0.8, three q).  Three of
 #: them build the grid's pyramid (its reads cost no call); 981 without it.
 #: Its draw of 16 steps makes three calls; stepping out of place, three per
-#: step, it made 984.
-LATTICE_ITEM_CALLS = 939
+#: step, it made 984.  Its five rows of 1,024 and 256 values are enumerated
+#: with chord bounds in three pruning stages (16, 64 and 512 groups), each
+#: stage a block generator and one full row for a tighter upper bound; with
+#: two stages of nearest-end bounds it made 939.
+LATTICE_ITEM_CALLS = 964
 
 
 def test_lattice_item_call_budget():
@@ -211,6 +214,17 @@ def test_fine_grid_item_call_budget():
     # a Python call per draw step or per square-function level shows here
     fn = workloads.roundtrip_item(1, 16, "uniform", 0)[2]
     _check_budget(_warm_item_calls(fn), FINE_GRID_ITEM_CALLS)
+
+
+#: Calls of one warm small fine-grid profile item (d = 2, m = 4, p = 1.5):
+#: every level through the p > 1 root solver, whose steps make no Python call.
+FINE_PROFILE_ITEM_CALLS = 77
+
+
+def test_fine_grid_solver_item_call_budget():
+    # a Python call per solver step (a summing helper, say) shows here
+    fn = workloads.profile_item(2, 4, 1.5, 0)[2]
+    _check_budget(_warm_item_calls(fn), FINE_PROFILE_ITEM_CALLS)
 
 
 #: Calls of one warm small densified families item (nested, d = 1, m = 6,

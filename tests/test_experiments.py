@@ -228,6 +228,20 @@ class TestRunExperiment:
                 routes.finest_ratio(route, 0.5)
         assert built == {"approximation_profile": 1, "analyze": 1, "ModulusTable": 1}
 
+    @pytest.mark.parametrize("route", ["coefficient", "modulus"])
+    def test_finest_ratio_of_a_constant_function_names_the_cause(self, route):
+        # E_{m-1} = 0 and both routes' finest terms are 0: the ratio is 0/0
+        for values in (np.ones(8), np.repeat([0.5, -2.0, 3.0, 0.0], 2)):
+            routes = experiments._Routes(hb.DyadicStepFunction(1, 3, values), 2.0)
+            with pytest.raises(ValueError, match="constant on every level-2 cube"):
+                routes.finest_ratio(route, 0.25)
+
+    @pytest.mark.parametrize("route", ["coefficient", "modulus"])
+    def test_finest_ratio_at_level_zero_names_the_cause(self, route):
+        routes = experiments._Routes(hb.DyadicStepFunction(2, 0, [[1.5]]), 1.5)
+        with pytest.raises(ValueError, match="level 0 has no finest scale"):
+            routes.finest_ratio(route, 0.25)
+
     def test_rows_and_summary_schema(self):
         res = run_experiment(default_config("tensor-fail"))
         assert res.summary["schema"] == 1

@@ -208,6 +208,23 @@ class TestEnumBest:
                 got = _row_best_err_ppow(rows, p)
                 assert np.array_equal(got, row_best_err_oracle(rows, p)), (kind, p)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_white_noise_leaves_few_rows_to_evaluate(self, seed, monkeypatch):
+        # the chord bounds leave at most 60 of 4,096 white-noise values to be
+        # evaluated in full at p = 0.8: the five around the weighted median,
+        # one per pruning stage for a tighter upper bound, and the survivors
+        evaluated, enum_errs = [], norms._enum_errs
+
+        def counted(v, w, p, rows):
+            evaluated.append(np.arange(v.size)[rows].size)
+            return enum_errs(v, w, p, rows)
+
+        monkeypatch.setattr(norms, "_enum_errs", counted)
+        v, counts = np.unique(random_step(seed, 1, 12).values, return_counts=True)
+        assert v.size == 4096
+        _enum_best(v, counts, 0.8)
+        assert len(evaluated) > 1 + len(_PRUNE_GROUPS) and sum(evaluated) <= 60
+
     def test_dense_profile_matches_full_enumeration(self):
         # white noise: rows of 4096, 2048, 1024, 512 and 256 distinct values
         f = hb.DyadicStepFunction(1, 12, np.random.default_rng(71).uniform(-1, 1, 4096))
