@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
+from haar_besov.experiments import random_step
 from haar_besov.haar import block_size
 
 from helpers import analyze_direct, block_l1_ppow_sum
@@ -375,3 +377,48 @@ class TestTensorBlockOrder:
         for b in range(4):
             for n in hb.tensor_block_order(b):
                 assert hb.tensor_block_level(n) == b
+
+
+def haar_layer_fingerprint():
+    """SHA-256, as float.hex text, of the Haar layer on white-noise grids at
+    d = 1..3 up to 2^12 cells: analysis blocks, synthesized grids, both
+    tensor transforms, the sequence norms, the square function, the b0221
+    sum, signed partial sums and rank-one projections."""
+    h = hashlib.sha256()
+
+    def put(values):
+        h.update(" ".join(map(float.hex, values)).encode())
+
+    grids = [(1, 0), (1, 1), (1, 5), (1, 12), (2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4)]
+    for seed, (d, m) in enumerate(grids, start=280):
+        for dist in ("uniform", "normal"):
+            f = random_step(seed, d, m, dist)
+            c = hb.analyze(f)
+            put([c.scaling])
+            for b in c.blocks:
+                put(b.ravel().tolist())
+            put(hb.synthesize(c, m).values.ravel().tolist())
+            put(hb.synthesize(c, m + 1).values.ravel().tolist())
+            t = hb.tensor_analyze(f)
+            put(t.array.ravel().tolist())
+            put(hb.tensor_synthesize(t).values.ravel().tolist())
+            for p, q, s in ((0.5, 0.5, 0.3), (0.8, 1.0, 0.5), (1.5, 2.0, 0.3), (2.0, 0.5, 0.1)):
+                put([hb.lqlp_norm(c, hb.BesovParams(p, q, s, d))])
+                sup = hb.linf_lp_norm(c, hb.BesovParams(p, hb.INF, s, d))
+                put([sup.value, *sup.per_level.tolist()])
+            put([hb.square_function_norm(f, p) for p in (0.8, 1.0, 1.5, 2.0)])
+            put([hb.b0_221_weighted_sum(f)])
+            J = [i for k in range(min(m, 3) + 1) for i in hb.level_indices(d, k)][::2]
+            signs = [1 - 2 * (j % 3 == 1) for j in range(len(J))]
+            put(hb.partial_sum_subset(f, J, signs).values.ravel().tolist())
+            for n in [(1,) * d, (2,) * d, tuple(range(2, d + 2))]:
+                put([hb.tensor_coefficient(f, n)])
+                put(hb.rank_one_project(f, n).values.ravel().tolist())
+    return h.hexdigest()
+
+
+def test_haar_layer_golden_digest():
+    # digest of the Haar layer as its containers were filled in place and
+    # its transforms copied their inputs: a leaner door must keep every bit
+    digest = "e326392c2fdcc00ff6e7799cfe5f976c384c70790541022a7b989e1806c3332d"
+    assert haar_layer_fingerprint() == digest
