@@ -239,21 +239,17 @@ def _cmd_experiment(args) -> int:
     return 0 if result.passed else 2
 
 
+_COMMANDS = dict(
+    classify=_cmd_classify, generate=_cmd_generate, norm=_cmd_norm,
+    transform=_cmd_transform, experiment=_cmd_experiment,
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "norm":
-            return _cmd_norm(args)
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -15,6 +15,7 @@ row-major child ordering of the local 2^d x 2^d sign transform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -29,6 +30,7 @@ from .dyadic import (
     _check_budget,
     _cube_blocks,
     _finest_level,
+    _immutable,
     _indices,
     _integer,
     _json_field,
@@ -157,33 +159,36 @@ class HaarCoefficients:
     """Orthoprojection coefficients of a level-K step function.
 
     ``blocks[k-1]`` has shape (2^(k-1),)*d + (2^d - 1,); the trailing axis is
-    the pattern minus one.  Treat instances as immutable.
+    the pattern minus one.  The constructor is the one door: each block is
+    read once (a float64 array is taken over, not copied), checked for shape
+    and, with ``scaling``, for finite values, and set read-only; ``blocks`` is
+    a tuple and no attribute can be rebound.
     """
 
     __slots__ = ("d", "max_level", "scaling", "blocks")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, d: int, max_level: int, scaling: float, blocks):
-        self.d = d = _integer(d, "d", 1)
-        self.max_level = max_level = _integer(max_level, "max_level", 0)
-        self.scaling = float(scaling)
+        d, max_level = _integer(d, "d", 1), _integer(max_level, "max_level", 0)
+        scaling = float(scaling)
+        if not math.isfinite(scaling):
+            raise ValueError("HaarCoefficients scaling must be finite (no NaN or inf)")
         blocks = list(blocks)
         if len(blocks) != max_level:
             raise ValueError("need one block array per level 1..K")
         for k, b in enumerate(blocks, start=1):
-            b = blocks[k - 1] = np.asarray(b, dtype=float)  # a float64 array is not copied
+            b = blocks[k - 1] = np.asarray(b, dtype=float)
             want = ((1 << (k - 1)),) * d + ((1 << d) - 1,)
             if b.shape != want:
                 raise ValueError(f"block {k} has shape {b.shape}, expected {want}")
-        self.blocks = blocks
+            if not np.isfinite(b).all():
+                raise ValueError(f"HaarCoefficients block {k} must be finite (no NaN or inf)")
+            b.setflags(write=False)
+        for name, value in zip(self.__slots__, (d, max_level, scaling, tuple(blocks))):
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def zeros(cls, d: int, max_level: int) -> "HaarCoefficients":
-        d, max_level = _integer(d, "d", 1), _integer(max_level, "max_level", 0)
-        blocks = [
-            np.zeros(((1 << (k - 1)),) * d + ((1 << d) - 1,))
-            for k in range(1, max_level + 1)
-        ]
-        return cls(d, max_level, 0.0, blocks)
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return type(self), (self.d, self.max_level, self.scaling, self.blocks)
 
     def coefficient(self, idx: HaarIndex) -> float:
         if idx.d != self.d:
@@ -195,33 +200,20 @@ class HaarCoefficients:
         return float(self.blocks[idx.level - 1][idx.parent.index + (idx.pattern - 1,)])
 
     def to_json(self) -> str:
-        levels = [
-            {
-                "k": 0,
-                "entries": [{"parent": [], "pattern": 0, "value": self.scaling}],
-            }
-        ]
-        for k in range(1, self.max_level + 1):
-            entries = []
-            block = self.blocks[k - 1]
-            for pidx in np.ndindex(block.shape[: self.d]):
-                for pat in range(1, 1 << self.d):
-                    v = float(block[pidx + (pat - 1,)])
-                    if v != 0.0:
-                        entries.append(
-                            {"parent": list(pidx), "pattern": pat, "value": v}
-                        )
+        levels = [{"k": 0, "entries": [{"parent": [], "pattern": 0, "value": self.scaling}]}]
+        for k, b in enumerate(self.blocks, start=1):
+            nz = b != 0.0  # row-major: parents in order, the patterns of each in turn
+            pairs = zip(np.argwhere(nz).tolist(), b[nz].tolist())
+            entries = [{"parent": i[:-1], "pattern": i[-1] + 1, "value": v} for i, v in pairs]
             levels.append({"k": k, "entries": entries})
-        return json.dumps(
-            {"d": self.d, "K": self.max_level, "levels": levels}, sort_keys=True
-        )
+        return json.dumps({"d": self.d, "K": self.max_level, "levels": levels}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "HaarCoefficients":
         obj = json.loads(text)
         d, kmax = _json_field(obj, "d"), _json_field(obj, "K")
         _check_budget(d, kmax)
-        out = cls.zeros(d, kmax)
+        blocks = [np.zeros(((1 << (k - 1)),) * d + ((1 << d) - 1,)) for k in range(1, kmax + 1)]
         scaling = 0.0
         for level in _json_field(obj, "levels", list):
             k = _json_field(level, "k")
@@ -234,8 +226,8 @@ class HaarCoefficients:
                     continue
                 parent = _json_field(rec, "parent", lambda v: DyadicCube(d, k - 1, v))
                 pattern = HaarIndex.wavelet(parent, _json_field(rec, "pattern")).pattern
-                out.blocks[k - 1][parent.index + (pattern - 1,)] = value
-        return cls(d, kmax, scaling, out.blocks)
+                blocks[k - 1][parent.index + (pattern - 1,)] = value
+        return cls(d, kmax, scaling, blocks)
 
 
 def analyze(f) -> HaarCoefficients:
@@ -250,7 +242,7 @@ def analyze(f) -> HaarCoefficients:
     d, m = f.d, f.level
     M = _sign_matrix(d)
     inv = M / (1 << d)
-    a = np.array(f.values, dtype=float)
+    a = f.values
     blocks: list[np.ndarray] = [None] * m
     for k in range(m, 0, -1):
         coef = _split_children(a, d) @ inv
@@ -296,14 +288,14 @@ def partial_sum_subset(
     top = max([_finest_level(f)] + [idx.level for idx in J])
     fd = densify(f, top)
     c = analyze(fd)
-    out = HaarCoefficients.zeros(c.d, c.max_level)
+    scaling, blocks = 0.0, [np.zeros_like(b) for b in c.blocks]
     for idx, s in zip(J, signs):
         if idx.level == 0:
-            out.scaling = s * c.scaling
+            scaling = s * c.scaling
         else:
             pos = idx.parent.index + (idx.pattern - 1,)
-            out.blocks[idx.level - 1][pos] = s * c.blocks[idx.level - 1][pos]
-    return synthesize(out, top)
+            blocks[idx.level - 1][pos] = s * c.blocks[idx.level - 1][pos]
+    return synthesize(HaarCoefficients(c.d, c.max_level, scaling, blocks), top)
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +352,32 @@ class TensorHaarCoefficients:
 
     ``array[n_1 - 1, ..., n_d - 1]`` is the orthoprojection coefficient of
     h_{n_1} x ... x h_{n_d}; along each axis, position 0 is the constant and
-    positions 2^(k-1)..2^k - 1 hold level k.
+    positions 2^(k-1)..2^k - 1 hold level k.  One door, as for
+    :class:`HaarCoefficients`: the array is taken over, checked and frozen.
     """
 
     __slots__ = ("d", "level", "array")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, d: int, level: int, array: np.ndarray):
-        self.d = d = _integer(d, "d", 1)
-        self.level = level = _integer(level, "level", 0)
+        d, level = _integer(d, "d", 1), _integer(level, "level", 0)
         want = ((1 << level),) * d
         array = np.asarray(array, dtype=float)
         if array.shape != want:
             raise ValueError(f"expected shape {want}")
-        self.array = array
+        if not np.isfinite(array).all():
+            raise ValueError("TensorHaarCoefficients values must be finite (no NaN or inf)")
+        array.setflags(write=False)
+        for name, value in zip(self.__slots__, (d, level, array)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return type(self), (self.d, self.level, self.array)
 
     def to_json(self) -> str:
-        entries = []
-        for pos in np.ndindex(self.array.shape):
-            v = float(self.array[pos])
-            if v != 0.0:
-                entries.append({"n": [i + 1 for i in pos], "value": v})
+        nz = self.array != 0.0  # row-major in the multi-index n
+        pairs = zip((np.argwhere(nz) + 1).tolist(), self.array[nz].tolist())
+        entries = [{"n": n, "value": v} for n, v in pairs]
         return json.dumps({"d": self.d, "entries": entries}, sort_keys=True)
 
     @classmethod
@@ -431,7 +429,7 @@ def tensor_analyze(f) -> TensorHaarCoefficients:
     """Separable transform: univariate Haar analysis applied along each axis."""
     if not isinstance(f, DyadicStepFunction):
         f = densify(f)
-    a = np.array(f.values, dtype=float)
+    a = f.values
     for axis in range(f.d):
         a = np.moveaxis(_dwt_forward_axis(np.moveaxis(a, axis, 0)), 0, axis)
     return TensorHaarCoefficients(f.d, f.level, a)
@@ -441,28 +439,29 @@ def tensor_analyze(f) -> TensorHaarCoefficients:
 def tensor_synthesize(c: TensorHaarCoefficients, m: int | None = None) -> DyadicStepFunction:
     if not isinstance(c, TensorHaarCoefficients):
         raise TypeError("expected TensorHaarCoefficients")
-    a = np.array(c.array, dtype=float)
+    a = c.array
     for axis in range(c.d):
         a = np.moveaxis(_dwt_inverse_axis(np.moveaxis(a, axis, 0)), 0, axis)
     return densify(DyadicStepFunction(c.d, c.level, a), m)
 
 
 @_raises_on_overflow("tensor-coefficient sum")
+def _theta_coefficient(f, theta: DyadicStepFunction, n: Sequence[int]) -> float:
+    fd = densify(f, theta.level)
+    return stable_sum(fd.values * theta.values) * fd.cell_measure / _tensor_support_measure(n)
+
+
 def tensor_coefficient(f, n: Sequence[int]) -> float:
     """<f, theta> / <theta, theta> by direct quadrature (no full transform)."""
     top = max(_finest_level(f), tensor_block_level(n))
-    fd = densify(f, top)
-    theta = tensor_haar_function(f.d, n, top)
-    num = stable_sum(fd.values * theta.values) * fd.cell_measure
-    return num / _tensor_support_measure(n)
+    return _theta_coefficient(f, tensor_haar_function(f.d, n, top), n)
 
 
 def rank_one_project(f, n: Sequence[int]) -> DyadicStepFunction:
     """L_2 orthoprojection of f onto the span of one tensor Haar function."""
     top = max(_finest_level(f), tensor_block_level(n))
-    lam = tensor_coefficient(f, n)
     theta = tensor_haar_function(f.d, n, top)
-    return DyadicStepFunction(f.d, top, lam * theta.values)
+    return DyadicStepFunction(f.d, top, _theta_coefficient(f, theta, n) * theta.values)
 
 
 def tensor_block_order(block: int) -> list[tuple[int, int]]:

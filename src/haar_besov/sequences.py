@@ -34,7 +34,7 @@ def _level_log2_lp_pow(c: HaarCoefficients, prm: BesovParams) -> list[float]:
     with np.errstate(divide="ignore"):  # log2 0 = -inf marks a zero
         return [  # level 0 is the scaling value, level k >= 1 block k - 1
             logsumexp2(prm.p * np.log2(np.abs(b).ravel()))
-            for b in [np.array([c.scaling])] + c.blocks
+            for b in (np.array([c.scaling]), *c.blocks)
         ]
 
 

@@ -47,6 +47,12 @@ def public_callables():
                 )
 
 
+def zero_blocks(d, max_level):
+    """Zero coefficient blocks of levels 1..max_level, filled before a
+    ``HaarCoefficients`` is built from them (a built one is read-only)."""
+    return [np.zeros((1 << (k - 1),) * d + ((1 << d) - 1,)) for k in range(1, max_level + 1)]
+
+
 def grid_best_constant_err(values, weights, p, coarse=10_000, fine=2_000):
     """Candidate-grid search for min over xi of sum w|v - xi|^p.
 

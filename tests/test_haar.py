@@ -10,7 +10,7 @@ import haar_besov as hb
 from haar_besov.experiments import random_step
 from haar_besov.haar import block_size
 
-from helpers import analyze_direct, block_l1_ppow_sum
+from helpers import analyze_direct, block_l1_ppow_sum, zero_blocks
 
 rng = np.random.default_rng(20240811)
 
@@ -82,9 +82,9 @@ class TestSynthesize:
     def test_single_wavelet(self):
         for d in (1, 2):
             for idx in hb.level_indices(d, 2):
-                c = hb.HaarCoefficients.zeros(d, 2)
-                c.blocks[1][idx.parent.index + (idx.pattern - 1,)] = 1.0
-                out = hb.synthesize(c, 2)
+                blocks = zero_blocks(d, 2)
+                blocks[1][idx.parent.index + (idx.pattern - 1,)] = 1.0
+                out = hb.synthesize(hb.HaarCoefficients(d, 2, 0.0, blocks), 2)
                 expect = hb.densify(hb.haar_function(idx), 2)
                 assert np.array_equal(out.values, expect.values)
 
@@ -109,10 +109,9 @@ class TestSynthesize:
         m, d, k = 4, 1, 1
         f = hb.densify(hb.spike_pair(m, d).f, m)
         c = hb.analyze(f)
-        filtered = hb.HaarCoefficients.zeros(d, m)
-        filtered.scaling = c.scaling
-        filtered.blocks[2 * k - 1][:] = c.blocks[2 * k - 1]
-        out = hb.synthesize(filtered, m)
+        blocks = zero_blocks(d, m)
+        blocks[2 * k - 1][:] = c.blocks[2 * k - 1]
+        out = hb.synthesize(hb.HaarCoefficients(d, m, c.scaling, blocks), m)
         expect = hb.densify(hb.spike_pair(m, d).g(k), m)
         np.testing.assert_allclose(out.values, expect.values, atol=1e-12)
 
@@ -136,7 +135,7 @@ class TestSynthesize:
 
     def test_containers_read_array_likes_as_float(self):
         # lists and integer arrays are read as float arrays before the shape
-        # check; a float64 array is kept as it is, so zeros() fills in place
+        # check; a float64 array is taken over, not copied, and set read-only
         with pytest.raises(ValueError, match=r"^block 1 has shape \(1,\), expected \(1, 1\)$"):
             hb.HaarCoefficients(1, 1, 0.0, [[1.0]])
         nested = hb.HaarCoefficients(1, 1, 0.0, [[[1.0]]])
@@ -145,6 +144,7 @@ class TestSynthesize:
         assert ints.blocks[0].dtype == float and ints.blocks[0][0, 0] == 3.0
         block = np.zeros((1, 1))
         assert hb.HaarCoefficients(1, 1, 0.0, [block]).blocks[0] is block
+        assert not block.flags.writeable
         tensor = hb.TensorHaarCoefficients(1, 1, [1.0, 2.0])
         assert tensor.array.dtype == float and tensor.array.tolist() == [1.0, 2.0]
         assert hb.tensor_synthesize(tensor).values.tolist() == [3.0, -1.0]
@@ -260,8 +260,9 @@ class TestLevelNormEquivalence:
         for k in range(1, 7):
             ratios = []
             for _ in range(60):
-                c = hb.HaarCoefficients.zeros(d, k)
-                c.blocks[k - 1][:] = r.normal(size=c.blocks[k - 1].shape)
+                blocks = zero_blocks(d, k)
+                blocks[k - 1][:] = r.normal(size=blocks[k - 1].shape)
+                c = hb.HaarCoefficients(d, k, 0.0, blocks)
                 f = hb.synthesize(c, k)
                 num = hb.lp_quasinorm(f, p) ** p
                 den = 2.0 ** (-k * d) * float(np.sum(np.abs(c.blocks[k - 1]) ** p))

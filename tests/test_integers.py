@@ -122,10 +122,6 @@ CASES = {
     "level_indices.k": ("k", 0, 2, lambda v: len(list(hb.level_indices(1, v))), None),
     "block_size.d": ("d", 1, 2, lambda v: hb.block_size(v, 2), None),
     "block_size.k": ("k", 0, 2, lambda v: hb.block_size(2, v), None),
-    "HaarCoefficients.zeros.d": ("d", 1, 1, lambda v: hb.HaarCoefficients.zeros(v, 2), D),
-    "HaarCoefficients.zeros.max_level": (
-        "max_level", 0, 2, lambda v: hb.HaarCoefficients.zeros(1, v), attrgetter("max_level")
-    ),
     "univariate_haar_vector.m": ("m", 0, 2, lambda v: univariate_haar_vector(3, v), None),
     "tensor_haar_function.d": ("d", 1, 1, lambda v: hb.tensor_haar_function(v, (2,), 2), D),
     "tensor_haar_function.m": (

@@ -32,19 +32,18 @@ from haar_besov.experiments import default_config, fit_log2_slope, random_step, 
 from haar_besov.regimes import critical_smoothness
 from haar_besov.rng import RandomStream, derive_seed
 
-from helpers import direction_difference_sums, mid_smoothness, projector_window
+from helpers import direction_difference_sums, mid_smoothness, projector_window, zero_blocks
 
 
 def _calibrated_series(seed, d, m, s):
     """Random Haar series with block-k coefficients ~ 2^{-k(s + d/2)} N(0,1)."""
     stream = RandomStream(seed)
-    c = hb.HaarCoefficients.zeros(d, m)
-    c.scaling = float(stream.normal(1)[0])
+    scaling, blocks = float(stream.normal(1)[0]), zero_blocks(d, m)
     for k in range(1, m + 1):
-        shape = c.blocks[k - 1].shape
+        shape = blocks[k - 1].shape
         n = int(np.prod(shape))
-        c.blocks[k - 1][:] = stream.normal(n).reshape(shape) * 2.0 ** (-k * (s + d / 2.0))
-    return hb.synthesize(c, m)
+        blocks[k - 1][:] = stream.normal(n).reshape(shape) * 2.0 ** (-k * (s + d / 2.0))
+    return hb.synthesize(hb.HaarCoefficients(d, m, scaling, blocks), m)
 
 
 @pytest.mark.parametrize("d,p", [(1, 0.8), (1, 2.0), (2, 2.0)])

@@ -5,24 +5,25 @@ import pytest
 
 import haar_besov as hb
 
+from helpers import zero_blocks
+
 
 class TestLqLpNorm:
     def test_single_scaling_coefficient(self):
-        c = hb.HaarCoefficients.zeros(1, 2)
-        c.scaling = -3.0
+        c = hb.HaarCoefficients(1, 2, -3.0, zero_blocks(1, 2))
         prm = hb.BesovParams(0.8, 1.0, 0.5, 1)
         assert hb.lqlp_norm(c, prm) == pytest.approx(3.0, rel=1e-14)
 
     def test_single_scaling_coefficient_sup(self):
-        c = hb.HaarCoefficients.zeros(1, 2)
-        c.scaling = -3.0
+        c = hb.HaarCoefficients(1, 2, -3.0, zero_blocks(1, 2))
         sup = hb.linf_lp_norm(c, hb.BesovParams(0.8, hb.INF, 0.5, 1))
         assert sup.value == pytest.approx(3.0, rel=1e-14)
 
     @pytest.mark.parametrize("d,k", [(1, 2), (2, 3)])
     def test_single_level_coefficient_weight(self, d, k):
-        c = hb.HaarCoefficients.zeros(d, k)
-        c.blocks[k - 1][(0,) * d + (0,)] = 4.0
+        blocks = zero_blocks(d, k)
+        blocks[k - 1][(0,) * d + (0,)] = 4.0
+        c = hb.HaarCoefficients(d, k, 0.0, blocks)
         for p, q, s in [(0.8, 1.0, 0.5), (1.5, 0.5, 0.25)]:
             prm = hb.BesovParams(p, q, s, d)
             expect = 2.0 ** (k * (s - d / p)) * 4.0
@@ -48,12 +49,12 @@ class TestLqLpNorm:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_requires_finite_q(self):
-        c = hb.HaarCoefficients.zeros(1, 1)
+        c = hb.HaarCoefficients(1, 1, 0.0, zero_blocks(1, 1))
         with pytest.raises(ValueError):
             hb.lqlp_norm(c, hb.BesovParams(1.0, hb.INF, 0.5, 1))
 
     def test_dimension_mismatch(self):
-        c = hb.HaarCoefficients.zeros(2, 1)
+        c = hb.HaarCoefficients(2, 1, 0.0, zero_blocks(2, 1))
         with pytest.raises(ValueError):
             hb.lqlp_norm(c, hb.BesovParams(1.0, 1.0, 0.5, 1))
 
@@ -82,7 +83,7 @@ class TestLinfLpNorm:
         assert sup.value == pytest.approx(float(sup.per_level.max()), rel=1e-14)
 
     def test_requires_infinite_q(self):
-        c = hb.HaarCoefficients.zeros(1, 1)
+        c = hb.HaarCoefficients(1, 1, 0.0, zero_blocks(1, 1))
         with pytest.raises(ValueError):
             hb.linf_lp_norm(c, hb.BesovParams(1.0, 1.0, 0.5, 1))
 
@@ -117,10 +118,10 @@ class TestLog2Domain:
     @staticmethod
     def _levels_at_1e300(levels):
         # levels 1..K each full of coefficients 1e300 (about 2^996.6)
-        c = hb.HaarCoefficients.zeros(1, levels)
-        for b in c.blocks:
+        blocks = zero_blocks(1, levels)
+        for b in blocks:
             b[...] = 1e300
-        return c
+        return hb.HaarCoefficients(1, levels, 0.0, blocks)
 
     def test_norm_beyond_double_range_raises_value_error(self):
         # every level near 2^997 and q = 0.05: the l_q sum of four
