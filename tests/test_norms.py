@@ -688,8 +688,34 @@ def sparse_path_fingerprint(f):
     return h.hexdigest()
 
 
+def _tie_forest(d):
+    """A branching forest whose values tie, so that the order of the adds
+    shows in the bits.  Under the root atom, 16 keys of measure t (2^-57, or
+    2^-56 at d = 2) carry cancelling atoms and so the root's value: the root
+    cube merges their 16 t, in key order, with its region B near 1/2 last, B
+    55 or more binary orders above t (B + 16 t is not what a pairwise sum of
+    the 17 terms gives).  The level-1 key (1, ..., 1) is covered by its
+    children (zero region); two of its descendants tie at 2.0, and below its
+    first child a branch reaches levels 72 and 80."""
+    level = {1: 57, 2: 28, 3: 19}[d]
+    top = hb.DyadicCube(d, 1, (1,) * d)
+    children = [top.child(bits) for bits in itertools.product((0, 1), repeat=d)]
+    terms = [(hb.DyadicCube.root(d), 1.0), (top, 0.75), (children[0], 0.25), (children[-1], -0.125)]
+    terms += [(children[-1].child((1,) * d), 0.375)]  # 0.75 - 0.125 + 0.375: ties children[0]
+    terms += [(c, 0.0625 * i) for i, c in enumerate(children[1:-1], start=1)]
+    for j in range(16):
+        tiny = hb.DyadicCube(d, level, (j,) + (0,) * (d - 1))
+        terms += [(tiny, 0.5), (tiny, -0.5)]
+    deep = [hb.DyadicCube(d, 72, ((2 << 70) + j,) * d) for j in (0, 1)]
+    terms += [(deep[0], 0.5), (deep[0], -0.5), (deep[1], 3.0)]
+    terms += [(hb.DyadicCube(d, 80, ((2 << 78) + 5,) * d), -1.5)]
+    return hb.SparseStepFunction.from_terms(d, terms)
+
+
 def _sparse_digest_input(name):
     kind, *args = name.split("-")
+    if kind == "ties":
+        return _tie_forest(int(args[0]))
     if kind == "scattered":
         k, d = map(int, args)
         return hb.scattered(hb.ScatteredSpec(k, d, 0.45))
@@ -718,6 +744,7 @@ _SPARSE_FIRST_PINNED = {
     "random-1-91": "7b8346d55996864e2b1976f7bc1de3310ff9c0d54495c2e817d97f6b559eb6ab",
     "random-2-92": "a56ccfab19118d46d7c98b7424a6b058ac1e97bf81d4ab0d2936fc500cc52372",
     "random-3-93": "dfe245dafbf935393b3a709a12136ee4aff4014d786d2e8e302add582f413c45",
+    "ties-1": "72db933fa902011a7026526cd0eeba4be914e8b30f1f55351f84fd760083498a",
 }
 
 
@@ -737,6 +764,7 @@ _SPARSE_FIRST_PINNED = {
             ("random-1-91", "03976226d0d080a3796017e421749f86a27e24cd4e64d967c922ea9a9612c3c0"),
             ("random-2-92", "a56ccfab19118d46d7c98b7424a6b058ac1e97bf81d4ab0d2936fc500cc52372"),
             ("random-3-93", "808abf213176fca73a9cf393c6e644180bdb50077a749a01dc690f183175d9bf"),
+            ("ties-1", "72db933fa902011a7026526cd0eeba4be914e8b30f1f55351f84fd760083498a"),
         ]
     ],
 )
@@ -810,10 +838,14 @@ def _entry_bytes(entries) -> bytes:
     return np.array(entries, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("name", list(_SPARSE_FIRST_PINNED) + ["nesting-1", "nesting-2", "nesting-3"])
+@pytest.mark.parametrize(
+    "name", list(_SPARSE_FIRST_PINNED) + ["nesting-1", "nesting-2", "nesting-3", "ties-2", "ties-3"]
+)
 def test_level_histograms_match_rescan(name):
     # the all-levels pass gives, on every level and candidate cube, the
-    # (value, measure) bytes of a rescan of every atom; one level alone too
+    # (value, measure) bytes of a rescan of every atom; one level alone too.
+    # The ties-d forests merge equal values whose measures lie 55 or more
+    # binary orders apart, so an add out of key order shows in the bits
     if name.startswith("nesting"):
         d = int(name[-1])
         rng = np.random.default_rng(70 + d)
