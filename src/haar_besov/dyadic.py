@@ -21,6 +21,7 @@ itself below that and for non-finite or near-overflow inputs.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import operator
@@ -401,9 +402,10 @@ class SparseStepFunction:
 
     Atom cubes may sit at distinct levels and may nest.  Two dyadic cubes
     either nest or are disjoint, so how the atoms nest follows from their
-    (level, index) keys: ``nesting_free`` and the value histograms read the
-    atoms' forest under containment, built once on first use.  Immutable, so
-    the forest always describes this f.
+    (level, index) keys: ``nesting_free`` and every value histogram read one
+    array forest of those keys, sorted once in Z order on first use, whose
+    one builder gives the histograms of all cubes asked for together.
+    Immutable, so the forest always describes this f.
     """
 
     __slots__ = ("d", "atoms", "_forest")
@@ -434,7 +436,7 @@ class SparseStepFunction:
     def nesting_free(self) -> bool:
         """True when no atom cube contains another (a repeated cube nests)."""
         forest = self._atom_forest()
-        return len(forest.keys) == len(self.atoms) and not any(forest.parent.values())
+        return len(forest.keys) == len(self.atoms) and not forest.depth.any()
 
     def _atom_forest(self) -> "_AtomForest":
         """The atoms' (level, index) forest, built on first use."""
@@ -696,7 +698,8 @@ def lp_quasinorm(f, p: float) -> float:
 
     Sparse functions with pairwise non-nesting atoms are handled atom by
     atom in the log2 domain, so coefficients far outside double range are
-    fine; nesting atom sets go through the exact value histogram instead.
+    fine; nesting atom sets go through the exact value histogram of the root
+    cube, from the atom forest's one builder (as :func:`value_histogram`).
     Dense grids and histograms sum the p-th powers in doubles, and in the
     log2 domain when that sum overflows; a norm beyond double range raises
     ``ValueError`` naming its log2.  A dense grid with a constant level-(m-1)
@@ -714,10 +717,9 @@ def lp_quasinorm(f, p: float) -> float:
             ppow = lambda: stable_sum(np.abs(v) ** p) * w
     elif isinstance(f, SparseStepFunction):
         if f.nesting_free:  # with no atoms too: the norm is 2**-inf = 0.0
-            log2_terms = [a.cube.log2_measure + p * a.log2mag for a in f.atoms]
+            log2_terms = [p * a.log2mag - a.cube.level * f.d for a in f.atoms]
             return _norm_from_log2_terms(log2_terms, p)
-        forest = f._atom_forest()  # every key below the root lies inside it
-        v, w = np.array(forest.histogram(0, (0,) * f.d, [c for c in forest.keys if c[0] > 0])).T
+        v, w = f._atom_forest().cube(DyadicCube.root(f.d))
         if not np.isfinite(v).all():
             raise ValueError("histogram values must be finite")
         ppow = lambda: _exact_sum(w * np.abs(v) ** p)
@@ -773,7 +775,7 @@ def _atom_averages(f: SparseStepFunction, k: int) -> DyadicStepFunction:
         if c.level <= k:
             out[c.grid_slices(k)] += a.value
         else:
-            cell = tuple(i >> (c.level - k) for i in c.index)
+            cell = tuple(map(operator.rshift, c.index, (c.level - k,) * f.d))
             # average of c's indicator over the level-k cell, in log2 space
             log2_avg = a.log2mag - (c.level - k) * f.d
             try:
@@ -788,7 +790,8 @@ def _atom_averages(f: SparseStepFunction, k: int) -> DyadicStepFunction:
 
 def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
     """Exact (value, measure) multiset of f restricted to ``cube``, validated;
-    a sparse f's is read from its atom cubes inside and containing ``cube``."""
+    a sparse f's comes from its atom forest's one builder, which evaluates
+    only the atoms of the keys inside and containing ``cube``."""
     if not isinstance(f, (DyadicStepFunction, SparseStepFunction)):
         raise TypeError("expected a step function")
     if not isinstance(cube, DyadicCube):
@@ -804,122 +807,117 @@ def value_histogram(f, cube: DyadicCube) -> ValueHistogram:
         vals, counts = np.unique(block, return_counts=True)
         w = counts * f.cell_measure
         return ValueHistogram.from_pairs(zip(vals.tolist(), w.tolist()))
-    forest = f._atom_forest()
-    k, idx = cube.level, cube.index
-    inside = [(u, j) for u, j in forest.keys if u > k and tuple(i >> (u - k) for i in j) == idx]
-    return ValueHistogram(tuple(forest.histogram(k, idx, inside)))
+    values, measures = f._atom_forest().cube(cube)
+    return ValueHistogram(tuple(zip(values.tolist(), measures.tolist())))
 
 
-def _level_histograms(f: SparseStepFunction, levels) -> list[list[list[tuple[float, float]]]]:
-    """For each k of the ascending ``levels``, the (value, measure) entries of f
-    on the level-k cubes where f may vary, by cube index: one pass over the
-    forest's keys groups them under their level-k ancestors."""
-    forest = f._atom_forest()
-    groups: list[dict[tuple, list[tuple]]] = [{} for _ in levels]
-    for lev, idx in forest.keys:
-        for k, group in zip(levels, groups):
-            if k >= lev:
-                break
-            ancestor = tuple(map(operator.rshift, idx, (lev - k,) * f.d))
-            group.setdefault(ancestor, []).append((lev, idx))
-    return [
-        [forest.histogram(k, i, keys) for i, keys in sorted(group.items())]
-        for k, group in zip(levels, groups)
-    ]
-
-
-def _containing_keys(keys: list, d: int, deepest: int) -> dict:
-    """Each (level, index) key's deepest strictly containing key, or None, in
-    ``keys`` order, by one pass in Z order.  A cube's Z-order code is that of
-    its first cell at level ``deepest``, bits interleaved across axes, and it
-    covers the codes from there up to 2^((deepest - level) d) more; sorted by
-    code, coarser first on a tie, each key follows the keys containing it, and
-    a stack holds the chain of those containing the current one."""
-    if d == 1:
-        codes = [idx[0] << (deepest - lev) for lev, idx in keys]
-    else:
-        width = f"0{deepest}b"
-        codes = [
-            int("".join(map("".join, zip(*(format(i << (deepest - lev), width) for i in idx)))), 2)
-            for lev, idx in keys
-        ]
-    parent, stack = {}, []
-    for code, lev, key in sorted(zip(codes, [lev for lev, _ in keys], keys)):
-        while stack and code >= stack[-1][0]:  # past the end of the top's cube
-            stack.pop()
-        parent[key] = stack[-1][1] if stack else None
-        stack.append((code + (1 << ((deepest - lev) * d)), key))
-    return {c: parent[c] for c in keys}
+def _z_codes(keys, d: int, deepest: int) -> list[int]:
+    """Z-order codes of (level, index) keys: the index bits of each key's first
+    level-``deepest`` cell, interleaved across axes, axis 0 most significant."""
+    n, width = len(keys), deepest // 8 + 1  # bytes per axis
+    cells = b"".join([(i << (deepest - lev)).to_bytes(width, "big") for lev, idx in keys for i in idx])
+    bits = np.unpackbits(np.frombuffer(cells, np.uint8).reshape(n, d, width), axis=2)
+    codes = np.packbits(bits.transpose(0, 2, 1).reshape(n, 8 * width * d), axis=1)
+    return [int.from_bytes(c, "big") for c in codes]
 
 
 class _AtomForest:
-    """The atoms' distinct (level, index) keys under containment, built
-    without evaluating any atom value.  ``keys`` ascend by level, ties in
-    first-atom order; ``positions`` maps a key to its atoms' positions,
-    ``parent`` to the deepest key strictly containing it, or None, and
-    ``region`` to its measure less its child keys' measures.  The sum of a
-    key's own atoms, and the value of each key below a top key (the chain's
-    sum plus the keys down to it), are cached as histograms read them."""
+    """The atoms' distinct (level, index) keys under containment, as arrays
+    built without evaluating any atom, and the one builder of a sparse f's
+    value histograms.  ``keys`` are sorted once by Z-order code (Python ints),
+    coarser first on a tie, so a key follows the keys containing it and its
+    subtree runs up to ``end``.  Per key: ``level``, ``parent`` (the deepest
+    key strictly containing it, or -1), ``depth`` (how many keys contain it),
+    ``rank`` (of its first atom), ``region`` (its measure less its children's,
+    added in key order: level ascending, ties by rank) and ``shared``, the
+    deepest level k at which it and the key before it lie strictly inside one
+    level-k cube, or -1.  The level-k cubes where f may vary are then the runs
+    of keys deeper than k over which ``shared`` stays >= k.  ``np.bincount``
+    sums add in index order."""
 
     def __init__(self, d: int, atoms: tuple):
         self.d, self.atoms = d, atoms
-        self.positions: dict[tuple, list[int]] = {}
-        for pos, a in enumerate(atoms):
-            self.positions.setdefault((a.cube.level, a.cube.index), []).append(pos)
-        self.keys = sorted(self.positions, key=lambda c: c[0])
-        self.levels = sorted({lev for lev, _ in self.keys}, reverse=True)
-        self.parent = _containing_keys(self.keys, d, self.levels[0] if self.levels else 0)
-        self.measure = {c: 2.0 ** (-c[0] * d) for c in self.keys}
-        covered: dict[tuple | None, float] = {}
-        for c in self.keys:  # children in key order, as a histogram adds them
-            up = self.parent[c]
-            covered[up] = covered.get(up, 0.0) + self.measure[c]
-        self.region = {c: self.measure[c] - covered.get(c, 0.0) for c in self.keys}
-        self._own: dict[tuple, float] = {}
-        self._below: dict[tuple | None, dict] = {}
+        ids: dict[tuple, int] = {}
+        owner = [ids.setdefault((a.cube.level, a.cube.index), len(ids)) for a in atoms]
+        keys, levels = list(ids), [lev for lev, _ in ids]
+        self.deepest = deepest = max(levels, default=0)
+        self.zorder = order = sorted(zip(_z_codes(keys, d, deepest), levels, range(len(keys))))
+        n, self.keys = len(order), [keys[j] for *_, j in order]
+        stops = [code + (1 << (deepest - lev) * d) for code, lev, _ in order]
+        parent, end, depth, chain = [-1] * n, [n] * n, [0] * n, []
+        for i, (code, _, _) in enumerate(order):  # chain: the keys containing key i
+            while chain and code >= stops[chain[-1]]:
+                end[chain.pop()] = i
+            if chain:
+                parent[i], depth[i] = chain[-1], len(chain)
+            chain.append(i)
+        self.parent, self.end, self.depth = np.array([parent, end, depth], dtype=np.int64).reshape(3, n)
+        self.stops = np.array(stops, dtype=object)
+        lev, self.rank = np.array([(lev, j) for _, lev, j in order], dtype=np.int64).reshape(n, 2).T
+        self.level = lev
+        self.atom_key = np.argsort(self.rank)[owner]  # each atom's key
+        common = [(deepest * d - (a ^ b).bit_length()) // d for (a, *_), (b, *_) in zip(order, order[1:])]
+        self.shared = np.append(-1, np.minimum(common, np.minimum(lev[:-1], lev[1:]) - 1))
+        self.measure = np.ldexp(1.0, -lev * d)
+        ranked = np.lexsort((self.rank, lev))
+        self.region = self.measure - np.bincount(self.parent[ranked] + 1, self.measure[ranked], n + 1)[1:]
 
-    def container(self, k: int, idx: tuple) -> tuple | None:
-        """The deepest key at level <= k containing the level-k cube ``idx``."""
-        for up in self.levels:
-            if up <= k:
-                key = (up, tuple(map(operator.rshift, idx, (k - up,) * self.d)))
-                if key in self.positions:
-                    return key
-        return None
+    def histograms(self, levels) -> tuple:
+        """The histograms of f on its level-k cubes where f may vary, for each k
+        of the ascending ``levels``: (values, measures, bounds, level, key), row
+        r's entries at [bounds[r], bounds[r + 1]), rows by level and then Z
+        order, row r on the level[r] cube holding key ``key[r]``."""
+        ks = np.asarray(levels, dtype=np.int64)
+        row, c = np.nonzero(self.level > ks[:, None])  # (level, key) pairs, by level, then Z order
+        k = ks[row]
+        first = self.shared[c] < k  # the key starts its level-k cube's run
+        return (*self._rows(c, np.cumsum(first) - 1, k[first], self.parent[c[first]]), k[first], c[first])
 
-    def value(self, keys) -> float:
-        """Sum of the atoms of ``keys`` in atom order, from 0.0."""
-        total = 0.0
-        for i in sorted(i for c in keys for i in self.positions[c]):
-            total += self.atoms[i].value
-        return total
+    def cube(self, cube: DyadicCube) -> tuple[np.ndarray, np.ndarray]:
+        """(values, measures) of f on one dyadic cube: the run of keys inside it,
+        below the last key containing it."""
+        k, deepest = cube.level, self.deepest
+        m = min(k, deepest)  # keys are no deeper than m: locate the cube's level-m ancestor
+        code = _z_codes([(m, tuple(i >> (k - m) for i in cube.index))], self.d, deepest)[0]
+        lo = bisect.bisect_left(self.zorder, (code, k + 1))
+        hi = bisect.bisect_left(self.zorder, (code + (1 << (deepest - m) * self.d),))
+        # the keys before lo whose cubes reach the code contain the cube; the last is its top
+        top = np.append(-1, np.flatnonzero(self.stops[:lo] > code))[-1:]
+        return self._rows(np.arange(lo, hi), np.zeros(hi - lo, dtype=np.int64), np.array([k]), top)[:2]
 
-    def histogram(self, k: int, index: tuple, inside: list) -> list[tuple[float, float]]:
-        """Unvalidated (value, measure) entries on the level-k cube ``index`` of the
-        keys ``inside`` it on top of the chain of keys containing it, with floats
-        added as a scan of every atom adds them (chain in atom order, then key by
-        key), merged and sorted by :func:`_consolidate`."""
-        top = self.parent[inside[0]] if inside else self.container(k, index)
-        value = self._below.get(top)
-        if value is None:
-            chain = [top]
-            while chain[-1] is not None:
-                chain.append(self.parent[chain[-1]])
-            value = self._below[top] = {top: self.value(chain[:-1])}
-        covered, pairs = 0.0, []
-        for c in inside:  # level-ascending, parents precede children
-            up = self.parent[c]
-            if up == top:
-                covered += self.measure[c]
-            v = value.get(c)
-            if v is None:
-                if c not in self._own:
-                    self._own[c] = self.value([c])
-                v = value[c] = value[up] + self._own[c]
-            region = self.region[c]
-            if region > 0:
-                pairs.append((v, region))
-        root_region = 2.0 ** (-k * self.d) - covered
-        if root_region > 0:
-            pairs.append((value[top], root_region))
-        return _consolidate(pairs)
+    def _rows(self, c, run, k, top) -> tuple:
+        """(values, measures, bounds) of histogram rows from (key, row) pairs:
+        key c lies in row ``run``'s level-k cube, below its ``top`` key (or -1),
+        whose value covers the rest.  Floats add as a scan of every atom adds
+        them: a key's value is its top's chain sum (the atoms of the top and
+        the keys containing it, in atom order) plus the own sums of the keys
+        down to it, one at a time; equal values merge their measures in key
+        order, the top's region last."""
+        n = len(self.level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tops = np.flatnonzero(np.bincount(top + 1, minlength=n + 1)[1:])
+            first_top, past_top = np.searchsorted(tops, [np.arange(n), self.end])
+            read = past_top > first_top  # the keys containing a top
+            read[c] = True
+            atoms = np.flatnonzero(read[self.atom_key])  # only these atoms are evaluated
+            at, vals = self.atom_key[atoms], np.array([self.atoms[i].value for i in atoms.tolist()])
+            counts = past_top[at] - first_top[at]  # each atom adds to the tops in its key's subtree
+            starts = np.repeat(first_top[at] - np.cumsum(counts) + counts, counts)
+            # chain[-1], for no top, is the empty chain's 0.0
+            chain = np.bincount(tops[starts + np.arange(len(starts))], np.repeat(vals, counts), n + 1)
+            own = np.bincount(at, vals, n)
+            t = self.depth[c] - np.append(self.depth, -1)[top[run]] - 1  # keys between top and c
+            below = [chain[self.parent] + own]  # below[t][i]: key i's value t + 1 keys below its top
+            for _ in range(t.max(initial=0)):
+                below.append(below[-1][self.parent] + own)
+            inside = np.lexsort((self.rank[c], self.level[c], run))  # by row, then key order
+            direct = inside[t[inside] == 0]
+            covered = np.bincount(run[direct], self.measure[c[direct]], len(top))
+            rv = np.concatenate((run[inside], np.arange(len(top))))
+            vv = np.concatenate((np.array(below)[t, c][inside], chain[top]))
+            ww = np.concatenate((self.region[c[inside]], np.ldexp(1.0, -k * self.d) - covered))
+            keep = np.flatnonzero(ww > 0)
+            keep = keep[np.lexsort((vv[keep], rv[keep]))]  # stable: equal values keep their order
+            rv, vv, ww = rv[keep], vv[keep], ww[keep]
+            new = np.append(True, (rv[1:] != rv[:-1]) | (vv[1:] != vv[:-1]))[: len(keep)]
+        return vv[new], np.bincount(np.cumsum(new) - 1, ww), np.searchsorted(rv[new], np.arange(len(top) + 1))

@@ -181,9 +181,13 @@ class HaarCoefficients:
             want = ((1 << (k - 1)),) * d + ((1 << d) - 1,)
             if b.shape != want:
                 raise ValueError(f"block {k} has shape {b.shape}, expected {want}")
-            if not np.isfinite(b).all():
-                raise ValueError(f"HaarCoefficients block {k} must be finite (no NaN or inf)")
+        finite = np.empty((1 << max_level * d) - 1, dtype=bool)  # block k at [2^((k-1)d) - 1, 2^(kd) - 1)
+        for k, b in enumerate(blocks, start=1):
+            np.isfinite(b.ravel(), out=finite[(1 << (k - 1) * d) - 1 : (1 << k * d) - 1])
             b.setflags(write=False)
+        if not np.logical_and.reduce(finite):  # one reduction; the block is located only on failure
+            k = next(k for k, b in enumerate(blocks, start=1) if not np.isfinite(b).all())
+            raise ValueError(f"HaarCoefficients block {k} must be finite (no NaN or inf)")
         for name, value in zip(self.__slots__, (d, max_level, scaling, tuple(blocks))):
             object.__setattr__(self, name, value)
 

@@ -32,7 +32,6 @@ from .dyadic import (
     _exact_sum,
     _finest_level,
     _integer,
-    _level_histograms,
     _raises_on_overflow,
     _upsample,
     densify,
@@ -431,10 +430,11 @@ def approx_error(f, k: int, p: float) -> float:
     grid, and on cubes with many distinct values the enumeration evaluates
     only the candidates that certified lower bounds cannot rule out, with
     the same result bit for bit.  For sparse inputs the cubes are
-    the level-k ancestors of the deeper atoms: their histograms are built in
-    one pass over f's cached atom forest, and their best constants are
-    evaluated together, grouped by histogram length, so the cost follows the
-    atom count rather than the grid size.  An E_k beyond double range raises
+    the level-k ancestors of the deeper atoms: their histograms come as
+    arrays from the one builder of f's cached atom forest (every level of a
+    profile in one pass), and their best constants are evaluated together,
+    grouped by histogram length, so the cost follows the atom count rather
+    than the grid size.  An E_k beyond double range raises
     ``ValueError``.  p, k and the type of f are checked here, and
     :func:`approximation_profile` reads every level through the same body.
     """
@@ -466,24 +466,19 @@ def _approx_error(f, k: int, p: float, terms: list[float] | None = None) -> floa
     return e
 
 
-def _sparse_terms(f: SparseStepFunction, levels, p: float) -> list[list[float]]:
-    """For each of ``levels``, the p-th power errors of f on its level-k cubes
-    by cube index, the best constants of all levels evaluated together, one
-    stack of rows per histogram length.  A cube whose measure underflows to
-    zero has no entries and adds 0.0."""
-    hists = _level_histograms(f, levels)
-    terms = [[0.0] * len(h) for h in hists]
-    by_length: dict[int, list] = {}
-    for i, level in enumerate(hists):
-        for j, entries in enumerate(level):
-            if entries:
-                by_length.setdefault(len(entries), []).append((i, j, entries))
-    for group in by_length.values():
-        vw = np.array([entries for _, _, entries in group])  # (rows, n, 2)
-        errs = _best_constants(vw[:, :, 0].copy(), vw[:, :, 1].copy(), p)[1]
-        for (i, j, _), e in zip(group, errs):
-            terms[i][j] = e
-    return terms
+def _sparse_terms(f: SparseStepFunction, levels, p: float) -> list[np.ndarray]:
+    """For each of the ascending ``levels``, the p-th power errors of f on its
+    level-k cubes where it may vary, the best constants of all levels evaluated
+    together, one stack of rows per histogram length.  A cube whose measure
+    underflows to zero has no entries and adds 0.0."""
+    values, measures, bounds, level, _ = f._atom_forest().histograms(levels)
+    lengths = np.diff(bounds)
+    terms = np.zeros(len(lengths))
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == n)
+        cells = bounds[rows, None] + np.arange(n)
+        terms[rows] = _best_constants(values[cells], measures[cells], p)[1]
+    return np.split(terms, np.searchsorted(level, levels))[1:]
 
 
 @dataclass(frozen=True)

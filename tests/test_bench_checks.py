@@ -190,8 +190,13 @@ def test_lattice_item_call_budget():
 
 #: Calls of one warm deep scattered families item (k = 6, d = 1, on the
 #: critical line).  Built cube by cube, with one best constant per histogram,
-#: it made 12,416; with each key's parent probed level by level, 2,448.
-SCATTERED_ITEM_CALLS = 2422
+#: it made 12,416; with each key's parent probed level by level, 2,448; with
+#: a per-cube walk of a dict forest (591 histograms, each consolidated), 2,422.
+#: The array forest builds every level's histograms in one pass of a few
+#: dozen numpy calls, 1,067; reading each atom's level-k cell through
+#: ``map`` in ``average_project`` and each atom's log2 measure inline in
+#: ``lp_quasinorm`` (no generator, no property call per atom) leaves 971.
+SCATTERED_ITEM_CALLS = 971
 
 
 def test_deep_scattered_item_call_budget():

@@ -358,16 +358,18 @@ def _deepest_container_oracle(keys, key):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_atom_forest_parents_match_containment(d):
     # the forest finds parents in one Z-order pass; every key's parent must be
-    # its deepest strictly containing key, as a pairwise scan finds it
+    # its deepest strictly containing key, as a pairwise scan finds it, and
+    # every key is listed once
     rng = np.random.default_rng(90 + d)
     fs = [random_sparse(rng, d, n, max_level=7 if d < 3 else 4) for n in range(1, 30)]
     fs += [hb.scattered(hb.ScatteredSpec(k, d, 0.5)) for k in range(1, 4 if d < 3 else 2)]
     fs += [hb.nested_family(hb.NestedSpec(d, m)) for m in (0, 3, 9)]
     for f in fs:
         forest = f._atom_forest()
-        assert list(forest.parent) == forest.keys
-        for key in forest.keys:
-            assert forest.parent[key] == _deepest_container_oracle(forest.keys, key)
+        assert sorted(forest.keys) == sorted({(a.cube.level, a.cube.index) for a in f.atoms})
+        assert len(forest.parent) == len(forest.keys)
+        for key, up in zip(forest.keys, forest.parent.tolist()):
+            assert (forest.keys[up] if up >= 0 else None) == _deepest_container_oracle(forest.keys, key)
 
 
 def _assert_frozen(f, names):

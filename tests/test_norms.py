@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import haar_besov as hb
 from haar_besov import dyadic, norms
 from haar_besov.experiments import random_step
-from haar_besov.dyadic import _level_histograms
 from haar_besov.norms import (
     _PRUNE_GROUPS,
     ModulusTable,
@@ -854,13 +853,23 @@ def test_level_histograms_match_rescan(name):
     else:
         pool = [_sparse_digest_input(name)]
     for f in pool:
-        levels = _level_histograms(f, range(f.max_level + 1))
-        for k, hists in enumerate(levels):
-            cubes = sorted({a.cube.ancestor(k) for a in f.atoms if a.cube.level > k}, key=lambda c: c.index)
-            assert len(hists) == len(cubes)
-            for entries, cube in zip(hists, cubes):
-                assert _entry_bytes(entries) == _entry_bytes(sparse_histogram_rescan(f.atoms, cube).entries)
-            assert _level_histograms(f, [k]) == [hists]
+        forest = f._atom_forest()
+        values, measures, bounds, levels, keys = forest.histograms(range(f.max_level + 1))
+        rows = {}
+        for r, (k, key) in enumerate(zip(levels.tolist(), keys.tolist())):
+            cube = hb.DyadicCube(f.d, *forest.keys[key]).ancestor(k)
+            rows[cube] = np.column_stack((values, measures))[bounds[r] : bounds[r + 1]]
+        assert len(rows) == len(levels)
+        assert set(rows) == {a.cube.ancestor(k) for a in f.atoms for k in range(a.cube.level)}
+        for cube, entries in rows.items():
+            assert entries.tobytes() == _entry_bytes(sparse_histogram_rescan(f.atoms, cube).entries)
+        for k in range(f.max_level + 1):
+            one = forest.histograms([k])
+            lo, hi = np.searchsorted(levels, [k, k + 1])
+            assert one[0].tobytes() == values[bounds[lo] : bounds[hi]].tobytes()
+            assert one[1].tobytes() == measures[bounds[lo] : bounds[hi]].tobytes()
+            assert np.array_equal(one[2], bounds[lo : hi + 1] - bounds[lo])
+            assert np.array_equal(one[4], keys[lo:hi])
 
 
 @st.composite
