@@ -44,7 +44,6 @@ __all__ = [
     "lp_quasinorm",
     "stable_sum",
     "logsumexp2",
-    "signed_log2_sum",
     "value_histogram",
 ]
 
@@ -204,28 +203,6 @@ def logsumexp2(log2_terms) -> float:
     if m == -math.inf or math.isinf(m):
         return m
     return m + math.log2(_exact_sum(np.exp2(a - m)))
-
-
-def signed_log2_sum(signs, log2mags) -> tuple[int, float]:
-    """Sum of terms ``sign * 2**log2mag`` returned as (sign, log2|sum|).
-
-    Terms are rescaled by the dominant exponent before the float add, so the
-    result is accurate relative to the largest term even when the absolute
-    values are far outside double range.
-    """
-    s = np.asarray(signs, dtype=float).ravel()
-    e = np.asarray(log2mags, dtype=float).ravel()
-    keep = s != 0
-    s, e = s[keep], e[keep]
-    if e.size == 0:
-        return 0, -math.inf
-    top = float(np.max(e))
-    if top == -math.inf:
-        return 0, -math.inf
-    v = _exact_sum(s * np.exp2(e - top))
-    if v == 0.0:
-        return 0, -math.inf
-    return (1 if v > 0 else -1), top + math.log2(abs(v))
 
 
 @dataclass(frozen=True)

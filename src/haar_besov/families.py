@@ -39,6 +39,7 @@ from .dyadic import (
     SparseAtom,
     SparseStepFunction,
     _integer,
+    _exact_row_sums,
     logsumexp2,
 )
 from .haar import tensor_haar_function
@@ -102,6 +103,8 @@ class NestedSpec:
             object.__setattr__(self, "rule", tuple(float(a) for a in self.rule))
             if len(self.rule) != self.m + 1:
                 raise ValueError("explicit rule needs m + 1 coefficients")
+            if not all(map(math.isfinite, self.rule)):
+                raise ValueError(f"explicit rule {self.rule} has a non-finite coefficient")
         if self.chain is not None:
             chain = tuple(self.chain)
             object.__setattr__(self, "chain", chain)
@@ -149,38 +152,39 @@ class NestedNorms:
     l1_norm: float
 
 
-def _signed_log2_add(a: tuple, b: tuple) -> tuple[int, float]:
-    """``signed_log2_sum`` of the two (sign, log2|term|) pairs a and b, by the
-    same operations on scalars: zero signs dropped, terms scaled by the larger
-    exponent through ``np.exp2``, and one add (fsum of two words)."""
-    terms = [(float(s), float(e)) for s, e in (a, b) if s != 0]
-    top = max((e for _, e in terms), default=-math.inf)
-    if top == -math.inf:
-        return 0, -math.inf
-    v = math.fsum(s * float(np.exp2(e - top)) for s, e in terms)
-    if v == 0.0:
-        return 0, -math.inf
-    return (1 if v > 0 else -1), top + math.log2(abs(v))
-
-
-def _nested_tail_ppow_log2(
-    signs: np.ndarray, logs: np.ndarray, start: int, m: int, d: int, p: float
-) -> float:
-    """log2 of sum_{n=start..m} weight_n |sum_{l=start..n} a_l|^p.
+def _nested_tails_log2(signs: np.ndarray, logs: np.ndarray, d: int, p: float) -> np.ndarray:
+    """log2 of sum_{n=j..m} weight_n |sum_{l=j..n} a_l|^p for every start
+    j = 0..m, and last the same sum for j = 0 at exponent 1.
 
     weight_n is (1 - 2^-d) 2^{-nd} for n < m and exactly 2^{-md} for n = m
-    (the deepest cube contributes its whole measure).
+    (the deepest cube contributes its whole measure).  Every start's running
+    sum is kept as (sign, log2|sum|), and step n adds a_n to those of starts
+    0..n at once: both terms scaled by 2^-top (top the larger exponent), one
+    add, and ``math.log2`` of each nonzero |sum| (numpy's array log2 can
+    differ from it in the last bit).  A zero sum reads log2 = -inf, so in
+    each start's ``logsumexp2`` row its terms add exact zeros.
     """
-    log_w_edge = math.log2(1.0 - 2.0**-d)
-    acc = (0, -math.inf)
-    terms = []
-    for n in range(start, m + 1):
-        acc = _signed_log2_add(acc, (signs[n], logs[n]))
-        if acc[0] == 0:
-            continue
-        w_log = -m * d if n == m else log_w_edge - n * d
-        terms.append(p * acc[1] + w_log)
-    return logsumexp2(terms)
+    m = len(signs) - 1
+    run_s, run_e = np.zeros(m + 1), np.full(m + 1, -math.inf)
+    sums = np.full((m + 1, m + 1), -math.inf)  # [n, j]: log2|sum_{l=j..n} a_l|
+    for n in range(m + 1):
+        if signs[n]:
+            s, e = run_s[: n + 1], run_e[: n + 1]
+            top = np.maximum(e, logs[n])
+            v = s * np.exp2(e - top) + signs[n] * np.exp2(logs[n] - top)
+            live = v != 0.0
+            np.sign(v, out=s)
+            e[:] = -math.inf
+            e[live] = top[live] + np.fromiter(map(math.log2, np.abs(v[live]).tolist()), float)
+        sums[n] = run_e
+    w = np.append(math.log2(1.0 - 2.0**-d) - np.arange(m) * d, -m * d)
+    rows = np.vstack([p * sums.T + w, sums[:, 0] + w])
+    top = rows.max(axis=1)
+    out = np.full(m + 2, -math.inf)
+    live = top > -math.inf
+    scaled = np.exp2(rows[live] - top[live, None])
+    out[live] = top[live] + np.fromiter(map(math.log2, _exact_row_sums(scaled)), float)
+    return out
 
 
 def nested_closed_form(spec: NestedSpec, prm: BesovParams) -> NestedNorms:
@@ -192,19 +196,19 @@ def nested_closed_form(spec: NestedSpec, prm: BesovParams) -> NestedNorms:
     """
     _check_closed_form_params(prm, spec.d)
     p, q, s, d, m = prm.p, prm.q, prm.s, spec.d, spec.m
-    signs, logs = spec.coefficient_logs()
+    tails = _nested_tails_log2(*spec.coefficient_logs(), d, p)
+    try:
+        lp = 2.0 ** (float(tails[0]) / p)
+        l1 = 2.0 ** float(tails[-1])
+        e_log2 = tails[1:-1] / p
+        e_values = np.append(np.exp2(e_log2) if m else np.zeros(0), 0.0)
 
-    lp = 2.0 ** (_nested_tail_ppow_log2(signs, logs, 0, m, d, p) / p)
-    l1 = 2.0 ** _nested_tail_ppow_log2(signs, logs, 0, m, d, 1.0)
-    e_log2 = np.array(
-        [_nested_tail_ppow_log2(signs, logs, k + 1, m, d, p) / p for k in range(m)]
-    )
-    e_values = np.append(np.exp2(e_log2) if m else np.zeros(0), 0.0)
-
-    a_terms = [q * (k * s + e_log2[k]) for k in range(m) if e_log2[k] > -math.inf]
-    if lp > 0.0:
-        a_terms.append(q * math.log2(lp))
-    a = 2.0 ** (logsumexp2(a_terms) / q) if a_terms else 0.0
+        a_terms = [q * (k * s + e_log2[k]) for k in range(m) if e_log2[k] > -math.inf]
+        if lp > 0.0:
+            a_terms.append(q * math.log2(lp))
+        a = 2.0 ** (logsumexp2(a_terms) / q) if a_terms else 0.0
+    except OverflowError:  # raised by Python's float powers
+        raise ValueError("the nested closed form overflows double range") from None
     return NestedNorms(lp, e_values, a, l1)
 
 
@@ -253,7 +257,10 @@ def spike_closed_form(m: int, d: int, prm: BesovParams) -> NestedNorms:
     p, q, s = prm.p, prm.q, prm.s
     lp = 2.0 ** (m * d * (1.0 - 1.0 / p))
     e_values = np.append(np.full(m, lp), 0.0)
-    return NestedNorms(lp, e_values, _flat_a_norm(lp, m, s, q), 1.0)
+    try:
+        return NestedNorms(lp, e_values, _flat_a_norm(lp, m, s, q), 1.0)
+    except OverflowError:  # raised by fsum and by Python's float powers
+        raise ValueError("the spike closed form overflows double range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +432,8 @@ class TensorSpikeResult:
 
     @property
     def ratio(self) -> float:
+        if self.a_f == 0.0:
+            raise ValueError("the tensor spike closed form's a-norm of f underflows to 0")
         return self.a_projection / self.a_f
 
     def theta_function(self, m: int | None = None) -> DyadicStepFunction:
@@ -446,21 +455,26 @@ def tensor_spike_pair(k: int, d: int, prm: BesovParams) -> TensorSpikeResult:
 
     inner = 2.0 ** (-k * d)
     l2sq = 2.0 ** (1 - k)
+    if l2sq == 0.0:
+        raise ValueError("the tensor spike closed form's ||theta||_2^2 underflows to 0")
     lam = inner / l2sq  # 2^{k-1-kd}
 
     lp_f = 2.0 ** (-k * d / p)
     e_f = np.full(k, lp_f)
-    a_f = _flat_a_norm(lp_f, k, s, q)
+    try:
+        a_f = _flat_a_norm(lp_f, k, s, q)
 
-    lp_t = 2.0 ** ((1.0 - k) / p)
-    e_t = np.full(k, lp_t)
-    e_t[k - 1] = 2.0 ** (1.0 - 1.0 / p) * lp_t
-    a_t_q = lp_t**q * (
-        1.0
-        + math.fsum(2.0 ** (l * s * q) for l in range(k - 1))
-        + 2.0 ** ((k - 1) * s * q) * 2.0 ** ((1.0 - 1.0 / p) * q)
-    )
-    a_t = a_t_q ** (1.0 / q)
+        lp_t = 2.0 ** ((1.0 - k) / p)
+        e_t = np.full(k, lp_t)
+        e_t[k - 1] = 2.0 ** (1.0 - 1.0 / p) * lp_t
+        a_t_q = lp_t**q * (
+            1.0
+            + math.fsum(2.0 ** (l * s * q) for l in range(k - 1))
+            + 2.0 ** ((k - 1) * s * q) * 2.0 ** ((1.0 - 1.0 / p) * q)
+        )
+        a_t = a_t_q ** (1.0 / q)
+    except OverflowError:  # raised by fsum and by Python's float powers
+        raise ValueError("the tensor spike closed form overflows double range") from None
 
     return TensorSpikeResult(
         k=k,

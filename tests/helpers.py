@@ -9,7 +9,8 @@ difference-table entries one offset at a time from sliced cell values, shift
 differences for any real shift as weighted sums of those entries, sub-cell
 scales one level at a time in Python floats (both so that comparison is bit
 for bit), sparse histograms and errors from a rescan of every atom per cube,
-random words one xoshiro step at a time.  The last two helpers give the
+random words one xoshiro step at a time, and the nested closed form's
+tails one two-term signed add at a time.  The last two helpers give the
 lattice's mid-range smoothness and the level window on which criterion 10
 runs ``basis-fail``.
 """
@@ -24,6 +25,7 @@ from types import FunctionType
 import numpy as np
 
 import haar_besov as hb
+from haar_besov.dyadic import logsumexp2
 from haar_besov.regimes import critical_smoothness
 from haar_besov.rng import _JUMP_STEPS, RandomStream
 
@@ -208,6 +210,29 @@ def approx_error_sparse_rescan(f, k, p):
         for cube in sorted(cands, key=lambda c: c.index)
     ]
     return math.fsum(terms) ** (1.0 / p) if terms else 0.0
+
+
+def nested_tail_log2_loop(signs, logs, start, d, p):
+    """log2 of sum_{n=start..m} weight_n |sum_{l=start..n} a_l|^p, one
+    two-term signed add per n (weight_n is (1 - 2^-d) 2^{-nd} for n < m and
+    2^{-md} for n = m).  The running sum is a (sign, log2|sum|) pair; each
+    add drops zero signs, scales the terms by the larger exponent through
+    ``np.exp2`` and adds them as a two-word fsum."""
+    m = len(signs) - 1
+    log_w_edge = math.log2(1.0 - 2.0**-d)
+    acc = (0, -math.inf)
+    terms = []
+    for n in range(start, m + 1):
+        pair = [(float(s), float(e)) for s, e in (acc, (signs[n], logs[n])) if s != 0]
+        top = max((e for _, e in pair), default=-math.inf)
+        v = 0.0 if top == -math.inf else math.fsum(s * float(np.exp2(e - top)) for s, e in pair)
+        if v == 0.0:
+            acc = (0, -math.inf)
+            continue
+        acc = (1 if v > 0 else -1), top + math.log2(abs(v))
+        w_log = -m * d if n == m else log_w_edge - n * d
+        terms.append(p * acc[1] + w_log)
+    return logsumexp2(terms)
 
 
 def a_norm_grid(f, prm, coarse=4_000):

@@ -145,10 +145,9 @@ def test_b_norm_reads_each_level_once_and_never_through_omega(d, m, p, monkeypat
         assert reads == list(range(len(reads))) and reads[-1] > m
 
 
-def _warm_item_calls(fn) -> int:
-    """Python calls one warm run of the benchmark task ``fn`` makes in the
-    library's own files (numpy's Python wrappers left out), its checks passing."""
-    fn(spans.NullTracer(), workloads.Checker(REFS))  # warm the caches
+def _library_calls(run) -> int:
+    """Python calls ``run()`` makes in the library's own files (numpy's
+    Python wrappers left out)."""
     package = os.path.dirname(hb.__file__) + os.sep
     calls = 0
 
@@ -157,12 +156,20 @@ def _warm_item_calls(fn) -> int:
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls += 1
 
-    chk = workloads.Checker(REFS)
     sys.setprofile(profile)
     try:
-        fn(spans.NullTracer(), chk)
+        run()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def _warm_item_calls(fn) -> int:
+    """Library calls of one warm run of the benchmark task ``fn``, its checks
+    passing."""
+    fn(spans.NullTracer(), workloads.Checker(REFS))  # warm the caches
+    chk = workloads.Checker(REFS)
+    calls = _library_calls(lambda: fn(spans.NullTracer(), chk))
     assert chk.attempted > 0 and chk.failed == 0, chk.failures
     return calls
 
@@ -234,8 +241,10 @@ def test_fine_grid_solver_item_call_budget():
 
 #: Calls of one warm small densified families item (nested, d = 1, m = 6,
 #: alternating rule, on the critical line): its L_p norm, each E_k and the
-#: a-norm, every level read from one pyramid.
-DENSE_ITEM_CALLS = 638
+#: a-norm, every level read from one pyramid.  With its closed form's tails
+#: summed one two-term signed add per (start, n), 299 of its calls, it
+#: made 638.
+DENSE_ITEM_CALLS = 351
 
 
 def test_dense_families_item_call_budget():
@@ -244,3 +253,18 @@ def test_dense_families_item_call_budget():
     chain = workloads.random_chain(random.Random(6), 1, 6)
     fn = workloads.nested_item(1, 6, "alternating", chain, prm, False)[2]
     _check_budget(_warm_item_calls(fn), DENSE_ITEM_CALLS)
+
+
+#: Calls of one nested closed form at (d, m) = (1, 64) on the critical line,
+#: its spec built inside the count as a benchmark item builds it: every start's
+#: tail is summed in one numpy step per n.  One two-term signed add per
+#: (start, n) made 17,757.
+NESTED_CLOSED_FORM_CALLS = 12
+
+
+def test_nested_closed_form_call_budget():
+    # a slide back to a Python call per (start, n) of the tails shows here
+    prm = workloads.family_params(1)[0]
+    hb.nested_closed_form(hb.NestedSpec(1, 64), prm)
+    run = lambda: hb.nested_closed_form(hb.NestedSpec(1, 64), prm)
+    _check_budget(_library_calls(run), NESTED_CLOSED_FORM_CALLS)

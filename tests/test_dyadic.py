@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haar_besov as hb
-from haar_besov.dyadic import _exact_sum, logsumexp2, signed_log2_sum, stable_sum
+from haar_besov.dyadic import _exact_sum, logsumexp2, stable_sum
 from haar_besov.experiments import random_step
 from haar_besov.norms import approximation_profile
 from haar_besov.rng import RandomStream
@@ -599,14 +599,6 @@ class TestNumericHelpers:
         assert logsumexp2([3.0]) == pytest.approx(3.0)
         assert logsumexp2([0.0, 0.0]) == pytest.approx(1.0)
         assert logsumexp2([10000.0, 10000.0]) == pytest.approx(10001.0)
-
-    def test_signed_log2_sum(self):
-        s, e = signed_log2_sum([1, -1], [2.0, 2.0])
-        assert s == 0 and e == -math.inf
-        s, e = signed_log2_sum([1, -1], [3.0, 2.0])
-        assert s == 1 and 2.0**e == pytest.approx(4.0)
-        s, e = signed_log2_sum([-1, -1], [5000.0, 5000.0])
-        assert s == -1 and e == pytest.approx(5001.0)
 
 
 def _same_double(got, want):

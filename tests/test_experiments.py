@@ -398,6 +398,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: the modulus-route scale sum") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["uncond-fail", "--m", "7000"], "the spike closed form overflows double range\n"),
+            (["tensor-fail", "--kmax", "1100"], "the tensor spike closed form's a-norm of f"),
+        ],
+        ids=["uncond-fail", "tensor-fail"],
+    )
+    def test_closed_forms_out_of_double_range_exit_one(self, args, message, capsys):
+        assert cli_main(["experiment"] + args) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {message}")
+        assert "Traceback" not in out.err
+
     def test_experiment_exit_codes(self, tmp_path):
         assert cli_main(["experiment", "trivial-dual", "--out", str(tmp_path / "t")]) == 0
         # default basis-fail window is pre-asymptotic: threshold failure

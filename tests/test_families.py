@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import haar_besov as hb
-from haar_besov.dyadic import signed_log2_sum
-from haar_besov.families import ALTERNATING, TRIVIAL_DUAL, _signed_log2_add
+from haar_besov.families import ALTERNATING, TRIVIAL_DUAL, _nested_tails_log2
 from haar_besov.experiments import fit_log2_slope
 
-from helpers import a_norm_grid
+from helpers import a_norm_grid, nested_tail_log2_loop
 
 
 def crit(p, d):
@@ -52,19 +51,41 @@ class TestNestedFamily:
             hb.NestedSpec(1, 2, chain=bad)
 
 
-def test_two_term_add_is_signed_log2_sum_bit_for_bit():
-    rng = np.random.default_rng(46)
-    cases = [((1, 2.0), (-1, 2.0)), ((0, -math.inf), (0, -math.inf)), ((0, -math.inf), (-1, 3.5)),
-             ((1, 1e4), (1, -1e4)), ((-1, -1074.5), (-1, -1074.5)), ((1, 0.0), (-1, -60.0))]
-    for _ in range(5000):
-        s, e = rng.integers(-1, 2, 2), rng.uniform(-80.0, 80.0, 2)
-        if rng.random() < 0.3:
-            e[1] = e[0] + rng.choice([0.0, 1.0, -1.0, 2.0**-40])
-        cases.append(((s[0], e[0]), (s[1], e[1])))
-    for a, b in cases:
-        want = signed_log2_sum([a[0], b[0]], [a[1], b[1]])
-        got = _signed_log2_add(a, b)
-        assert (got[0], float(got[1]).hex()) == (want[0], float(want[1]).hex()), (a, b)
+def _tail_table():
+    """(signs, logs, d, p) over d <= 3 and m <= 64: both named rules, explicit
+    rules with zeros and magnitudes up to 2^+-40, and rules whose running
+    sums cancel exactly, such as (2, -2, 0, 3, -3)."""
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        for m in (0, 1, 2, 3, 4, 5, 8, 13, 21, 34, 47, 64):
+            wide = rng.choice([-1.0, 1.0], m + 1) * np.exp2(rng.uniform(-40.0, 40.0, m + 1))
+            wide[rng.random(m + 1) < 0.2] = 0.0
+            cancelling = ((2.0, -2.0, 0.0, 3.0, -3.0) * (m // 5 + 1))[: m + 1]
+            small = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], m + 1)
+            for rule in (TRIVIAL_DUAL, ALTERNATING, tuple(wide), cancelling, tuple(small)):
+                signs, logs = hb.NestedSpec(d, m, rule=rule).coefficient_logs()
+                for p in (0.3, 0.6, 0.8, 1.0):
+                    yield signs, logs, d, p
+    # two rules whose tails move if the running sums take numpy's array log2
+    # (seen with numpy 2.4 on an AVX-512 x86-64 build; the rows above do not
+    # show it, since a last-bit change of log2|sum| is mostly lost in the
+    # weights' exponents)
+    for rule in ((0.317, 0.957, 0.494), (0.707, 1.201, -0.817, 0.656)):
+        signs, logs = hb.NestedSpec(1, len(rule) - 1, rule=rule).coefficient_logs()
+        yield signs, logs, 1, 1.0
+
+
+def test_tails_match_the_scalar_loop_bit_for_bit():
+    # every start's tail, and start 0's at exponent 1, against one two-term
+    # signed add per (start, n)
+    tails = 0
+    for signs, logs, d, p in _tail_table():
+        want = [nested_tail_log2_loop(signs, logs, j, d, p) for j in range(len(signs))]
+        want.append(nested_tail_log2_loop(signs, logs, 0, d, 1.0))
+        got = _nested_tails_log2(signs, logs, d, p).tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (d, len(signs) - 1, p)
+        tails += len(got)
+    assert tails == 13_569
 
 
 class TestNestedClosedForm:
@@ -112,6 +133,19 @@ class TestNestedClosedForm:
         with pytest.raises(ValueError):
             hb.nested_closed_form(hb.NestedSpec(1, 2), hb.BesovParams(1.5, 1.0, 0.3, 1))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_coefficients(self, bad):
+        # a non-finite coefficient would read lp, l1 and E_0 as nan beside a finite a-norm
+        with pytest.raises(ValueError, match=r"^explicit rule \(1\.0, .*, 1\.0\) has a non-finite"):
+            hb.NestedSpec(1, 2, rule=(1.0, bad, 1.0))
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_overflow_raises_by_name(self, p):
+        # three coefficients of 1.7e308: L_p and L_1 overflow a Python float power
+        spec = hb.NestedSpec(1, 2, rule=(1.7e308,) * 3)
+        with pytest.raises(ValueError, match="^the nested closed form overflows double range$"):
+            hb.nested_closed_form(spec, hb.BesovParams(p, 1.0, 0.5, 1))
+
     def test_deepest_cube_carries_full_measure(self):
         # the final chain cube contributes 2^{-md}|xi_m|^p, not the edge-
         # weighted fraction; the densified pipeline is the referee
@@ -151,6 +185,11 @@ class TestSpikePair:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             hb.spike_pair(4, 1).g(3)
+
+    def test_overflow_raises_by_name(self):
+        # sum_l 2^{lsq} over l < 7000 at sq = 0.2 passes 2^1024
+        with pytest.raises(ValueError, match="^the spike closed form overflows double range$"):
+            hb.spike_closed_form(7000, 1, hb.BesovParams(0.8, 0.8, 0.25, 1))
 
 
 class TestScattered:
@@ -314,6 +353,22 @@ class TestTensorSpikePair:
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
             hb.tensor_spike_pair(2, 1, hb.BesovParams(0.5, 1.0, 1.0, 1))
+
+    def test_overflow_and_underflow_raise_by_name(self):
+        prm = hb.BesovParams(0.5, 1.0, 1.0, 2)
+        # sum_l 2^{lsq} over l < 1030 passes 2^1024
+        with pytest.raises(ValueError, match="^the tensor spike closed form overflows double range$"):
+            hb.tensor_spike_pair(1030, 2, prm)
+        # past k = 1075, ||theta||_2^2 = 2^{1-k} reads 0: <f, theta> / ||theta||_2^2 has no value
+        with pytest.raises(ValueError, match=r"^the tensor spike closed form's \|\|theta\|\|_2\^2 underflows"):
+            hb.tensor_spike_pair(1076, 2, prm)
+
+    def test_ratio_over_an_underflowed_a_norm_raises_by_name(self):
+        # ||f||_p = 2^{-kd/p} = 2^-2400 reads 0, so a_f does too
+        res = hb.tensor_spike_pair(600, 2, hb.BesovParams(0.5, 1.0, 1.0, 2))
+        assert res.a_f == 0.0
+        with pytest.raises(ValueError, match="^the tensor spike closed form's a-norm of f"):
+            res.ratio
 
 
 class TestGrowthSummaries:

@@ -81,8 +81,6 @@ EXEMPT = {
     "which convert it",
     "logsumexp2": "a log2-domain building block; its callers check the value they "
     "raise 2 to",
-    "signed_log2_sum": "a log2-domain building block; its callers check the value "
-    "they raise 2 to",
     "HaarCoefficients.coefficient": "reads one stored coefficient; it computes nothing",
     "critical_smoothness": "the formula d(1/p - 1) on classify-sweep's hot loop; for p "
     "below 1/DBL_MAX it is +inf, the limit classify compares s with",
