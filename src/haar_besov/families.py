@@ -201,7 +201,7 @@ def nested_closed_form(spec: NestedSpec, prm: BesovParams) -> NestedNorms:
         lp = 2.0 ** (float(tails[0]) / p)
         l1 = 2.0 ** float(tails[-1])
         e_log2 = tails[1:-1] / p
-        e_values = np.append(np.exp2(e_log2) if m else np.zeros(0), 0.0)
+        e_values = np.append(np.exp2(e_log2), 0.0)
 
         a_terms = [q * (k * s + e_log2[k]) for k in range(m) if e_log2[k] > -math.inf]
         if lp > 0.0:
